@@ -13,6 +13,7 @@ from .errors import (
     InsufficientHistoryError,
     SimulationError,
     TradeRejectedError,
+    TrainingDivergedError,
 )
 from .neural import ActivationKind, Agent, AgentSpec, Hyperparams, TrainingWindow
 from .players import Player, Side, TradeIntent
@@ -36,6 +37,7 @@ __all__ = [
     "SimulationError",
     "TradeIntent",
     "TradeRejectedError",
+    "TrainingDivergedError",
     "TrainingWindow",
     "parse_config",
     "run_simulation",

@@ -28,7 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="path to a key = value config file")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", default=None, help="override the config output directory")
-    run.add_argument("--jobs", type=int, default=1, help="training threads (results identical)")
 
     bench = sub.add_parser("bench", help="time full runs across player/committee sweeps")
     bench.add_argument("--players", type=_int_list, default=[2, 4, 8, 16, 32])
@@ -52,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     overrides = {"seed": args.seed, "output_dir": args.out}
     config = parse_config(args.config, overrides)
-    output = run_simulation(config, jobs=max(args.jobs, 1))
+    output = run_simulation(config)
     counts = emit_reports(output, config.output_dir)
     print(
         f"simulated {config.days} trading days, {len(output.trades)} trades, "

@@ -7,6 +7,7 @@ nothing in a run may depend on wall-clock time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .data import DEFAULT_STOCKS
@@ -35,16 +36,19 @@ class SimulationConfig:
     output_dir: str = "out"
 
     def hyperparams(self) -> Hyperparams:
-        return Hyperparams(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            weight_init_scale=self.weight_init_scale,
-        )
+        return Hyperparams(epochs=self.epochs, learning_rate=self.learning_rate)
 
     def ga_params(self) -> GAParams:
         return GAParams(p_cross=self.p_cross, p_mut=self.p_mut)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("p_cross", "p_mut", "learning_rate", "weight_init_scale", "initial_cash"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.weight_init_scale > 0:
+            raise ConfigError(f"weight_init_scale must be > 0, got {self.weight_init_scale}")
         if self.players < 2:
             raise ConfigError(f"players must be >= 2, got {self.players}")
         if self.agents_per_stock < 1:

@@ -17,6 +17,10 @@ class InsufficientHistoryError(DataError):
     """A price series is too short for the requested training window."""
 
 
+class TrainingDivergedError(SimulationError):
+    """Gradient descent left an agent with a non-finite training error."""
+
+
 class TradeRejectedError(SimulationError):
     """A trade failed its settlement preconditions; no state was changed."""
 

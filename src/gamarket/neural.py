@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TrainingDivergedError
 
 # Architecture search space for evolved committees.
 HIDDEN_MIN = 1
@@ -86,15 +86,12 @@ class TrainingWindow:
 class Hyperparams:
     epochs: int = 200
     learning_rate: float = 0.05
-    weight_init_scale: float = 0.5
 
     def validate(self) -> None:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.weight_init_scale > 0:
-            raise ConfigError(f"weight_init_scale must be > 0, got {self.weight_init_scale}")
 
 
 def _split(spec: AgentSpec, weights: np.ndarray):
@@ -194,6 +191,7 @@ def train(agent: Agent, window: TrainingWindow, hp: Hyperparams) -> Agent:
 
     Returns a new Agent; the input agent is left untouched.  The returned
     agent keeps the same architecture and records its final training MSE.
+    Raises TrainingDivergedError if that MSE is not finite.
     """
     hp.validate()
     if len(window) == 0:
@@ -203,4 +201,10 @@ def train(agent: Agent, window: TrainingWindow, hp: Hyperparams) -> Agent:
         weights -= hp.learning_rate * _gradient(agent.spec, weights, window.inputs, window.targets)
     preds, _ = _predict(agent.spec, weights, window.inputs)
     final_mse = float(np.mean((preds - window.targets) ** 2))
+    if not math.isfinite(final_mse):
+        raise TrainingDivergedError(
+            f"training diverged for {agent.spec.hidden_units}-unit "
+            f"{agent.spec.activation.value} agent: final MSE {final_mse} after "
+            f"{hp.epochs} epochs at learning rate {hp.learning_rate}"
+        )
     return Agent(spec=agent.spec, weights=weights, last_training_error=final_mse)

@@ -8,7 +8,6 @@ retrained on the window ending that day.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import InsufficientHistoryError
 from .evolution import evolve_generation
 from .market import Market, Trade, advance_day, announce_price, run_clearing, split_endowment
 from .metrics import RunMetrics, record_generation, record_networth
-from .neural import Agent, TrainingWindow, evaluate_error, init_random, train
+from .neural import TrainingWindow, evaluate_error, init_random, train
 from .players import Player, committee_predict
 from .rng import RandomStreams, make_streams
 
@@ -57,31 +56,15 @@ def _build_players(config: SimulationConfig, streams: RandomStreams) -> list[Pla
 
 
 def _train_population(
-    players: list[Player],
-    windows: list[TrainingWindow],
-    config: SimulationConfig,
-    jobs: int,
+    players: list[Player], windows: list[TrainingWindow], config: SimulationConfig
 ) -> None:
-    """Retrain every agent on its stock's window, in place.
-
-    Tasks are laid out player-major then stock-major, and results are
-    merged back by index, so the outcome is identical for any job count.
-    """
+    """Retrain every agent on its stock's window, in place."""
     hp = config.hyperparams()
-    tasks: list[tuple[Agent, TrainingWindow]] = []
-    slots: list[tuple[int, int, int]] = []
-    for p, player in enumerate(players):
-        for m, group in enumerate(player.committees):
-            for j, agent in enumerate(group):
-                tasks.append((agent, windows[m]))
-                slots.append((p, m, j))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trained = list(pool.map(lambda task: train(task[0], task[1], hp), tasks))
-    else:
-        trained = [train(agent, window, hp) for agent, window in tasks]
-    for (p, m, j), agent in zip(slots, trained):
-        players[p].committees[m][j] = agent
+    for player in players:
+        player.committees = [
+            [train(agent, windows[m], hp) for agent in group]
+            for m, group in enumerate(player.committees)
+        ]
 
 
 def _build_windows(
@@ -96,9 +79,14 @@ def _build_windows(
     return windows, params
 
 
-def _population_errors(players: list[Player], windows: list[TrainingWindow]) -> list[list[float]]:
-    """Validation MSE per agent, committee order, one list per player."""
-    return [
+def _score_population(
+    players: list[Player], windows: list[TrainingWindow], metrics: RunMetrics, generation: int
+) -> list[list[float]]:
+    """Validation MSE per agent, committee order, one list per player.
+
+    The population mean is appended to `metrics.generation_error_rows`.
+    """
+    errors = [
         [
             evaluate_error(agent, windows[m])
             for m, group in enumerate(player.committees)
@@ -106,15 +94,13 @@ def _population_errors(players: list[Player], windows: list[TrainingWindow]) -> 
         ]
         for player in players
     ]
+    flat = [e for per_player in errors for e in per_player]
+    metrics.generation_error_rows.append((generation, float(np.mean(flat))))
+    return errors
 
 
-def run_simulation(config: SimulationConfig, jobs: int = 1) -> RunOutput:
-    """Run the whole market simulation described by `config`.
-
-    `jobs` only controls how many threads retrain agents; results are
-    byte-identical for any value because training tasks are independent
-    and merged in a fixed order.
-    """
+def run_simulation(config: SimulationConfig) -> RunOutput:
+    """Run the whole market simulation described by `config`."""
     config.validate()
     series = load_prices(config.input_path, config.stocks, config.window)
     needed = config.window + max(config.days, 1)
@@ -130,7 +116,7 @@ def run_simulation(config: SimulationConfig, jobs: int = 1) -> RunOutput:
     output = RunOutput(config=config, metrics=metrics, players=players)
 
     windows, norm_params = _build_windows(series, market.t, config.window)
-    _train_population(players, windows, config, jobs)
+    _train_population(players, windows, config)
     record_generation(metrics, 0, players)
 
     for day in range(1, config.days + 1):
@@ -143,9 +129,7 @@ def run_simulation(config: SimulationConfig, jobs: int = 1) -> RunOutput:
 
         if day % config.evolution_cadence == 0 and day < config.days:
             windows, norm_params = _build_windows(series, market.t, config.window)
-            errors = _population_errors(players, windows)
-            flat = [e for per_player in errors for e in per_player]
-            metrics.generation_error_rows.append((output.generations, float(np.mean(flat))))
+            errors = _score_population(players, windows, metrics, output.generations)
             for pid in range(len(players)):
                 players[pid] = evolve_generation(
                     players[pid],
@@ -155,15 +139,13 @@ def run_simulation(config: SimulationConfig, jobs: int = 1) -> RunOutput:
                     config.weight_init_scale,
                 )
             output.generations += 1
-            _train_population(players, windows, config, jobs)
+            _train_population(players, windows, config)
             record_generation(metrics, output.generations, players)
         advance_day(market)
 
     if config.days >= 1:
         # Score the final population on the last completed day's window.
         windows, _ = _build_windows(series, market.t - 1, config.window)
-        errors = _population_errors(players, windows)
-        flat = [e for per_player in errors for e in per_player]
-        metrics.generation_error_rows.append((output.generations, float(np.mean(flat))))
+        _score_population(players, windows, metrics, output.generations)
     output.players = players
     return output

@@ -309,7 +309,7 @@ def test_a6_leadership_depends_on_seed_not_structure(price_file):
     )
 
 
-def test_a7_reruns_are_byte_identical_across_thread_counts(price_file, tmp_path):
+def test_a7_reruns_are_byte_identical_across_processes(price_file, tmp_path, cli_process):
     out = tmp_path / "out"
     config_path = tmp_path / "run.cfg"
     config_path.write_text(
@@ -337,10 +337,11 @@ def test_a7_reruns_are_byte_identical_across_thread_counts(price_file, tmp_path)
     first = snapshot()
     assert cli_main(["run", "--config", str(config_path)]) == 0
     second = snapshot()
-    assert cli_main(["run", "--config", str(config_path), "--jobs", "4"]) == 0
+    fresh = cli_process("run", "--config", str(config_path))
+    assert fresh.returncode == 0, fresh.stderr
     third = snapshot()
     _report(
         "A7 determinism",
         first == second == third,
-        f"{len(first)} output files byte-identical over two reruns and --jobs 4",
+        f"{len(first)} output files byte-identical over two reruns and a fresh process",
     )

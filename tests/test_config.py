@@ -65,10 +65,16 @@ def test_defaults_validate():
         {"initial_cash": -1.0},
         {"epochs": 0},
         {"p_cross": 0.1, "p_mut": 0.2},
+        {"seed": -1},
+        {"initial_cash": float("nan")},
+        {"initial_cash": float("inf")},
+        {"weight_init_scale": float("inf")},
+        {"weight_init_scale": 0.0},
+        {"learning_rate": float("inf")},
     ],
 )
 def test_validate_rejects_bad_fields(kwargs):
-    config = SimulationConfig(seed=1, input_path="x", **kwargs)
+    config = SimulationConfig(**{"seed": 1, "input_path": "x", **kwargs})
     with pytest.raises(ConfigError):
         config.validate()
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gamarket.errors import ConfigError, DataError
+from gamarket.errors import ConfigError, DataError, TrainingDivergedError
 from gamarket.neural import (
     HIDDEN_MAX,
     HIDDEN_MIN,
@@ -232,6 +232,22 @@ def test_train_is_bit_reproducible():
     )
     assert first.spec == second.spec
     assert first.weights.tobytes() == second.weights.tobytes()
+
+
+def test_divergent_training_raises_a_named_error():
+    # A learning rate of 1000 blows every linear agent up on a ramp; the
+    # error names the architecture, epochs and learning rate.
+    rng = np.random.default_rng(4)
+    xs = np.linspace(0.1, 0.9, 50)
+    window = TrainingWindow(inputs=xs, targets=xs)
+    for hidden in range(HIDDEN_MIN, HIDDEN_MAX + 1):
+        agent = new_agent(AgentSpec(hidden, ActivationKind.LINEAR), rng)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as info:
+            train(agent, window, Hyperparams(epochs=200, learning_rate=1000.0))
+        message = str(info.value)
+        assert f"{hidden}-unit linear" in message
+        assert "200 epochs" in message
+        assert "learning rate 1000.0" in message
 
 
 def test_zero_epochs_is_a_config_error():

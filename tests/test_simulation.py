@@ -78,13 +78,6 @@ def test_same_config_reruns_identically(tmp_path):
     assert first == second
 
 
-def test_thread_count_does_not_change_results(tmp_path):
-    config = _small_config(tmp_path)
-    serial = _fingerprint(run_simulation(config))
-    threaded = _fingerprint(run_simulation(_small_config(tmp_path), jobs=3))
-    assert serial == threaded
-
-
 def test_different_seed_changes_the_run(tmp_path):
     a = _fingerprint(run_simulation(_small_config(tmp_path)))
     b = _fingerprint(run_simulation(_small_config(tmp_path, seed=6)))
