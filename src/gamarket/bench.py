@@ -10,6 +10,7 @@ player count held at a base value; each sweep gets a least-squares line.
 from __future__ import annotations
 
 import os
+import statistics
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -43,14 +44,6 @@ class BenchmarkResult:
     samples: list[BenchmarkSample] = field(default_factory=list)
     fits: list[SweepFit] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
 def scaling_benchmark(
@@ -92,7 +85,7 @@ def scaling_benchmark(
                 started = time.perf_counter()
                 run_simulation(config)
                 laps.append(time.perf_counter() - started)
-            return _median(laps)
+            return statistics.median(laps)
 
         for sweep, grid in ((PLAYER_SWEEP, player_grid), (AGENT_SWEEP, agent_grid)):
             xs = []

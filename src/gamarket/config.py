@@ -8,7 +8,8 @@ nothing in a run may depend on wall-clock time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
 from .data import DEFAULT_STOCKS
 from .errors import ConfigError
@@ -75,52 +76,28 @@ class SimulationConfig:
         self.ga_params().validate()
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_names(text: str) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not names:
-        raise ValueError("empty list")
-    return names
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    values = tuple(int(part.strip()) for part in text.split(",") if part.strip())
+def _parse_list(item, text: str) -> tuple:
+    values = tuple(item(part.strip()) for part in text.split(",") if part.strip())
     if not values:
         raise ValueError("empty list")
     return values
 
 
-_PARSERS = {
-    "seed": _parse_int,
-    "input_path": _parse_str,
-    "players": _parse_int,
-    "agents_per_stock": _parse_int,
-    "stocks": _parse_names,
-    "total_supply": _parse_ints,
-    "window": _parse_int,
-    "evolution_cadence": _parse_int,
-    "days": _parse_int,
-    "p_cross": _parse_float,
-    "p_mut": _parse_float,
-    "epochs": _parse_int,
-    "learning_rate": _parse_float,
-    "weight_init_scale": _parse_float,
-    "initial_cash": _parse_float,
-    "output_dir": _parse_str,
-}
+_SCALARS = {"int": int, "float": float, "str": str}
 
-_REQUIRED = ("seed", "input_path")
+
+def _field_parser(annotation: str):
+    """Parser for a string annotation: a scalar or `tuple[<scalar>, ...]`."""
+    if annotation.startswith("tuple["):
+        item = annotation.removeprefix("tuple[").removesuffix(", ...]")
+        return partial(_parse_list, _SCALARS[item])
+    return _SCALARS[annotation]
+
+
+# Every field is a config key and fields without a default are required.  An
+# unsupported annotation fails here, at import, rather than mis-parsing values.
+_PARSERS = {f.name: _field_parser(f.type) for f in fields(SimulationConfig)}
+_REQUIRED = tuple(f.name for f in fields(SimulationConfig) if f.default is MISSING)
 
 
 def parse_config(path, overrides: dict | None = None) -> SimulationConfig:

@@ -197,10 +197,14 @@ def train(agent: Agent, window: TrainingWindow, hp: Hyperparams) -> Agent:
     if len(window) == 0:
         raise DataError("cannot train on an empty window")
     weights = agent.weights.astype(float, copy=True)
-    for _ in range(hp.epochs):
-        weights -= hp.learning_rate * _gradient(agent.spec, weights, window.inputs, window.targets)
-    preds, _ = _predict(agent.spec, weights, window.inputs)
-    final_mse = float(np.mean((preds - window.targets) ** 2))
+    # A diverging run overflows; the check below reports it instead of numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(hp.epochs):
+            weights -= hp.learning_rate * _gradient(
+                agent.spec, weights, window.inputs, window.targets
+            )
+        preds, _ = _predict(agent.spec, weights, window.inputs)
+        final_mse = float(np.mean((preds - window.targets) ** 2))
     if not math.isfinite(final_mse):
         raise TrainingDivergedError(
             f"training diverged for {agent.spec.hidden_units}-unit "

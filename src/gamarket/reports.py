@@ -17,35 +17,14 @@ from .simulation import RunOutput
 MANIFEST_NAME = "manifest"
 
 
-def _render_networth(output: RunOutput) -> str:
-    lines = ["day,player,net_worth"]
-    for day, player, value in output.metrics.networth_rows:
-        lines.append(f"{day},{player},{value!r}")
-    return "\n".join(lines) + "\n"
+def _table(header: str, rows) -> str:
+    """Header plus one CSV line per row tuple of Python ints, strs and floats.
 
-
-def _render_hidden(output: RunOutput) -> str:
-    lines = ["generation,player,mean_hidden_units"]
-    for generation, player, value in output.metrics.hidden_rows:
-        lines.append(f"{generation},{player},{value!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_complexity(output: RunOutput) -> str:
-    lines = ["generation,species,stddev_hidden_units"]
-    for generation, species, sigma in output.metrics.complexity_rows:
-        lines.append(f"{generation},{species},{sigma!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_trades(output: RunOutput) -> str:
-    names = output.config.stocks
-    lines = ["day,round,buyer,seller,stock,quantity,price"]
-    for t in output.trades:
-        lines.append(
-            f"{t.day},{t.round},{t.buyer},{t.seller},{names[t.stock]},{t.quantity},{t.price!r}"
-        )
-    return "\n".join(lines) + "\n"
+    `%s` of a Python float is its round-tripping `repr`, so nothing is lost;
+    a row whose width differs from the header's raises TypeError.
+    """
+    line = ",".join(["%s"] * len(header.split(",")))
+    return "\n".join([header] + [line % row for row in rows]) + "\n"
 
 
 def _write_all(contents: dict[str, str], out_dir) -> dict[str, int]:
@@ -72,11 +51,17 @@ def _write_all(contents: dict[str, str], out_dir) -> dict[str, int]:
 
 def emit_reports(output: RunOutput, out_dir) -> dict[str, int]:
     """Write the run's CSVs, resolved config and manifest into out_dir."""
+    m = output.metrics
+    trade_rows = (
+        (t.day, t.round, t.buyer, t.seller, output.config.stocks[t.stock], t.quantity, t.price)
+        for t in output.trades
+    )
     contents = {
-        "networth.csv": _render_networth(output),
-        "hidden_units.csv": _render_hidden(output),
-        "complexity.csv": _render_complexity(output),
-        "trades.csv": _render_trades(output),
+        "networth.csv": _table("day,player,net_worth", m.networth_rows),
+        "hidden_units.csv": _table("generation,player,mean_hidden_units", m.hidden_rows),
+        "complexity.csv": _table("generation,species,stddev_hidden_units", m.complexity_rows),
+        "generations.csv": _table("generation,mean_val_mse", m.generation_error_rows),
+        "trades.csv": _table("day,round,buyer,seller,stock,quantity,price", trade_rows),
         "config.resolved": resolved_text(output.config),
     }
     return _write_all(contents, out_dir)
@@ -84,20 +69,13 @@ def emit_reports(output: RunOutput, out_dir) -> dict[str, int]:
 
 def emit_bench_reports(result: BenchmarkResult, out_dir) -> dict[str, int]:
     """Write benchmark samples and per-sweep fits into out_dir."""
-    sample_lines = ["sweep,x,seconds"]
-    for s in result.samples:
-        sample_lines.append(f"{s.sweep},{s.x},{s.seconds!r}")
-    fit_lines = ["sweep,slope,intercept,r_squared,samples"]
-    for sweep_fit in result.fits:
-        if sweep_fit.fit is None:
-            fit_lines.append(f"{sweep_fit.sweep},,,,{sweep_fit.samples}")
-        else:
-            f = sweep_fit.fit
-            fit_lines.append(
-                f"{sweep_fit.sweep},{f.slope!r},{f.intercept!r},{f.r_squared!r},{sweep_fit.samples}"
-            )
+    sample_rows = ((s.sweep, s.x, s.seconds) for s in result.samples)
+    fit_rows = []
+    for s in result.fits:
+        coeffs = ("", "", "") if s.fit is None else (s.fit.slope, s.fit.intercept, s.fit.r_squared)
+        fit_rows.append((s.sweep, *coeffs, s.samples))
     contents = {
-        "scaling.csv": "\n".join(sample_lines) + "\n",
-        "scaling_fit.csv": "\n".join(fit_lines) + "\n",
+        "scaling.csv": _table("sweep,x,seconds", sample_rows),
+        "scaling_fit.csv": _table("sweep,slope,intercept,r_squared,samples", fit_rows),
     }
     return _write_all(contents, out_dir)

@@ -1,6 +1,10 @@
 """Tests for config parsing, validation, and the resolved round trip."""
 
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gamarket.config import SimulationConfig, parse_config, resolved_text
 from gamarket.data import DEFAULT_STOCKS
@@ -158,3 +162,56 @@ def test_resolved_text_round_trips(tmp_path):
     assert rendered.startswith("# resolved configuration\n")
     reparsed = parse_config(_write(tmp_path, rendered, name="resolved.cfg"))
     assert reparsed == original
+
+
+# A value is one line with no surrounding whitespace; stock names also hold
+# no comma, since the list is comma-separated.  ASCII keeps the file's
+# encoding out of the test.
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126)).map(str.strip)
+_NAME = _TEXT.filter(lambda name: name and "," not in name)
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _valid_configs(draw):
+    stocks = tuple(draw(st.lists(_NAME, min_size=1, max_size=4, unique=True)))
+    p_cross = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    return SimulationConfig(
+        seed=draw(st.integers(min_value=0, max_value=2**64)),
+        input_path=draw(_TEXT),
+        players=draw(st.integers(min_value=2, max_value=10**6)),
+        agents_per_stock=draw(st.integers(min_value=1, max_value=10**6)),
+        stocks=stocks,
+        total_supply=tuple(
+            draw(st.lists(st.integers(1, 10**12), min_size=len(stocks), max_size=len(stocks)))
+        ),
+        window=draw(st.integers(min_value=2, max_value=10**6)),
+        evolution_cadence=draw(st.integers(min_value=1, max_value=10**6)),
+        days=draw(st.integers(min_value=0, max_value=10**6)),
+        p_cross=p_cross,
+        p_mut=draw(st.floats(min_value=0.0, max_value=p_cross, exclude_max=True)),
+        epochs=draw(st.integers(min_value=1, max_value=10**6)),
+        learning_rate=draw(_FLOAT.filter(lambda x: x > 0)),
+        weight_init_scale=draw(_FLOAT.filter(lambda x: x > 0)),
+        initial_cash=draw(_FLOAT.filter(lambda x: x >= 0)),
+        output_dir=draw(_TEXT),
+    )
+
+
+# The fixture's directory is reused by every example; each overwrites the file.
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(config=_valid_configs())
+def test_resolved_text_round_trips_any_valid_config(tmp_path, config):
+    config.validate()
+    path = _write(tmp_path, resolved_text(config), name="resolved.cfg")
+    assert parse_config(path) == config
+
+
+def test_readme_config_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = parse_config(_write(tmp_path, example))
+    # The example spells out every default.
+    assert config == SimulationConfig(seed=3, input_path="prices.csv")

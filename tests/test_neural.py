@@ -1,6 +1,7 @@
 """Agent construction, forward pass, gradients and training."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,8 +243,12 @@ def test_divergent_training_raises_a_named_error():
     window = TrainingWindow(inputs=xs, targets=xs)
     for hidden in range(HIDDEN_MIN, HIDDEN_MAX + 1):
         agent = new_agent(AgentSpec(hidden, ActivationKind.LINEAR), rng)
-        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as info:
-            train(agent, window, Hyperparams(epochs=200, learning_rate=1000.0))
+        # Numpy's overflow warnings are silenced inside train; any that
+        # escaped would fail here as errors.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError) as info:
+                train(agent, window, Hyperparams(epochs=200, learning_rate=1000.0))
         message = str(info.value)
         assert f"{hidden}-unit linear" in message
         assert "200 epochs" in message
