@@ -250,3 +250,24 @@ def test_evolve_generation_validation():
     single = Player(id=0, committees=[[new_agent(AgentSpec(2, ActivationKind.LINEAR), np.random.default_rng(0))]], cash=0.0, holdings=[0])
     with pytest.raises(ConfigError):
         evolve_generation(single, [0.1], GAParams(), streams)
+
+
+def test_evolve_generation_pins_the_draw_order():
+    # Values recorded from the tuple-based implementation: any change to
+    # which stream a draw comes from, or to how many draws each stream
+    # makes, changes the children or the streams' next values.
+    player = _mixed_player(seed=21)
+    errors = [0.05, 0.3, 0.01, 0.2, 0.12, 0.07, 0.4, 0.02]
+    streams = make_streams(123)
+    child = evolve_generation(player, errors, GAParams(p_cross=0.9, p_mut=0.5), streams)
+    L, G = ActivationKind.LINEAR, ActivationKind.LOGISTIC
+    assert [a.spec for a in child.iter_agents()] == [
+        AgentSpec(h, kind)
+        for h, kind in [(10, L), (6, L), (4, G), (5, L), (6, L), (5, L), (9, G), (3, L)]
+    ]
+    parent_weights = {a.weights.tobytes() for a in player.iter_agents()}
+    kept = [a.weights.tobytes() in parent_weights for a in child.iter_agents()]
+    assert kept == [False, True, True, False, True, False, False, False]
+    assert streams.ga.random() == 0.557870569619728
+    assert streams.mutation.random() == 0.6298292058975088
+    assert streams.init.random() == 0.4261701960319463
