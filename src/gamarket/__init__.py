@@ -8,6 +8,7 @@ share supply, and evolve their architectures with a genetic algorithm.
 from .config import SimulationConfig, parse_config
 from .errors import (
     ConfigError,
+    ConservationError,
     DataError,
     EndOfDataError,
     InsufficientHistoryError,
@@ -26,6 +27,7 @@ __all__ = [
     "Agent",
     "AgentSpec",
     "ConfigError",
+    "ConservationError",
     "DataError",
     "EndOfDataError",
     "Hyperparams",

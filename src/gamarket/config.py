@@ -1,8 +1,11 @@
 """Run configuration: a small line-oriented `key = value` format.
 
-Blank lines and `#` comments are ignored.  Unknown keys are rejected so a
-typo cannot silently fall back to a default.  A seed is always required;
-nothing in a run may depend on wall-clock time.
+Blank lines and lines starting with `#` are ignored.  A `#` anywhere in a
+string value, from the file or from an override, is rejected: everything
+after `=` is the value, so an inline comment would otherwise become part
+of a path or stock name.  Unknown keys are rejected so a typo cannot
+silently fall back to a default.  A seed is always required; nothing in a
+run may depend on wall-clock time.
 """
 
 from __future__ import annotations
@@ -48,6 +51,13 @@ class SimulationConfig:
         for name in ("p_cross", "p_mut", "learning_rate", "weight_init_scale", "initial_cash"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for f in fields(self):
+            # "".join reads a str as itself and a tuple of str as its concatenation.
+            if f.type in ("str", "tuple[str, ...]") and "#" in "".join(getattr(self, f.name)):
+                raise ConfigError(
+                    f"{f.name} must not contain '#' (a comment needs a line of its own), "
+                    f"got {getattr(self, f.name)!r}"
+                )
         if not self.weight_init_scale > 0:
             raise ConfigError(f"weight_init_scale must be > 0, got {self.weight_init_scale}")
         if self.players < 2:

@@ -25,5 +25,9 @@ class TradeRejectedError(SimulationError):
     """A trade failed its settlement preconditions; no state was changed."""
 
 
+class ConservationError(SimulationError):
+    """A day's clearing changed a stock's share total or the total cash."""
+
+
 class EndOfDataError(SimulationError):
     """The price series has no row for the requested day."""

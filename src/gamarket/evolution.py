@@ -1,137 +1,85 @@
 """Architecture evolution for a player's committees.
 
-Every agent's architecture is a 9-bit chromosome: the hidden-unit count
-Gray-coded into 8 bits (most significant first) followed by one activation
-gene (0 = linear, 1 = logistic).  Generations are produced by fitness-
-proportional (roulette) reproduction, one-point crossover and single-bit
-mutation; decoded hidden counts are clamped back into the legal range.
+Every agent's architecture is a 9-bit chromosome held as a plain int,
+`gray(h) << 1 | gene`: the hidden-unit count h Gray-coded into the high
+8 bits (bit 8 down to bit 1) and the activation gene in bit 0 (0 = linear,
+1 = logistic).  Generations are produced by fitness-proportional (roulette)
+reproduction, one-point crossover and single-bit mutation; decoded hidden
+counts are clamped back into the legal range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError
-from .neural import (
-    HIDDEN_MAX,
-    HIDDEN_MIN,
-    ActivationKind,
-    Agent,
-    AgentSpec,
-    new_agent,
-)
+from .neural import HIDDEN_MAX, HIDDEN_MIN, ActivationKind, AgentSpec, new_agent
 from .players import Player
 from .rng import RandomStreams
 
-GRAY_BITS = 8
-CHROMOSOME_BITS = GRAY_BITS + 1  # trailing activation gene
+CHROMOSOME_BITS = 9  # 8 Gray-coded hidden-count bits, then the activation gene
 FITNESS_EPS = 1e-6
 
 
-def gray_bits(value: int, width: int = GRAY_BITS) -> tuple[int, ...]:
-    """Gray-code any nonnegative integer into `width` bits, MSB first."""
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    g = value ^ (value >> 1)
-    return tuple((g >> shift) & 1 for shift in range(width - 1, -1, -1))
+def gray(value: int) -> int:
+    """Reflected binary Gray code of a nonnegative integer."""
+    return value ^ (value >> 1)
 
 
-def gray_value(bits) -> int:
-    """Invert gray_bits: running XOR from the most significant bit down."""
-    value = 0
-    acc = 0
-    for bit in bits:
-        if bit not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {bit!r}")
-        acc ^= bit
-        value = (value << 1) | acc
-    return value
+def encode(spec: AgentSpec) -> int:
+    return gray(spec.hidden_units) << 1 | (spec.activation is ActivationKind.LOGISTIC)
 
 
-def gray_encode(hidden_units: int) -> tuple[int, ...]:
-    """Gray-code a legal hidden-unit count into the 8-bit gene block."""
-    if not HIDDEN_MIN <= hidden_units <= HIDDEN_MAX:
-        raise ValueError(
-            f"hidden_units must lie in [{HIDDEN_MIN}, {HIDDEN_MAX}], got {hidden_units}"
-        )
-    return gray_bits(hidden_units, GRAY_BITS)
+def decode(chromosome: int) -> AgentSpec:
+    """Invert `encode`, clamping the hidden count into [HIDDEN_MIN, HIDDEN_MAX]."""
+    hidden = chromosome >> 1
+    for shift in (1, 2, 4):  # prefix XOR undoes the Gray code of an 8-bit value
+        hidden ^= hidden >> shift
+    kind = ActivationKind.LOGISTIC if chromosome & 1 else ActivationKind.LINEAR
+    return AgentSpec(hidden_units=min(max(hidden, HIDDEN_MIN), HIDDEN_MAX), activation=kind)
 
 
-def gray_decode(bits) -> int:
-    """Decode the 8-bit gene block, clamping into the legal range."""
-    bits = tuple(bits)
-    if len(bits) != GRAY_BITS:
-        raise ValueError(f"expected {GRAY_BITS} bits, got {len(bits)}")
-    return min(max(gray_value(bits), HIDDEN_MIN), HIDDEN_MAX)
-
-
-@dataclass(frozen=True)
-class Chromosome:
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != CHROMOSOME_BITS:
-            raise ValueError(f"chromosome needs {CHROMOSOME_BITS} bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("chromosome bits must be 0 or 1")
-
-    @classmethod
-    def from_spec(cls, spec: AgentSpec) -> "Chromosome":
-        gene = 1 if spec.activation is ActivationKind.LOGISTIC else 0
-        return cls(bits=gray_encode(spec.hidden_units) + (gene,))
-
-    def to_spec(self) -> AgentSpec:
-        kind = ActivationKind.LOGISTIC if self.bits[-1] else ActivationKind.LINEAR
-        return AgentSpec(hidden_units=gray_decode(self.bits[:GRAY_BITS]), activation=kind)
-
-
-def crossover_one_point(a: Chromosome, b: Chromosome, cut: int) -> tuple[Chromosome, Chromosome]:
-    """Swap tails at an interior cut position (1..8)."""
+def crossover_one_point(a: int, b: int, cut: int) -> tuple[int, int]:
+    """Keep each parent's top `cut` bits and swap the rest (cut in 1..8)."""
     if not 1 <= cut <= CHROMOSOME_BITS - 1:
         raise ValueError(f"cut must lie in [1, {CHROMOSOME_BITS - 1}], got {cut}")
-    child_a = Chromosome(bits=a.bits[:cut] + b.bits[cut:])
-    child_b = Chromosome(bits=b.bits[:cut] + a.bits[cut:])
-    return child_a, child_b
+    swap = (a ^ b) & ((1 << (CHROMOSOME_BITS - cut)) - 1)
+    return a ^ swap, b ^ swap
 
 
-def mutate_bit(chromosome: Chromosome, p_mut: float, rng: np.random.Generator) -> Chromosome:
-    """With probability p_mut, flip exactly one uniformly chosen bit."""
+def mutate_bit(chromosome: int, p_mut: float, rng: np.random.Generator) -> int:
+    """With probability p_mut, flip exactly one uniformly chosen bit.
+
+    Index i counts from the most significant bit, so i = 8 is the gene.
+    """
     if not 0 <= p_mut <= 1:
         raise ValueError(f"p_mut must lie in [0, 1], got {p_mut}")
     if rng.random() >= p_mut:
         return chromosome
-    index = int(rng.integers(CHROMOSOME_BITS))
-    bits = list(chromosome.bits)
-    bits[index] ^= 1
-    return Chromosome(bits=tuple(bits))
+    return chromosome ^ (1 << (CHROMOSOME_BITS - 1 - int(rng.integers(CHROMOSOME_BITS))))
 
 
-@dataclass(frozen=True)
-class FitnessRecord:
-    agent_index: int
-    error: float
-    fitness: float
-
-    @classmethod
-    def from_error(cls, agent_index: int, error: float) -> "FitnessRecord":
-        if error < 0:
-            raise ValueError(f"error must be >= 0, got {error}")
-        return cls(agent_index=agent_index, error=error, fitness=1.0 / (FITNESS_EPS + error))
+def error_fitness(errors) -> np.ndarray:
+    """Inverse validation error; FITNESS_EPS keeps a perfect agent finite."""
+    errors = np.asarray(errors, dtype=float)
+    if np.any(errors < 0):
+        raise ValueError(f"errors must be >= 0, got {errors.min()}")
+    return 1.0 / (FITNESS_EPS + errors)
 
 
-def roulette_select(records: list[FitnessRecord], rng: np.random.Generator) -> int:
-    """Sample one agent index with probability proportional to fitness."""
-    if not records:
-        raise ValueError("cannot select from an empty record list")
-    fitness = np.asarray([r.fitness for r in records], dtype=float)
+def roulette_select(fitness, n: int, rng: np.random.Generator) -> list[int]:
+    """Draw n indices, each with probability proportional to its fitness."""
+    fitness = np.asarray(fitness, dtype=float)
+    if fitness.size == 0:
+        raise ValueError("cannot select from an empty fitness list")
     if np.any(fitness <= 0) or not np.all(np.isfinite(fitness)):
         raise ValueError("all fitness values must be finite and > 0")
     cumulative = np.cumsum(fitness)
-    draw = rng.random() * cumulative[-1]
-    index = int(np.searchsorted(cumulative, draw, side="right"))
-    return records[min(index, len(records) - 1)].agent_index
+    picks = np.searchsorted(cumulative, rng.random(n) * cumulative[-1], side="right")
+    return np.minimum(picks, fitness.size - 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -160,7 +108,7 @@ def evolve_generation(
     """Produce the next generation of one player's agents.
 
     errors[i] is the validation MSE of the i-th agent in committee order
-    (stock-major).  Selection builds a same-size mating pool by roulette,
+    (stock-major).  Selection draws a same-size mating pool by roulette,
     pool neighbours are crossed with probability p_cross at a uniform
     interior cut, every chromosome faces single-bit mutation, and the
     decoded specs rebuild the committees.  An agent whose decoded spec
@@ -174,35 +122,29 @@ def evolve_generation(
         raise ConfigError(f"got {len(errors)} errors for {n} agents")
     if n < 2:
         raise ConfigError(f"evolution needs at least 2 agents, got {n}")
-    records = [FitnessRecord.from_error(i, e) for i, e in enumerate(errors)]
 
-    parents = [roulette_select(records, streams.ga) for _ in range(n)]
-    chromosomes = [Chromosome.from_spec(agents[p].spec) for p in parents]
+    parents = roulette_select(error_fitness(errors), n, streams.ga)
+    chromosomes = [encode(agents[p].spec) for p in parents]
     for j in range(0, n - 1, 2):
         if streams.ga.random() < params.p_cross:
             cut = int(streams.ga.integers(1, CHROMOSOME_BITS))
             chromosomes[j], chromosomes[j + 1] = crossover_one_point(
                 chromosomes[j], chromosomes[j + 1], cut
             )
-    chromosomes = [mutate_bit(c, params.p_mut, streams.mutation) for c in chromosomes]
 
-    next_agents: list[Agent] = []
+    next_agents = []
     for parent_index, chromosome in zip(parents, chromosomes):
-        spec = chromosome.to_spec()
+        spec = decode(mutate_bit(chromosome, params.p_mut, streams.mutation))
         parent = agents[parent_index]
         if spec == parent.spec:
             next_agents.append(replace(parent, weights=parent.weights.copy()))
         else:
             next_agents.append(new_agent(spec, streams.init, weight_init_scale))
 
-    committees: list[list[Agent]] = []
-    cursor = 0
-    for group in player.committees:
-        committees.append(next_agents[cursor : cursor + len(group)])
-        cursor += len(group)
+    pool = iter(next_agents)
     return Player(
         id=player.id,
-        committees=committees,
+        committees=[list(islice(pool, len(group))) for group in player.committees],
         cash=player.cash,
         holdings=list(player.holdings),
     )

@@ -4,7 +4,8 @@ Each trading day the market announces the historical closing price and
 players trade among themselves at that price until a full round passes
 with no trade (consensus) or a round cap is hit.  The total number of
 shares per stock never changes: every trade just moves shares between
-players against cash at the announced price.
+players against cash at the announced price.  A player picks its stock
+and side once per day; only the size of its order changes between rounds.
 """
 
 from __future__ import annotations
@@ -121,11 +122,13 @@ def run_clearing(
 ) -> ClearingReport:
     """Trade at today's announced prices until consensus or the round cap.
 
-    Every round the players act once each, in a freshly shuffled order.  A
-    player computes its decision factors, picks one stock and side, sizes
-    an intent, and the intent is matched earliest-first against resting
-    opposite-side intents from the same round; any remainder rests in the
-    book.  A round with zero executed trades ends the day's clearing.
+    Each player's decision factors, and so its one stock and side, depend
+    only on its predictions and today's prices, so they are fixed once per
+    day.  Every round the players act once each, in a freshly shuffled
+    order: a player sizes an intent from its current cash or holding, and
+    the intent is matched earliest-first against resting opposite-side
+    intents from the same round; any remainder rests in the book.  A round
+    with zero executed trades ends the day's clearing.
     """
     if round_cap < 1:
         raise ConfigError(f"round cap must be >= 1, got {round_cap}")
@@ -139,6 +142,15 @@ def run_clearing(
         if any(not np.isfinite(v) or v <= 0 for v in pset):
             raise ConfigError(f"player {pid} predictions must be finite and > 0")
 
+    # (side, stock, expected change) per player: fixed for the whole day.
+    decisions = []
+    for pset in predictions:
+        deltas = [price_change(pset[m], float(prices[m])) for m in range(m_stocks)]
+        side, stock = choose_trade_side(
+            [decision_factor(deltas[m], market.supply[m]) for m in range(m_stocks)]
+        )
+        decisions.append((side, stock, deltas[stock]))
+
     report = ClearingReport()
     for round_no in range(1, round_cap + 1):
         report.rounds = round_no
@@ -147,14 +159,11 @@ def run_clearing(
         asks: list[list[list[int]]] = [[] for _ in range(m_stocks)]
         executed = 0
         for pid in order:
-            player = players[pid]
-            deltas = [price_change(predictions[pid][m], float(prices[m])) for m in range(m_stocks)]
-            factors = [decision_factor(deltas[m], market.supply[m]) for m in range(m_stocks)]
-            side, stock = choose_trade_side(factors)
+            side, stock, delta = decisions[pid]
             offered = sum(entry[1] for entry in asks[stock])
             market_volume = offered if offered > 0 else market.supply[stock]
             intent = desired_quantity(
-                player, stock, side, deltas[stock], float(prices[stock]), market_volume
+                players[pid], stock, side, delta, float(prices[stock]), market_volume
             )
             remaining = intent.quantity
             if remaining == 0:

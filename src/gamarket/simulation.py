@@ -8,13 +8,14 @@ retrained on the window ending that day.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import SimulationConfig
 from .data import NormalizationParams, PriceSeries, build_window, load_prices, normalize
-from .errors import InsufficientHistoryError
+from .errors import ConservationError, InsufficientHistoryError
 from .evolution import evolve_generation
 from .market import Market, Trade, advance_day, announce_price, run_clearing, split_endowment
 from .metrics import RunMetrics, record_generation, record_networth
@@ -99,6 +100,19 @@ def _score_population(
     return errors
 
 
+def _check_conservation(players: list[Player], config: SimulationConfig, t: int) -> None:
+    """Shares and cash only change hands: totals stay at their day-0 values."""
+    for m, supply in enumerate(config.total_supply):
+        held = sum(p.holdings[m] for p in players)
+        if held != supply:
+            raise ConservationError(
+                f"day {t}: {held} shares of {config.stocks[m]} held, supply is {supply}"
+            )
+    cash, expected = math.fsum(p.cash for p in players), config.players * config.initial_cash
+    if not math.isclose(cash, expected, rel_tol=1e-9):
+        raise ConservationError(f"day {t}: total cash {cash!r}, expected {expected!r}")
+
+
 def run_simulation(config: SimulationConfig) -> RunOutput:
     """Run the whole market simulation described by `config`."""
     config.validate()
@@ -125,6 +139,7 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
         predictions = [committee_predict(player, scaled, norm_params) for player in players]
         report = run_clearing(market, players, predictions, streams.shuffle)
         output.trades.extend(report.trades)
+        _check_conservation(players, config, market.t)
         record_networth(metrics, players, prices, market.t)
 
         if day % config.evolution_cadence == 0 and day < config.days:

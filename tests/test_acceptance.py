@@ -22,12 +22,10 @@ from gamarket.config import SimulationConfig
 from gamarket.data import build_window, generate_series, load_prices, write_prices_csv
 from gamarket.evolution import (
     CHROMOSOME_BITS,
-    Chromosome,
-    FitnessRecord,
     crossover_one_point,
-    gray_bits,
-    gray_decode,
-    gray_encode,
+    decode,
+    encode,
+    gray,
     mutate_bit,
     roulette_select,
 )
@@ -158,30 +156,23 @@ def test_a2_conservation_over_a_long_seeded_run(price_file):
 def test_a3_genetic_operator_statistics():
     # Gray round trip over the legal architecture range.
     for h in range(HIDDEN_MIN, HIDDEN_MAX + 1):
-        assert gray_decode(gray_encode(h)) == h
+        for kind in ActivationKind:
+            assert decode(encode(AgentSpec(h, kind))) == AgentSpec(h, kind)
     # Adjacency: consecutive codes differ in exactly one bit, exhaustively.
     for value in range(255):
-        diff = sum(a != b for a, b in zip(gray_bits(value), gray_bits(value + 1)))
+        diff = (gray(value) ^ gray(value + 1)).bit_count()
         assert diff == 1, f"codes {value} and {value + 1} differ in {diff} bits"
     # Crossover preserves the pair's bit multiset at every interior cut.
     rng = np.random.default_rng(2024)
     for _ in range(1000):
-        a = Chromosome(bits=tuple(int(x) for x in rng.integers(0, 2, CHROMOSOME_BITS)))
-        b = Chromosome(bits=tuple(int(x) for x in rng.integers(0, 2, CHROMOSOME_BITS)))
+        a, b = (int(x) for x in rng.integers(0, 1 << CHROMOSOME_BITS, 2))
         for cut in range(1, CHROMOSOME_BITS):
             ca, cb = crossover_one_point(a, b, cut)
-            assert sorted(ca.bits + cb.bits) == sorted(a.bits + b.bits)
+            assert ca & cb == a & b and ca | cb == a | b
     # Roulette frequencies track fitness shares over 400,000 draws.
-    records = [
-        FitnessRecord(agent_index=0, error=0.0, fitness=1.0),
-        FitnessRecord(agent_index=1, error=0.0, fitness=2.0),
-        FitnessRecord(agent_index=2, error=0.0, fitness=5.0),
-    ]
     draws = 400_000
-    counts = np.zeros(3)
     roulette_rng = np.random.default_rng(515)
-    for _ in range(draws):
-        counts[roulette_select(records, roulette_rng)] += 1
+    counts = np.bincount(roulette_select([1.0, 2.0, 5.0], draws, roulette_rng), minlength=3)
     expected_share = np.array([1.0, 2.0, 5.0]) / 8.0
     max_gap = float(np.max(np.abs(counts / draws - expected_share)))
     assert max_gap <= 0.005
@@ -189,9 +180,8 @@ def test_a3_genetic_operator_statistics():
     assert chi.pvalue > 0.01
     # Forced mutation flips exactly one bit.
     for _ in range(10_000):
-        base = Chromosome(bits=tuple(int(x) for x in rng.integers(0, 2, CHROMOSOME_BITS)))
-        mutant = mutate_bit(base, 1.0, rng)
-        assert sum(x != y for x, y in zip(base.bits, mutant.bits)) == 1
+        base = int(rng.integers(0, 1 << CHROMOSOME_BITS))
+        assert (mutate_bit(base, 1.0, rng) ^ base).bit_count() == 1
     _report(
         "A3 genetic operators",
         True,

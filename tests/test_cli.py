@@ -173,6 +173,20 @@ def test_run_reports_training_divergence_without_traceback(tmp_path, cli_process
     assert not out.exists()
 
 
+def test_run_rejects_an_inline_comment_without_traceback(tmp_path, cli_process):
+    data = _gen_data(tmp_path)
+    out = tmp_path / "out"
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        CONFIG_TEMPLATE.format(data=data, out=out).replace(f"= {out}", f"= {out}  # reports")
+    )
+    result = cli_process("run", "--config", str(config_path))
+    assert result.returncode == 1
+    assert result.stderr.startswith("ConfigError: output_dir must not contain '#'")
+    assert "Traceback" not in result.stderr
+    assert sorted(os.listdir(tmp_path)) == ["prices.csv", "run.cfg"]
+
+
 def test_scaling_benchmark_skips_infeasible_points():
     result = scaling_benchmark(
         player_grid=[1, 2],

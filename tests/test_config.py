@@ -156,6 +156,27 @@ def test_comments_and_blank_lines_are_ignored(tmp_path):
     assert config.input_path == "p.csv"
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("output_dir", "out   # where reports go"),
+        ("input_path", "prices#1.csv"),
+        ("stocks", "AAA, B#B"),
+    ],
+)
+def test_hash_in_a_string_value_is_rejected(tmp_path, key, value):
+    lines = {"seed": "1", "input_path": "p.csv", key: value}
+    path = _write(tmp_path, "".join(f"{k} = {v}\n" for k, v in lines.items()))
+    with pytest.raises(ConfigError, match=f"^{key} must not contain '#'"):
+        parse_config(path)
+
+
+def test_hash_in_an_override_is_rejected(tmp_path):
+    path = _write(tmp_path, "seed = 1\ninput_path = p.csv\n")
+    with pytest.raises(ConfigError, match="^output_dir must not contain '#'"):
+        parse_config(path, {"output_dir": "out#2"})
+
+
 def test_resolved_text_round_trips(tmp_path):
     original = parse_config(_write(tmp_path, FULL_CONFIG))
     rendered = resolved_text(original)
@@ -164,10 +185,12 @@ def test_resolved_text_round_trips(tmp_path):
     assert reparsed == original
 
 
-# A value is one line with no surrounding whitespace; stock names also hold
-# no comma, since the list is comma-separated.  ASCII keeps the file's
-# encoding out of the test.
-_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126)).map(str.strip)
+# A value is one line with no surrounding whitespace and no `#`; stock names
+# also hold no comma, since the list is comma-separated.  ASCII keeps the
+# file's encoding out of the test.
+_TEXT = st.text(
+    st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="#")
+).map(str.strip)
 _NAME = _TEXT.filter(lambda name: name and "," not in name)
 _FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -6,16 +6,13 @@ import pytest
 from gamarket.errors import ConfigError
 from gamarket.evolution import (
     CHROMOSOME_BITS,
-    GRAY_BITS,
-    Chromosome,
-    FitnessRecord,
     GAParams,
     crossover_one_point,
+    decode,
+    encode,
+    error_fitness,
     evolve_generation,
-    gray_bits,
-    gray_decode,
-    gray_encode,
-    gray_value,
+    gray,
     mutate_bit,
     roulette_select,
 )
@@ -25,79 +22,56 @@ from gamarket.rng import make_streams
 
 
 def test_gray_round_trip_all_byte_values():
+    # decode inverts the Gray block of every byte, then clamps it.
     for value in range(256):
-        assert gray_value(gray_bits(value)) == value
+        hidden = min(max(value, HIDDEN_MIN), HIDDEN_MAX)
+        assert decode(gray(value) << 1).hidden_units == hidden
 
 
 def test_gray_adjacent_values_differ_in_one_bit():
     # The defining property of the reflected code.
     for value in range(255):
-        a = gray_bits(value)
-        b = gray_bits(value + 1)
-        assert sum(x != y for x, y in zip(a, b)) == 1
+        assert (gray(value) ^ gray(value + 1)).bit_count() == 1
 
 
 def test_gray_frozen_examples():
     # 5 -> binary 00000101 -> gray 00000111.
-    assert gray_bits(5) == (0, 0, 0, 0, 0, 1, 1, 1)
-    # 10 -> binary 00001010 -> gray 00001111.
-    assert gray_encode(10) == (0, 0, 0, 0, 1, 1, 1, 1)
-    assert gray_value((0, 0, 0, 0, 0, 1, 1, 1)) == 5
+    assert gray(5) == 0b00000111
+    # 10 -> binary 00001010 -> gray 00001111; the gene sits below it.
+    assert encode(AgentSpec(10, ActivationKind.LINEAR)) == 0b00001111_0
+    assert encode(AgentSpec(10, ActivationKind.LOGISTIC)) == 0b00001111_1
+    assert decode(0b00000111_1) == AgentSpec(5, ActivationKind.LOGISTIC)
     # All-ones decodes to 170 and clamps to the architecture ceiling.
-    assert gray_value((1,) * 8) == 170
-    assert gray_decode((1,) * 8) == HIDDEN_MAX
+    assert decode(0b11111111_0).hidden_units == HIDDEN_MAX
     # All-zeros decodes to 0 and clamps to the floor.
-    assert gray_decode((0,) * 8) == HIDDEN_MIN
-
-
-def test_gray_range_checks():
-    with pytest.raises(ValueError):
-        gray_bits(256)
-    with pytest.raises(ValueError):
-        gray_bits(-1)
-    with pytest.raises(ValueError):
-        gray_encode(HIDDEN_MAX + 1)
-    with pytest.raises(ValueError):
-        gray_encode(0)
-    with pytest.raises(ValueError):
-        gray_decode((0,) * 7)
-    with pytest.raises(ValueError):
-        gray_value((0, 2, 0))
+    assert decode(0) == AgentSpec(HIDDEN_MIN, ActivationKind.LINEAR)
 
 
 def test_chromosome_spec_round_trip():
     for h in range(HIDDEN_MIN, HIDDEN_MAX + 1):
         for kind in ActivationKind:
             spec = AgentSpec(hidden_units=h, activation=kind)
-            assert Chromosome.from_spec(spec).to_spec() == spec
-
-
-def test_chromosome_validation():
-    with pytest.raises(ValueError):
-        Chromosome(bits=(0,) * (CHROMOSOME_BITS - 1))
-    with pytest.raises(ValueError):
-        Chromosome(bits=(0,) * (CHROMOSOME_BITS - 1) + (2,))
+            assert decode(encode(spec)) == spec
 
 
 def test_crossover_frozen_example():
-    a = Chromosome(bits=(0,) * 9)
-    b = Chromosome(bits=(1,) * 9)
-    child_a, child_b = crossover_one_point(a, b, cut=4)
-    assert child_a.bits == (0, 0, 0, 0, 1, 1, 1, 1, 1)
-    assert child_b.bits == (1, 1, 1, 1, 0, 0, 0, 0, 0)
+    child_a, child_b = crossover_one_point(0b000000000, 0b111111111, cut=4)
+    assert child_a == 0b000011111
+    assert child_b == 0b111100000
 
 
 def test_crossover_preserves_bit_multiset_at_every_cut():
     rng = np.random.default_rng(41)
     for _ in range(1000):
-        a = Chromosome(bits=tuple(int(x) for x in rng.integers(0, 2, CHROMOSOME_BITS)))
-        b = Chromosome(bits=tuple(int(x) for x in rng.integers(0, 2, CHROMOSOME_BITS)))
+        a, b = (int(x) for x in rng.integers(0, 1 << CHROMOSOME_BITS, 2))
         for cut in range(1, CHROMOSOME_BITS):
             ca, cb = crossover_one_point(a, b, cut)
-            # Position-wise, each child's bit comes from one of the parents,
-            # and together they keep exactly the parents' bits per position.
-            for i in range(CHROMOSOME_BITS):
-                assert sorted((ca.bits[i], cb.bits[i])) == sorted((a.bits[i], b.bits[i]))
+            # Position-wise, the children keep exactly the parents' bits.
+            assert ca & cb == a & b
+            assert ca | cb == a | b
+            # The top `cut` bits stay with their parent.
+            shift = CHROMOSOME_BITS - cut
+            assert (ca >> shift, cb >> shift) == (a >> shift, b >> shift)
     with pytest.raises(ValueError):
         crossover_one_point(a, b, cut=0)
     with pytest.raises(ValueError):
@@ -106,61 +80,73 @@ def test_crossover_preserves_bit_multiset_at_every_cut():
 
 def test_mutation_probability_extremes():
     rng = np.random.default_rng(43)
-    base = Chromosome(bits=(0, 1, 0, 1, 0, 1, 0, 1, 0))
+    base = 0b010101010
     # p_mut = 0 never mutates.
     for _ in range(100):
-        assert mutate_bit(base, 0.0, rng) is base
+        assert mutate_bit(base, 0.0, rng) == base
     # p_mut = 1 always flips exactly one bit.
     for _ in range(500):
-        mutant = mutate_bit(base, 1.0, rng)
-        assert sum(x != y for x, y in zip(base.bits, mutant.bits)) == 1
+        assert (mutate_bit(base, 1.0, rng) ^ base).bit_count() == 1
     with pytest.raises(ValueError):
         mutate_bit(base, 1.5, rng)
 
 
+class _FixedIndex:
+    """Stand-in rng: always mutates, always at the given index."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def random(self):
+        return 0.0
+
+    def integers(self, high):
+        assert high == CHROMOSOME_BITS
+        return self.index
+
+
 def test_mutation_hits_every_position():
     rng = np.random.default_rng(44)
-    base = Chromosome(bits=(0,) * CHROMOSOME_BITS)
-    seen = set()
-    for _ in range(2000):
-        mutant = mutate_bit(base, 1.0, rng)
-        seen.add(mutant.bits.index(1))
+    seen = {mutate_bit(0, 1.0, rng).bit_length() - 1 for _ in range(2000)}
     assert seen == set(range(CHROMOSOME_BITS))
+    # Index 0 is the Gray block's most significant bit, index 8 the gene.
+    assert mutate_bit(0, 1.0, _FixedIndex(0)) == 1 << 8
+    assert mutate_bit(0, 1.0, _FixedIndex(8)) == 1
 
 
 def test_fitness_is_inverse_error():
-    rec = FitnessRecord.from_error(3, 0.25)
-    assert rec.agent_index == 3
-    assert rec.fitness == pytest.approx(1.0 / (1e-6 + 0.25))
+    assert error_fitness([0.25])[0] == pytest.approx(1.0 / (1e-6 + 0.25))
     # Zero error stays finite thanks to the epsilon.
-    assert FitnessRecord.from_error(0, 0.0).fitness == pytest.approx(1e6)
+    assert error_fitness([0.0])[0] == pytest.approx(1e6)
     with pytest.raises(ValueError):
-        FitnessRecord.from_error(0, -0.1)
+        error_fitness([0.1, -0.1])
 
 
 def test_roulette_matches_fitness_proportions():
     rng = np.random.default_rng(47)
-    records = [
-        FitnessRecord(agent_index=0, error=0.0, fitness=1.0),
-        FitnessRecord(agent_index=1, error=0.0, fitness=2.0),
-        FitnessRecord(agent_index=2, error=0.0, fitness=5.0),
-    ]
     draws = 200_000
-    counts = np.zeros(3)
-    for _ in range(draws):
-        counts[roulette_select(records, rng)] += 1
-    freqs = counts / draws
+    freqs = np.bincount(roulette_select([1.0, 2.0, 5.0], draws, rng), minlength=3) / draws
     np.testing.assert_allclose(freqs, [1 / 8, 2 / 8, 5 / 8], atol=0.005)
+
+
+def test_roulette_pool_matches_one_draw_at_a_time():
+    # Drawing the pool at once consumes the stream like n single draws.
+    fitness = error_fitness([0.05, 0.3, 0.01, 0.2, 0.12])
+    pooled = roulette_select(fitness, 1000, np.random.default_rng(9))
+    single_rng = np.random.default_rng(9)
+    assert pooled == [roulette_select(fitness, 1, single_rng)[0] for _ in range(1000)]
 
 
 def test_roulette_validation():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
-        roulette_select([], rng)
+        roulette_select([], 1, rng)
     with pytest.raises(ValueError):
-        roulette_select([FitnessRecord(agent_index=0, error=0.0, fitness=0.0)], rng)
+        roulette_select([0.0], 1, rng)
     with pytest.raises(ValueError):
-        roulette_select([FitnessRecord(agent_index=0, error=0.0, fitness=float("inf"))], rng)
+        roulette_select([float("inf")], 1, rng)
+    with pytest.raises(ValueError):
+        roulette_select(error_fitness([float("nan"), 0.1]), 1, rng)
 
 
 def test_ga_params_validation():
@@ -247,6 +233,11 @@ def test_evolve_generation_validation():
     streams = make_streams(1)
     with pytest.raises(ConfigError):
         evolve_generation(player, [0.1], GAParams(), streams)
+    n = player.agent_count()
+    with pytest.raises(ValueError):
+        evolve_generation(player, [-0.1] + [0.1] * (n - 1), GAParams(), streams)
+    with pytest.raises(ValueError):
+        evolve_generation(player, [float("nan")] + [0.1] * (n - 1), GAParams(), streams)
     single = Player(id=0, committees=[[new_agent(AgentSpec(2, ActivationKind.LINEAR), np.random.default_rng(0))]], cash=0.0, holdings=[0])
     with pytest.raises(ConfigError):
         evolve_generation(single, [0.1], GAParams(), streams)

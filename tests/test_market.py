@@ -2,9 +2,12 @@
 
 import copy
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamarket.data import generate_series, load_prices, write_prices_csv
 from gamarket.errors import ConfigError, EndOfDataError, TradeRejectedError
@@ -221,6 +224,46 @@ def test_clearing_conserves_shares_and_cash():
         assert got.holdings == want.holdings
         assert got.cash == pytest.approx(want.cash, rel=1e-12)
     # Holdings never go negative mid-stream either; replay would have raised.
+
+
+@st.composite
+def _clearing_cases(draw):
+    n_players = draw(st.integers(2, 6))
+    n_stocks = draw(st.integers(1, 3))
+    positive = st.floats(0.01, 1e4, allow_nan=False, allow_infinity=False)
+    prices = draw(st.lists(positive, min_size=n_stocks, max_size=n_stocks))
+    players = [
+        Player(
+            id=i,
+            committees=[[] for _ in range(n_stocks)],
+            cash=draw(st.floats(0.0, 1e7)),
+            holdings=draw(st.lists(st.integers(0, 500), min_size=n_stocks, max_size=n_stocks)),
+        )
+        for i in range(n_players)
+    ]
+    predictions = [
+        draw(st.lists(positive, min_size=n_stocks, max_size=n_stocks)) for _ in players
+    ]
+    return prices, players, predictions, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_clearing_cases())
+def test_clearing_conserves_and_never_goes_negative(case):
+    prices, players, predictions, seed = case
+    # Every stock needs a supply of at least one share.
+    players[0].holdings = [h + 1 for h in players[0].holdings]
+    supply = [sum(p.holdings[m] for p in players) for m in range(len(prices))]
+    market = Market(
+        stock_names=[f"S{m}" for m in range(len(prices))],
+        supply=supply,
+        prices=np.array([prices]),
+    )
+    cash = math.fsum(p.cash for p in players)
+    run_clearing(market, players, predictions, np.random.default_rng(seed))
+    assert [sum(p.holdings[m] for p in players) for m in range(len(prices))] == supply
+    assert math.fsum(p.cash for p in players) == pytest.approx(cash, rel=1e-12, abs=1e-6)
+    assert all(p.cash >= 0 and min(p.holdings) >= 0 for p in players)
 
 
 def test_clearing_same_seed_is_identical():

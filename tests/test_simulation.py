@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import gamarket.market
 from gamarket.config import SimulationConfig
 from gamarket.data import generate_series, write_prices_csv
-from gamarket.errors import InsufficientHistoryError
+from gamarket.errors import ConservationError, InsufficientHistoryError
 from gamarket.simulation import run_simulation
 
 STOCKS = ("A", "B")
@@ -112,3 +113,28 @@ def test_evolution_cadence_counts_events(tmp_path):
     output = run_simulation(config)
     assert output.generations == 2
     assert [g for g, _ in output.metrics.generation_error_rows] == [0, 1, 2]
+
+
+def _mint_share(player, trade):
+    player.holdings[trade.stock] += 1
+
+
+def _leak_cash(player, trade):
+    player.cash -= 1.0
+
+
+@pytest.mark.parametrize("corrupt, message", [(_mint_share, "shares of"), (_leak_cash, "cash")])
+def test_run_stops_when_clearing_breaks_conservation(tmp_path, monkeypatch, corrupt, message):
+    settle = gamarket.market.apply_trade
+
+    def corrupted(players, trade):
+        settle(players, trade)
+        corrupt(players[trade.buyer], trade)
+
+    monkeypatch.setattr(gamarket.market, "apply_trade", corrupted)
+    # Four players with 1-epoch training: a seed that trades (115 trades in 6 days).
+    config = _small_config(
+        tmp_path, seed=4, players=4, total_supply=(20_000, 2_000), initial_cash=4e6, epochs=1
+    )
+    with pytest.raises(ConservationError, match=message):
+        run_simulation(config)
