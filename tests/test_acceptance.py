@@ -7,6 +7,7 @@ is slower than the unit tests (a few minutes); the scaling benchmark in
 A1 dominates.
 """
 
+import hashlib
 import itertools
 import math
 import os
@@ -334,4 +335,39 @@ def test_a7_reruns_are_byte_identical_across_processes(price_file, tmp_path, cli
         "A7 determinism",
         first == second == third,
         f"{len(first)} output files byte-identical over two reruns and a fresh process",
+    )
+
+
+# sha256 of every file the A7 config writes, recorded with numpy 2.4.6.
+A7_DIGESTS = {
+    "complexity.csv": "f09a95369232670f381997ebecdac8c3140216b42c210fa6996399be64f9dab9",
+    "config.resolved": "dbaf6fbd1f4d9eb4d61e7d7868ed16a786e1da1cf8e7c93cb941d10f42fbc924",
+    "generations.csv": "8050a90c8cd3ab5a62485e5889271f1ff794ea886bde585d0385dce14b3a6b3b",
+    "hidden_units.csv": "178ba14fcdf9a91091755e160daa311ed24218434a5577ebc127d7027328767a",
+    "manifest": "7985bc87b12c46aae07fa31c9c5fff9501045f97e037f730bb4baaf17bf79414",
+    "networth.csv": "b62cfaafcf4a80909aa2267adca63595fdd846e2e4f17cf33268a6620a99ab1b",
+    "trades.csv": "43255195dc4273d87a264075173fe6072264963355f694bb2c64265cf4208f6a",
+}
+
+
+def test_a7_output_bytes_match_recorded_digests(tmp_path, monkeypatch):
+    # Relative paths keep `config.resolved` independent of the directory.
+    monkeypatch.chdir(tmp_path)
+    series = generate_series(351, DATA_SEED, start_prices=START_PRICES, volatility=0.012)
+    write_prices_csv("prices.csv", series)
+    with open("run.cfg", "w") as handle:
+        handle.write(
+            "seed = 3\ninput_path = prices.csv\nplayers = 4\nagents_per_stock = 2\n"
+            "total_supply = 200000, 20000, 2000\nwindow = 50\nevolution_cadence = 10\n"
+            "days = 40\ninitial_cash = 4e6\noutput_dir = out\n"
+        )
+    assert cli_main(["run", "--config", "run.cfg"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir("out"))
+    }
+    assert digests == A7_DIGESTS, (
+        "output bytes differ from the recorded digests; they were recorded with "
+        f"numpy 2.4.6 (this is numpy {np.__version__}), and a different numpy or "
+        "BLAS may change float results"
     )
