@@ -17,7 +17,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .neural import ActivationKind, Agent, AgentSpec, Hyperparams, TrainingWindow
-from .players import Player, Side, TradeIntent
+from .players import Player
 from .simulation import RunOutput, run_simulation
 
 __version__ = "0.1.0"
@@ -34,10 +34,8 @@ __all__ = [
     "InsufficientHistoryError",
     "Player",
     "RunOutput",
-    "Side",
     "SimulationConfig",
     "SimulationError",
-    "TradeIntent",
     "TradeRejectedError",
     "TrainingDivergedError",
     "TrainingWindow",

@@ -18,7 +18,8 @@ class InsufficientHistoryError(DataError):
 
 
 class TrainingDivergedError(SimulationError):
-    """Gradient descent left an agent with a non-finite training error."""
+    """An agent's training error is not finite, or a generation's mean
+    validation MSE is above 1.0 (its targets lie in [0.1, 0.9])."""
 
 
 class TradeRejectedError(SimulationError):

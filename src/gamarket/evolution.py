@@ -145,6 +145,4 @@ def evolve_generation(
     return Player(
         id=player.id,
         committees=[list(islice(pool, len(group))) for group in player.committees],
-        cash=player.cash,
-        holdings=list(player.holdings),
     )

@@ -1,11 +1,12 @@
-"""Market state, price announcement, settlement and the clearing loop.
+"""Market state, portfolios, price announcement, settlement and clearing.
 
 Each trading day the market announces the historical closing price and
 players trade among themselves at that price until a full round passes
-with no trade (consensus) or a round cap is hit.  The total number of
-shares per stock never changes: every trade just moves shares between
-players against cash at the announced price.  A player picks its stock
-and side once per day; only the size of its order changes between rounds.
+with no trade (consensus) or a round cap is hit.  All cash and shares live
+in one `Portfolios` pair of arrays, row p for player p; every trade just
+moves shares between rows against cash at the announced price, so each
+stock's share total never changes.  Every player's stock and side are
+decided at once, once per day; only order sizes change between rounds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .data import PriceSeries
 from .errors import ConfigError, EndOfDataError, TradeRejectedError
-from .players import Player, Side, choose_trade_side, decision_factor, desired_quantity, price_change
+from .players import decide, desired_quantity
 
 DEFAULT_ROUND_CAP = 100
 
@@ -37,19 +38,17 @@ class Market:
     def __post_init__(self) -> None:
         if len(self.stock_names) != len(self.supply):
             raise ConfigError("one supply figure is required per stock")
-        if any(q < 1 for q in self.supply):
-            raise ConfigError("every stock supply must be >= 1")
+        if not self.supply or any(q < 1 for q in self.supply):
+            raise ConfigError("need at least one stock, each with supply >= 1")
         if self.prices.ndim != 2 or self.prices.shape[1] != len(self.stock_names):
             raise ConfigError("price matrix must have one column per stock")
+        if not np.all((self.prices > 0) & np.isfinite(self.prices)):
+            raise ConfigError("every price must be finite and > 0")
 
     @classmethod
     def from_series(cls, series: list[PriceSeries], supply: list[int], t: int = 0) -> "Market":
         matrix = np.column_stack([s.prices for s in series])
         return cls(stock_names=[s.name for s in series], supply=list(supply), prices=matrix, t=t)
-
-    @property
-    def stock_count(self) -> int:
-        return len(self.stock_names)
 
 
 @dataclass(frozen=True)
@@ -89,112 +88,118 @@ def split_endowment(supply: int, n_players: int) -> list[int]:
     return [base + (1 if i < remainder else 0) for i in range(n_players)]
 
 
-def apply_trade(players: list[Player], trade: Trade) -> None:
+@dataclass
+class Portfolios:
+    """Every player's cash and shares; row p belongs to player p."""
+
+    cash: np.ndarray  # (players,) float64
+    holdings: np.ndarray  # (players, stocks) int64
+
+    @classmethod
+    def endow(cls, n_players: int, supply, initial_cash: float) -> "Portfolios":
+        """Equal cash for everyone; share remainders go to the lowest ids."""
+        shares = [split_endowment(q, n_players) for q in supply]
+        return cls(
+            cash=np.full(n_players, float(initial_cash)),
+            holdings=np.column_stack(shares).astype(np.int64),
+        )
+
+    def net_worth(self, prices) -> np.ndarray:
+        """Cash plus holdings valued at the given prices, one per player.
+
+        The stacked per-row product adds in the same order as a per-player
+        `np.dot`; a 2-D `holdings @ prices` does not, and changes the bits.
+        """
+        prices = np.asarray(prices, dtype=float)
+        return self.cash + (self.holdings[:, None, :] @ prices[:, None])[:, 0, 0]
+
+
+def apply_trade(book: Portfolios, trade: Trade) -> None:
     """Settle one trade atomically, or reject it without touching state."""
     if trade.buyer == trade.seller:
         raise ValueError("buyer and seller must differ")
     if trade.quantity < 1:
         raise ValueError(f"trade quantity must be >= 1, got {trade.quantity}")
-    buyer = players[trade.buyer]
-    seller = players[trade.seller]
-    if seller.holdings[trade.stock] < trade.quantity:
+    held = book.holdings[trade.seller, trade.stock]
+    if held < trade.quantity:
         raise TradeRejectedError(
-            f"player {trade.seller} holds {seller.holdings[trade.stock]} of stock "
-            f"{trade.stock}, cannot sell {trade.quantity}"
+            f"player {trade.seller} holds {held} of stock {trade.stock}, "
+            f"cannot sell {trade.quantity}"
         )
     value = trade.quantity * trade.price
-    if buyer.cash < value:
+    if book.cash[trade.buyer] < value:
         raise TradeRejectedError(
-            f"player {trade.buyer} has {buyer.cash:.2f} cash, cannot pay {value:.2f}"
+            f"player {trade.buyer} has {book.cash[trade.buyer]:.2f} cash, cannot pay {value:.2f}"
         )
-    seller.holdings[trade.stock] -= trade.quantity
-    buyer.holdings[trade.stock] += trade.quantity
-    buyer.cash -= value
-    seller.cash += value
+    book.holdings[trade.seller, trade.stock] -= trade.quantity
+    book.holdings[trade.buyer, trade.stock] += trade.quantity
+    book.cash[trade.buyer] -= value
+    book.cash[trade.seller] += value
 
 
 def run_clearing(
     market: Market,
-    players: list[Player],
-    predictions: list[list[float]],
+    book: Portfolios,
+    predictions,
     rng: np.random.Generator,
     round_cap: int = DEFAULT_ROUND_CAP,
 ) -> ClearingReport:
     """Trade at today's announced prices until consensus or the round cap.
 
-    Each player's decision factors, and so its one stock and side, depend
-    only on its predictions and today's prices, so they are fixed once per
-    day.  Every round the players act once each, in a freshly shuffled
-    order: a player sizes an intent from its current cash or holding, and
-    the intent is matched earliest-first against resting opposite-side
-    intents from the same round; any remainder rests in the book.  A round
-    with zero executed trades ends the day's clearing.
+    `predictions` is a (players, stocks) array of predicted prices.  Each
+    player's stock and side depend only on its predictions and today's
+    prices, so `decide` fixes them for every player once per day.  Every
+    round the players act once each, in a freshly shuffled order: a player
+    sizes an order from its current cash or holding, and the order is
+    matched earliest-first against resting opposite-side orders from the
+    same round; any remainder rests in the book.  A round with zero
+    executed trades ends the day's clearing.
     """
     if round_cap < 1:
         raise ConfigError(f"round cap must be >= 1, got {round_cap}")
-    if len(predictions) != len(players):
-        raise ConfigError("one prediction set is required per player")
     prices = announce_price(market)
-    m_stocks = market.stock_count
-    for pid, pset in enumerate(predictions):
-        if len(pset) != m_stocks:
-            raise ConfigError(f"player {pid} predictions must cover {m_stocks} stocks")
-        if any(not np.isfinite(v) or v <= 0 for v in pset):
-            raise ConfigError(f"player {pid} predictions must be finite and > 0")
+    n_players, m_stocks = len(book.cash), len(market.supply)
+    predictions = np.asarray(predictions, dtype=float)
+    if predictions.shape != (n_players, m_stocks):
+        raise ConfigError(f"predictions must be ({n_players}, {m_stocks}), got {predictions.shape}")
+    if not np.all((predictions > 0) & np.isfinite(predictions)):
+        raise ConfigError("predictions must be finite and > 0")
 
-    # (side, stock, expected change) per player: fixed for the whole day.
-    decisions = []
-    for pset in predictions:
-        deltas = [price_change(pset[m], float(prices[m])) for m in range(m_stocks)]
-        side, stock = choose_trade_side(
-            [decision_factor(deltas[m], market.supply[m]) for m in range(m_stocks)]
-        )
-        decisions.append((side, stock, deltas[stock]))
-
+    sells, stocks, deltas = (a.tolist() for a in decide(predictions, prices, market.supply))
+    prices = prices.tolist()
     report = ClearingReport()
     for round_no in range(1, round_cap + 1):
         report.rounds = round_no
-        order = [int(i) for i in rng.permutation(len(players))]
-        bids: list[list[list[int]]] = [[] for _ in range(m_stocks)]  # [player, remaining]
-        asks: list[list[list[int]]] = [[] for _ in range(m_stocks)]
-        executed = 0
-        for pid in order:
-            side, stock, delta = decisions[pid]
-            offered = sum(entry[1] for entry in asks[stock])
-            market_volume = offered if offered > 0 else market.supply[stock]
-            intent = desired_quantity(
-                players[pid], stock, side, delta, float(prices[stock]), market_volume
-            )
-            remaining = intent.quantity
+        # books[sells][stock]: resting [player, remaining] orders, bids then asks.
+        books = [[[] for _ in range(m_stocks)] for _ in range(2)]
+        offered = [0] * m_stocks  # running total of each stock's resting asks
+        traded_before = len(report.trades)
+        for pid in rng.permutation(n_players).tolist():
+            sell, stock, price = sells[pid], stocks[pid], prices[stocks[pid]]
+            volume = offered[stock] or market.supply[stock]
+            cash, holding = float(book.cash[pid]), int(book.holdings[pid, stock])
+            remaining = desired_quantity(sell, deltas[pid], price, volume, cash, holding)
             if remaining == 0:
                 continue
-            book_across = asks[stock] if side is Side.BUY else bids[stock]
+            book_across = books[not sell][stock]
             for entry in book_across:
                 if remaining == 0:
                     break
                 fill = min(remaining, entry[1])
-                if fill == 0:
-                    continue
-                buyer_id, seller_id = (pid, entry[0]) if side is Side.BUY else (entry[0], pid)
-                trade = Trade(
-                    day=market.t,
-                    round=round_no,
-                    buyer=buyer_id,
-                    seller=seller_id,
-                    stock=stock,
-                    quantity=fill,
-                    price=float(prices[stock]),
-                )
-                apply_trade(players, trade)
+                buyer, seller = (entry[0], pid) if sell else (pid, entry[0])
+                trade = Trade(market.t, round_no, buyer, seller, stock, fill, price)
+                apply_trade(book, trade)
                 report.trades.append(trade)
-                executed += 1
                 entry[1] -= fill
                 remaining -= fill
+                if not sell:
+                    offered[stock] -= fill
             book_across[:] = [entry for entry in book_across if entry[1] > 0]
             if remaining > 0:
-                own_book = bids[stock] if side is Side.BUY else asks[stock]
-                own_book.append([pid, remaining])
-        if executed == 0:
+                books[sell][stock].append([pid, remaining])
+                if sell:
+                    offered[stock] += remaining
+        if len(report.trades) == traded_before:
             report.terminated_by = Termination.NO_MORE_TRADES
             return report
     report.terminated_by = Termination.ROUND_CAP

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .market import Portfolios
 from .neural import ActivationKind, Agent
-from .players import Player, net_worth
+from .players import Player
 
 
 def species_partition(agents) -> dict[ActivationKind, list[Agent]]:
@@ -86,10 +87,10 @@ class RunMetrics:
     generation_error_rows: list[tuple[int, float]] = field(default_factory=list)
 
 
-def record_networth(metrics: RunMetrics, players: list[Player], prices, day: int) -> None:
+def record_networth(metrics: RunMetrics, book: Portfolios, prices, day: int) -> None:
     """Append one (day, player, net worth) row per player."""
-    for player in players:
-        metrics.networth_rows.append((day, player.id, net_worth(player, prices)))
+    worths = book.net_worth(prices).tolist()
+    metrics.networth_rows.extend((day, pid, worth) for pid, worth in enumerate(worths))
 
 
 def record_generation(metrics: RunMetrics, generation: int, players: list[Player]) -> None:

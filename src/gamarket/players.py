@@ -1,17 +1,16 @@
-"""Players: committees of agents plus a portfolio, and their trading rules.
+"""Players: committees of agents, and the trading rules.
 
-A player keeps one committee of k agents per stock.  Its prediction for a
-stock is the arithmetic mean of that committee's outputs.  From predictions
-the player derives a relative price change per stock, scales each by the
-stock's total supply into a decision factor, and trades the single stock
-with the strongest signal.
+A player keeps one committee of k agents per stock (its cash and shares are
+a row of `market.Portfolios`).  Its prediction for a stock is the mean of
+that committee's outputs.  `decide` turns a (players, stocks) prediction
+array into decision factors, relative price changes scaled by each stock's
+supply, and picks every player's strongest stock and whether it `sells`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .data import NormalizationParams, denormalize
 from .errors import ConfigError
 from .neural import Agent, forward
 
-# A sell intent may offer at most 40% of the current holding.
+# A sell order may offer at most 40% of the current holding.
 SELL_CAP_NUM = 2
 SELL_CAP_DEN = 5
 
@@ -28,19 +27,12 @@ SELL_CAP_DEN = 5
 PRICE_FLOOR = 1e-9
 
 
-class Side(Enum):
-    BUY = "buy"
-    SELL = "sell"
-
-
 @dataclass
 class Player:
-    """One market participant: committees per stock, cash, and holdings."""
+    """One market participant: one committee of agents per stock."""
 
     id: int
     committees: list[list[Agent]]  # committees[m] predicts stock m
-    cash: float
-    holdings: list[int]
 
     def iter_agents(self):
         for group in self.committees:
@@ -48,13 +40,6 @@ class Player:
 
     def agent_count(self) -> int:
         return sum(len(group) for group in self.committees)
-
-
-@dataclass(frozen=True)
-class TradeIntent:
-    stock: int
-    side: Side
-    quantity: int
 
 
 def committee_predict(
@@ -84,71 +69,47 @@ def committee_predict(
     return predictions
 
 
-def price_change(predicted: float, current: float) -> float:
-    """Relative change the player expects: (predicted - current) / current."""
-    if not current > 0:
-        raise ValueError(f"current price must be > 0, got {current}")
-    return (predicted - current) / current
+def decide(predictions, prices, supply) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every player's side, stock and expected relative change for the day.
 
-
-def decision_factor(delta_p: float, q_available: int) -> float:
-    """Expected change scaled by the stock's available quantity."""
-    if q_available < 0:
-        raise ValueError(f"q_available must be >= 0, got {q_available}")
-    return delta_p * q_available
-
-
-def choose_trade_side(decision_factors) -> tuple[Side, int]:
-    """Pick the single action with the strongest signal.
-
-    Sell the argmin stock when |min| beats |max|, otherwise buy the argmax
-    stock.  An exact tie between the two magnitudes resolves to a buy; ties
-    inside argmax/argmin resolve to the lowest stock index.
+    A player's decision factors are its relative changes
+    (predicted - current) / current, one per stock, times each stock's
+    supply.  It sells the argmin stock when |min| beats |max|, otherwise
+    buys the argmax stock.  An exact tie between the two magnitudes
+    resolves to a buy; ties inside argmax/argmin resolve to the lowest
+    stock index.  Returns (sells, stock, delta), one entry per player.
     """
-    factors = np.asarray(decision_factors, dtype=float)
-    if factors.size == 0:
-        raise ConfigError("decision factors must cover at least one stock")
-    imax = int(np.argmax(factors))
-    imin = int(np.argmin(factors))
-    if abs(factors[imax]) < abs(factors[imin]):
-        return Side.SELL, imin
-    return Side.BUY, imax
+    deltas = (predictions - prices) / prices
+    factors = deltas * np.asarray(supply)
+    rows = np.arange(len(factors))
+    imax, imin = factors.argmax(axis=1), factors.argmin(axis=1)
+    sells = np.abs(factors[rows, imax]) < np.abs(factors[rows, imin])
+    stock = np.where(sells, imin, imax)
+    return sells, stock, deltas[rows, stock]
 
 
 def desired_quantity(
-    player: Player,
-    stock: int,
-    side: Side,
+    sells: bool,
     delta_p: float,
     announced_price: float,
     market_volume: int,
-) -> TradeIntent:
-    """Size an intent: a |delta_p| share of the market volume, then capped.
+    cash: float,
+    holding: int,
+) -> int:
+    """Size an order: a |delta_p| share of the market volume, then capped.
 
-    Buys are limited by affordable shares and the market volume itself;
-    sells by 40% of the player's current holding.  A zero quantity means
-    the player sits out.
+    Buys are limited by the shares `cash` affords and the market volume
+    itself; sells by 40% of `holding`.  Zero means the player sits out.
     """
     if not announced_price > 0:
         raise ValueError(f"announced price must be > 0, got {announced_price}")
     if market_volume < 0:
         raise ValueError(f"market volume must be >= 0, got {market_volume}")
     want = math.floor(abs(delta_p) * market_volume)
-    if side is Side.BUY:
-        affordable = int(player.cash // announced_price)
-        # Float division can round up across an integer boundary; back off.
-        while affordable > 0 and affordable * announced_price > player.cash:
-            affordable -= 1
-        quantity = min(want, affordable, market_volume)
-    else:
-        cap = SELL_CAP_NUM * player.holdings[stock] // SELL_CAP_DEN
-        quantity = min(want, cap)
-    return TradeIntent(stock=stock, side=side, quantity=max(quantity, 0))
-
-
-def net_worth(player: Player, prices) -> float:
-    """Cash plus holdings valued at the given prices."""
-    prices = np.asarray(prices, dtype=float)
-    if np.any(prices <= 0):
-        raise ValueError("prices must all be > 0")
-    return float(player.cash + np.dot(player.holdings, prices))
+    if sells:
+        return max(min(want, SELL_CAP_NUM * holding // SELL_CAP_DEN), 0)
+    affordable = int(cash // announced_price)
+    # Float division can round up across an integer boundary; back off.
+    while affordable > 0 and affordable * announced_price > cash:
+        affordable -= 1
+    return max(min(want, affordable, market_volume), 0)

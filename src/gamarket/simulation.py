@@ -15,9 +15,9 @@ import numpy as np
 
 from .config import SimulationConfig
 from .data import NormalizationParams, PriceSeries, build_window, load_prices, normalize
-from .errors import ConservationError, InsufficientHistoryError
+from .errors import ConservationError, InsufficientHistoryError, TrainingDivergedError
 from .evolution import evolve_generation
-from .market import Market, Trade, advance_day, announce_price, run_clearing, split_endowment
+from .market import Market, Portfolios, Trade, advance_day, announce_price, run_clearing
 from .metrics import RunMetrics, record_generation, record_networth
 from .neural import TrainingWindow, evaluate_error, init_random, train
 from .players import Player, committee_predict
@@ -31,29 +31,23 @@ class RunOutput:
     trades: list[Trade] = field(default_factory=list)
     players: list[Player] = field(default_factory=list)
     generations: int = 0
+    portfolios: Portfolios | None = None
 
 
 def _build_players(config: SimulationConfig, streams: RandomStreams) -> list[Player]:
-    """Equal cash for everyone; share remainders go to the lowest ids."""
-    per_stock = [split_endowment(q, config.players) for q in config.total_supply]
-    players = []
-    for pid in range(config.players):
-        committees = [
-            [
-                init_random((1, 10), streams.init, config.weight_init_scale)
-                for _ in range(config.agents_per_stock)
-            ]
-            for _ in config.stocks
-        ]
-        players.append(
-            Player(
-                id=pid,
-                committees=committees,
-                cash=float(config.initial_cash),
-                holdings=[per_stock[m][pid] for m in range(len(config.stocks))],
-            )
+    return [
+        Player(
+            id=pid,
+            committees=[
+                [
+                    init_random((1, 10), streams.init, config.weight_init_scale)
+                    for _ in range(config.agents_per_stock)
+                ]
+                for _ in config.stocks
+            ],
         )
-    return players
+        for pid in range(config.players)
+    ]
 
 
 def _train_population(
@@ -86,6 +80,8 @@ def _score_population(
     """Validation MSE per agent, committee order, one list per player.
 
     The population mean is appended to `metrics.generation_error_rows`.
+    Targets lie in [0.1, 0.9], so a mean above 1.0 means the agents did
+    not learn, and the run stops with `TrainingDivergedError`.
     """
     errors = [
         [
@@ -95,20 +91,25 @@ def _score_population(
         ]
         for player in players
     ]
-    flat = [e for per_player in errors for e in per_player]
-    metrics.generation_error_rows.append((generation, float(np.mean(flat))))
+    mean = float(np.mean([e for per_player in errors for e in per_player]))
+    if mean > 1.0:
+        raise TrainingDivergedError(
+            f"generation {generation}: mean validation MSE {mean:.3g} is above 1.0; "
+            "the agents did not learn (try a smaller learning_rate)"
+        )
+    metrics.generation_error_rows.append((generation, mean))
     return errors
 
 
-def _check_conservation(players: list[Player], config: SimulationConfig, t: int) -> None:
+def _check_conservation(book: Portfolios, config: SimulationConfig, t: int) -> None:
     """Shares and cash only change hands: totals stay at their day-0 values."""
+    held = book.holdings.sum(axis=0).tolist()
     for m, supply in enumerate(config.total_supply):
-        held = sum(p.holdings[m] for p in players)
-        if held != supply:
+        if held[m] != supply:
             raise ConservationError(
-                f"day {t}: {held} shares of {config.stocks[m]} held, supply is {supply}"
+                f"day {t}: {held[m]} shares of {config.stocks[m]} held, supply is {supply}"
             )
-    cash, expected = math.fsum(p.cash for p in players), config.players * config.initial_cash
+    cash, expected = math.fsum(book.cash.tolist()), config.players * config.initial_cash
     if not math.isclose(cash, expected, rel_tol=1e-9):
         raise ConservationError(f"day {t}: total cash {cash!r}, expected {expected!r}")
 
@@ -126,8 +127,9 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
     streams = make_streams(config.seed)
     market = Market.from_series(series, list(config.total_supply), t=config.window)
     players = _build_players(config, streams)
+    book = Portfolios.endow(config.players, config.total_supply, config.initial_cash)
     metrics = RunMetrics()
-    output = RunOutput(config=config, metrics=metrics, players=players)
+    output = RunOutput(config=config, metrics=metrics, players=players, portfolios=book)
 
     windows, norm_params = _build_windows(series, market.t, config.window)
     _train_population(players, windows, config)
@@ -137,10 +139,10 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
         prices = announce_price(market)
         scaled = [normalize(float(prices[m]), norm_params[m]) for m in range(len(series))]
         predictions = [committee_predict(player, scaled, norm_params) for player in players]
-        report = run_clearing(market, players, predictions, streams.shuffle)
+        report = run_clearing(market, book, predictions, streams.shuffle)
         output.trades.extend(report.trades)
-        _check_conservation(players, config, market.t)
-        record_networth(metrics, players, prices, market.t)
+        _check_conservation(book, config, market.t)
+        record_networth(metrics, book, prices, market.t)
 
         if day % config.evolution_cadence == 0 and day < config.days:
             windows, norm_params = _build_windows(series, market.t, config.window)
@@ -162,5 +164,4 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
         # Score the final population on the last completed day's window.
         windows, _ = _build_windows(series, market.t - 1, config.window)
         _score_population(players, windows, metrics, output.generations)
-    output.players = players
     return output

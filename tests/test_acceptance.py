@@ -30,7 +30,7 @@ from gamarket.evolution import (
     mutate_bit,
     roulette_select,
 )
-from gamarket.market import apply_trade, split_endowment
+from gamarket.market import Portfolios, apply_trade
 from gamarket.neural import (
     HIDDEN_MAX,
     HIDDEN_MIN,
@@ -43,7 +43,6 @@ from gamarket.neural import (
     new_agent,
     train,
 )
-from gamarket.players import Player, net_worth
 from gamarket.simulation import run_simulation
 
 START_PRICES = (95.0, 52.0, 31.0)
@@ -117,35 +116,26 @@ def test_a2_conservation_over_a_long_seeded_run(price_file):
     # Replay the trade log from the initial endowment, checking the share
     # totals after every single trade and the net-worth total around every
     # day's clearing session.
-    per_stock = [split_endowment(q, config.players) for q in supply]
-    replay = [
-        Player(
-            id=pid,
-            committees=[[] for _ in config.stocks],
-            cash=float(config.initial_cash),
-            holdings=[per_stock[m][pid] for m in range(len(supply))],
-        )
-        for pid in range(config.players)
-    ]
+    replay = Portfolios.endow(config.players, supply, config.initial_cash)
     worth_drift = 0.0
     for day, day_trades in itertools.groupby(output.trades, key=lambda t: t.day):
         prices = [float(s.prices[day]) for s in series]
-        before = sum(net_worth(p, prices) for p in replay)
+        before = sum(replay.net_worth(prices).tolist())
         for trade in day_trades:
             apply_trade(replay, trade)
             for m in range(len(supply)):
-                total = sum(p.holdings[m] for p in replay)
+                total = int(replay.holdings[:, m].sum())
                 assert total == supply[m], (
                     f"stock {m} totals {total} != {supply[m]} after trade {trade}"
                 )
-        after = sum(net_worth(p, prices) for p in replay)
+        after = sum(replay.net_worth(prices).tolist())
         worth_drift = max(worth_drift, abs(after - before) / before)
     assert worth_drift <= 1e-9
 
     # The replayed portfolios must land exactly where the engine did.
-    for got, want in zip(replay, output.players):
-        assert got.holdings == want.holdings
-        assert math.isclose(got.cash, want.cash, rel_tol=1e-12)
+    assert replay.holdings.tolist() == output.portfolios.holdings.tolist()
+    for got, want in zip(replay.cash.tolist(), output.portfolios.cash.tolist()):
+        assert math.isclose(got, want, rel_tol=1e-12)
 
     _report(
         "A2 conservation",

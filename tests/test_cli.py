@@ -173,6 +173,20 @@ def test_run_reports_training_divergence_without_traceback(tmp_path, cli_process
     assert not out.exists()
 
 
+def test_run_stops_when_the_agents_did_not_learn(tmp_path, cli_process):
+    # Training stays finite here, but every agent ends saturated: generation
+    # 0's mean validation MSE is about 2.5e+38.
+    data = _gen_data(tmp_path)
+    out = tmp_path / "out"
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(CONFIG_TEMPLATE.format(data=data, out=out) + "learning_rate = 1000\n")
+    result = cli_process("run", "--config", str(config_path))
+    assert result.returncode == 1
+    assert "TrainingDivergedError: generation 0: mean validation MSE" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 def test_run_rejects_an_inline_comment_without_traceback(tmp_path, cli_process):
     data = _gen_data(tmp_path)
     out = tmp_path / "out"

@@ -170,7 +170,7 @@ def _mixed_player(seed=0, stocks=2, per_stock=4):
             kind = ActivationKind.LINEAR if rng.integers(2) == 0 else ActivationKind.LOGISTIC
             group.append(new_agent(AgentSpec(h, kind), rng))
         committees.append(group)
-    return Player(id=0, committees=committees, cash=5_000.0, holdings=[10] * stocks)
+    return Player(id=0, committees=committees)
 
 
 def test_evolve_generation_shape_and_legality():
@@ -182,10 +182,6 @@ def test_evolve_generation_shape_and_legality():
     for agent in child.iter_agents():
         assert HIDDEN_MIN <= agent.spec.hidden_units <= HIDDEN_MAX
         assert len(agent.weights) == agent.spec.weight_count()
-    # Portfolio rides along untouched, as an independent copy.
-    assert child.cash == player.cash
-    assert child.holdings == player.holdings
-    assert child.holdings is not player.holdings
 
 
 def test_evolve_generation_keeps_parent_weights_when_spec_survives():
@@ -238,7 +234,7 @@ def test_evolve_generation_validation():
         evolve_generation(player, [-0.1] + [0.1] * (n - 1), GAParams(), streams)
     with pytest.raises(ValueError):
         evolve_generation(player, [float("nan")] + [0.1] * (n - 1), GAParams(), streams)
-    single = Player(id=0, committees=[[new_agent(AgentSpec(2, ActivationKind.LINEAR), np.random.default_rng(0))]], cash=0.0, holdings=[0])
+    single = Player(id=0, committees=[[new_agent(AgentSpec(2, ActivationKind.LINEAR), np.random.default_rng(0))]])
     with pytest.raises(ConfigError):
         evolve_generation(single, [0.1], GAParams(), streams)
 

@@ -15,6 +15,7 @@ from gamarket.market import (
     DEFAULT_ROUND_CAP,
     ClearingReport,
     Market,
+    Portfolios,
     Termination,
     Trade,
     advance_day,
@@ -23,7 +24,6 @@ from gamarket.market import (
     run_clearing,
     split_endowment,
 )
-from gamarket.players import Player
 
 
 class FixedOrder:
@@ -38,10 +38,10 @@ class FixedOrder:
 
 
 def _traders(cash=1000.0, holdings=(50, 50), stocks=2):
-    return [
-        Player(id=i, committees=[[] for _ in range(stocks)], cash=cash, holdings=[h] * stocks)
-        for i, h in enumerate(holdings)
-    ]
+    return Portfolios(
+        cash=np.full(len(holdings), cash),
+        holdings=np.array([[h] * stocks for h in holdings], dtype=np.int64),
+    )
 
 
 def test_announced_prices_match_the_csv(tmp_path):
@@ -82,6 +82,17 @@ def test_market_validation():
         Market(stock_names=["A"], supply=[0], prices=np.ones((3, 1)))
     with pytest.raises(ConfigError):
         Market(stock_names=["A"], supply=[10], prices=np.ones((3, 2)))
+    # No stock at all leaves nothing to decide on.
+    with pytest.raises(ConfigError):
+        Market(stock_names=[], supply=[], prices=np.ones((3, 0)))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_market_rejects_a_non_positive_or_non_finite_price(bad):
+    prices = np.ones((3, 2))
+    prices[2, 1] = bad
+    with pytest.raises(ConfigError, match="price"):
+        Market(stock_names=["A", "B"], supply=[10, 10], prices=prices)
 
 
 def test_split_endowment_exact():
@@ -98,31 +109,62 @@ def test_split_endowment_exact():
         split_endowment(10, 0)
 
 
+def test_endow_splits_every_stock_and_gives_equal_cash():
+    book = Portfolios.endow(4, [10, 7], 250.0)
+    assert book.holdings.dtype == np.int64 and book.cash.dtype == np.float64
+    assert book.holdings.tolist() == [[3, 2], [3, 2], [2, 2], [2, 1]]
+    assert book.cash.tolist() == [250.0] * 4
+
+
+def test_net_worth_matches_brute_force():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        holdings = rng.integers(0, 100, size=(2, 3))
+        cash = rng.uniform(0, 1e5, size=2)
+        prices = rng.uniform(1.0, 500.0, size=3)
+        book = Portfolios(cash=cash, holdings=holdings)
+        for p in range(2):
+            expected = cash[p] + sum(h * q for h, q in zip(holdings[p], prices))
+            assert book.net_worth(prices)[p] == pytest.approx(expected, rel=1e-12)
+
+
+def test_net_worth_equals_per_player_dot_bit_for_bit():
+    # networth.csv holds these floats; a numpy or BLAS change that alters
+    # the summation order fails here before it changes the file.
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        book = Portfolios(
+            cash=rng.uniform(0.0, 1e7, size=64),
+            holdings=rng.integers(0, 20_000, size=(64, 3)),
+        )
+        prices = rng.uniform(1.0, 500.0, size=3)
+        expected = [book.cash[p] + np.dot(book.holdings[p], prices) for p in range(64)]
+        assert np.array_equal(book.net_worth(prices), expected)
+
+
 def test_apply_trade_settles_exactly():
-    players = _traders()
-    apply_trade(players, Trade(day=0, round=1, buyer=0, seller=1, stock=0, quantity=8, price=12.5))
-    assert players[0].holdings == [58, 50]
-    assert players[1].holdings == [42, 50]
-    assert players[0].cash == 1000.0 - 100.0
-    assert players[1].cash == 1000.0 + 100.0
+    book = _traders()
+    apply_trade(book, Trade(day=0, round=1, buyer=0, seller=1, stock=0, quantity=8, price=12.5))
+    assert book.holdings.tolist() == [[58, 50], [42, 50]]
+    assert book.cash[0] == 1000.0 - 100.0
+    assert book.cash[1] == 1000.0 + 100.0
 
 
 def test_apply_trade_rejects_without_touching_state():
-    players = _traders(cash=50.0)
-    before = copy.deepcopy(players)
+    book = _traders(cash=50.0)
+    before = copy.deepcopy(book)
     # Seller lacks the shares.
     with pytest.raises(TradeRejectedError):
-        apply_trade(players, Trade(0, 1, buyer=0, seller=1, stock=0, quantity=51, price=1.0))
+        apply_trade(book, Trade(0, 1, buyer=0, seller=1, stock=0, quantity=51, price=1.0))
     # Buyer lacks the cash.
     with pytest.raises(TradeRejectedError):
-        apply_trade(players, Trade(0, 1, buyer=0, seller=1, stock=0, quantity=10, price=10.0))
-    for got, want in zip(players, before):
-        assert got.cash == want.cash
-        assert got.holdings == want.holdings
+        apply_trade(book, Trade(0, 1, buyer=0, seller=1, stock=0, quantity=10, price=10.0))
+    assert book.cash.tolist() == before.cash.tolist()
+    assert book.holdings.tolist() == before.holdings.tolist()
     with pytest.raises(ValueError):
-        apply_trade(players, Trade(0, 1, buyer=0, seller=0, stock=0, quantity=1, price=1.0))
+        apply_trade(book, Trade(0, 1, buyer=0, seller=0, stock=0, quantity=1, price=1.0))
     with pytest.raises(ValueError):
-        apply_trade(players, Trade(0, 1, buyer=0, seller=1, stock=0, quantity=0, price=1.0))
+        apply_trade(book, Trade(0, 1, buyer=0, seller=1, stock=0, quantity=0, price=1.0))
 
 
 def _two_stock_market(prices=(10.0, 20.0), supply=(100, 100)):
@@ -136,8 +178,8 @@ def _two_stock_market(prices=(10.0, 20.0), supply=(100, 100)):
 def test_clearing_consensus_when_nobody_wants_to_trade():
     # Predictions equal to the announced price size every intent at zero.
     market = _two_stock_market()
-    players = _traders()
-    report = run_clearing(market, players, [[10.0, 20.0], [10.0, 20.0]], np.random.default_rng(0))
+    book = _traders()
+    report = run_clearing(market, book, [[10.0, 20.0], [10.0, 20.0]], np.random.default_rng(0))
     assert report.trades == []
     assert report.rounds == 1
     assert report.terminated_by is Termination.NO_MORE_TRADES
@@ -148,10 +190,8 @@ def test_single_stock_pessimist_still_bids():
     # rule resolves to a buy, so a lone pessimist never reaches the sell
     # side and two bids just rest: no trades.
     market = Market(stock_names=["A"], supply=[100], prices=np.full((5, 1), 10.0))
-    players = [
-        Player(id=i, committees=[[]], cash=1000.0, holdings=[50]) for i in range(2)
-    ]
-    report = run_clearing(market, players, [[11.0], [9.0]], np.random.default_rng(0))
+    book = _traders(stocks=1)
+    report = run_clearing(market, book, [[11.0], [9.0]], np.random.default_rng(0))
     assert report.trades == []
     assert report.terminated_by is Termination.NO_MORE_TRADES
 
@@ -162,9 +202,9 @@ def test_clearing_buyer_first_frozen_scenario():
     # the seller fills it, capped at 40% of its shrinking holding, so the
     # fills run 10,10,10 then 8,4,3,2,1 and round 9 reaches consensus.
     market = _two_stock_market()
-    players = _traders()
+    book = _traders()
     preds = [[11.0, 20.0], [9.0, 20.0]]
-    report = run_clearing(market, players, preds, FixedOrder([0, 1]))
+    report = run_clearing(market, book, preds, FixedOrder([0, 1]))
     assert [t.quantity for t in report.trades] == [10, 10, 10, 8, 4, 3, 2, 1]
     assert report.rounds == 9
     assert report.terminated_by is Termination.NO_MORE_TRADES
@@ -172,10 +212,9 @@ def test_clearing_buyer_first_frozen_scenario():
         t.buyer == 0 and t.seller == 1 and t.stock == 0 and t.price == 10.0
         for t in report.trades
     )
-    assert players[0].holdings == [98, 50]
-    assert players[1].holdings == [2, 50]
-    assert players[0].cash == 1000.0 - 480.0
-    assert players[1].cash == 1000.0 + 480.0
+    assert book.holdings.tolist() == [[98, 50], [2, 50]]
+    assert book.cash[0] == 1000.0 - 480.0
+    assert book.cash[1] == 1000.0 + 480.0
 
 
 def test_clearing_seller_first_uses_resting_volume_and_round_cap():
@@ -183,16 +222,32 @@ def test_clearing_seller_first_uses_resting_volume_and_round_cap():
     # volume, so the buyer's 10% sizing buys exactly one share per round.
     # A cap of 7 rounds cuts the session short.
     market = _two_stock_market()
-    players = _traders()
+    book = _traders()
     preds = [[11.0, 20.0], [9.0, 20.0]]
-    report = run_clearing(market, players, preds, FixedOrder([1, 0]), round_cap=7)
+    report = run_clearing(market, book, preds, FixedOrder([1, 0]), round_cap=7)
     assert [t.quantity for t in report.trades] == [1] * 7
     assert report.rounds == 7
     assert report.terminated_by is Termination.ROUND_CAP
-    assert players[0].holdings == [57, 50]
-    assert players[1].holdings == [43, 50]
-    assert players[0].cash == 1000.0 - 70.0
-    assert players[1].cash == 1000.0 + 70.0
+    assert book.holdings.tolist() == [[57, 50], [43, 50]]
+    assert book.cash[0] == 1000.0 - 70.0
+    assert book.cash[1] == 1000.0 + 70.0
+
+
+def test_clearing_sizes_each_buy_from_the_asks_still_resting():
+    # Player 0 sells A (-50%), players 1 and 2 buy it (+50%), in that order.
+    # Round 1: the seller rests 20 (40% of 50); the first buyer takes half
+    # of those 20, and the second half of the 10 still resting.  Each
+    # later round repeats this on the seller's shrinking holding.
+    market = _two_stock_market()
+    book = Portfolios(cash=np.full(3, 1e6), holdings=np.array([[50, 0], [0, 0], [0, 0]]))
+    preds = [[5.0, 20.0], [15.0, 20.0], [15.0, 20.0]]
+    report = run_clearing(market, book, preds, FixedOrder([0, 1, 2]))
+    assert [(t.buyer, t.quantity) for t in report.trades] == [
+        (1, 10), (2, 5), (1, 7), (2, 3), (1, 5), (2, 2), (1, 3), (2, 2),
+        (1, 2), (2, 1), (1, 2), (2, 1), (1, 1), (1, 1), (1, 1),
+    ]
+    assert report.rounds == 10
+    assert book.holdings.tolist() == [[4, 0], [32, 0], [14, 0]]
 
 
 def test_clearing_conserves_shares_and_cash():
@@ -201,17 +256,14 @@ def test_clearing_conserves_shares_and_cash():
     supply = [120, 90, 61]
     market = Market.from_series(series, supply=supply)
     prices = announce_price(market)
-    players = []
-    for i in range(5):
-        shares = [split_endowment(q, 5)[i] for q in supply]
-        players.append(Player(id=i, committees=[[], [], []], cash=1e7, holdings=shares))
-    predictions = [[float(p * rng.uniform(0.9, 1.1)) for p in prices] for _ in players]
-    pristine = copy.deepcopy(players)
-    report = run_clearing(market, players, predictions, np.random.default_rng(5))
+    book = Portfolios.endow(5, supply, 1e7)
+    predictions = [[float(p * rng.uniform(0.9, 1.1)) for p in prices] for _ in range(5)]
+    pristine = copy.deepcopy(book)
+    report = run_clearing(market, book, predictions, np.random.default_rng(5))
     assert report.trades, "scenario should produce at least one trade"
     for m in range(3):
-        assert sum(p.holdings[m] for p in players) == supply[m]
-    assert sum(p.cash for p in players) == pytest.approx(5e7, rel=1e-12)
+        assert book.holdings[:, m].sum() == supply[m]
+    assert sum(book.cash.tolist()) == pytest.approx(5e7, rel=1e-12)
     for trade in report.trades:
         assert trade.quantity >= 1
         assert trade.buyer != trade.seller
@@ -220,9 +272,9 @@ def test_clearing_conserves_shares_and_cash():
     # Replaying the log from the initial portfolios reproduces the outcome.
     for trade in report.trades:
         apply_trade(pristine, trade)
-    for got, want in zip(players, pristine):
-        assert got.holdings == want.holdings
-        assert got.cash == pytest.approx(want.cash, rel=1e-12)
+    assert book.holdings.tolist() == pristine.holdings.tolist()
+    for got, want in zip(book.cash.tolist(), pristine.cash.tolist()):
+        assert got == pytest.approx(want, rel=1e-12)
     # Holdings never go negative mid-stream either; replay would have raised.
 
 
@@ -232,67 +284,69 @@ def _clearing_cases(draw):
     n_stocks = draw(st.integers(1, 3))
     positive = st.floats(0.01, 1e4, allow_nan=False, allow_infinity=False)
     prices = draw(st.lists(positive, min_size=n_stocks, max_size=n_stocks))
-    players = [
-        Player(
-            id=i,
-            committees=[[] for _ in range(n_stocks)],
-            cash=draw(st.floats(0.0, 1e7)),
-            holdings=draw(st.lists(st.integers(0, 500), min_size=n_stocks, max_size=n_stocks)),
-        )
-        for i in range(n_players)
-    ]
+    book = Portfolios(
+        cash=np.array([draw(st.floats(0.0, 1e7)) for _ in range(n_players)]),
+        holdings=np.array(
+            [
+                draw(st.lists(st.integers(0, 500), min_size=n_stocks, max_size=n_stocks))
+                for _ in range(n_players)
+            ],
+            dtype=np.int64,
+        ),
+    )
     predictions = [
-        draw(st.lists(positive, min_size=n_stocks, max_size=n_stocks)) for _ in players
+        draw(st.lists(positive, min_size=n_stocks, max_size=n_stocks)) for _ in range(n_players)
     ]
-    return prices, players, predictions, draw(st.integers(0, 2**32 - 1))
+    return prices, book, predictions, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_clearing_cases())
 def test_clearing_conserves_and_never_goes_negative(case):
-    prices, players, predictions, seed = case
+    prices, book, predictions, seed = case
     # Every stock needs a supply of at least one share.
-    players[0].holdings = [h + 1 for h in players[0].holdings]
-    supply = [sum(p.holdings[m] for p in players) for m in range(len(prices))]
+    book.holdings[0] += 1
+    supply = book.holdings.sum(axis=0).tolist()
     market = Market(
         stock_names=[f"S{m}" for m in range(len(prices))],
         supply=supply,
         prices=np.array([prices]),
     )
-    cash = math.fsum(p.cash for p in players)
-    run_clearing(market, players, predictions, np.random.default_rng(seed))
-    assert [sum(p.holdings[m] for p in players) for m in range(len(prices))] == supply
-    assert math.fsum(p.cash for p in players) == pytest.approx(cash, rel=1e-12, abs=1e-6)
-    assert all(p.cash >= 0 and min(p.holdings) >= 0 for p in players)
+    cash = math.fsum(book.cash)
+    run_clearing(market, book, predictions, np.random.default_rng(seed))
+    assert book.holdings.sum(axis=0).tolist() == supply
+    assert math.fsum(book.cash) == pytest.approx(cash, rel=1e-12, abs=1e-6)
+    assert (book.cash >= 0).all() and (book.holdings >= 0).all()
 
 
 def test_clearing_same_seed_is_identical():
     def run(seed):
         market = _two_stock_market(supply=(500, 500))
-        players = _traders(cash=5e4, holdings=(250, 250))
+        book = _traders(cash=5e4, holdings=(250, 250))
         preds = [[10.7, 20.0], [9.4, 20.0]]
-        report = run_clearing(market, players, preds, np.random.default_rng(seed))
+        report = run_clearing(market, book, preds, np.random.default_rng(seed))
         return [
             (t.round, t.buyer, t.seller, t.stock, t.quantity, t.price) for t in report.trades
-        ], [(p.cash, tuple(p.holdings)) for p in players]
+        ], (book.cash.tolist(), book.holdings.tolist())
 
     assert run(123) == run(123)
 
 
 def test_run_clearing_validation():
     market = _two_stock_market()
-    players = _traders()
+    book = _traders()
     rng = np.random.default_rng(0)
+    # One row per player and one column per stock.
     with pytest.raises(ConfigError):
-        run_clearing(market, players, [[10.0, 20.0]], rng)
+        run_clearing(market, book, np.array([[10.0, 20.0]]), rng)
     with pytest.raises(ConfigError):
-        run_clearing(market, players, [[10.0, 20.0], [10.0]], rng)
+        run_clearing(market, book, np.array([[10.0], [10.0]]), rng)
     with pytest.raises(ConfigError):
-        run_clearing(market, players, [[10.0, 20.0], [-1.0, 20.0]], rng)
+        run_clearing(market, book, np.array([[10.0, 20.0], [-1.0, 20.0]]), rng)
     with pytest.raises(ConfigError):
-        run_clearing(market, players, [[10.0, 20.0], [float("nan"), 20.0]], rng)
+        run_clearing(market, book, np.array([[10.0, 20.0], [float("nan"), 20.0]]), rng)
     with pytest.raises(ConfigError):
-        run_clearing(market, players, [[10.0, 20.0], [10.0, 20.0]], rng, round_cap=0)
+        run_clearing(market, book, np.array([[10.0, 20.0], [10.0, 20.0]]), rng, round_cap=0)
 
 
 def test_default_round_cap_value():

@@ -15,6 +15,7 @@ from gamarket.metrics import (
     record_networth,
     species_partition,
 )
+from gamarket.market import Portfolios
 from gamarket.neural import ActivationKind, AgentSpec, new_agent
 from gamarket.players import Player
 
@@ -60,10 +61,10 @@ def test_mean_hidden_units():
         [_agent(2, ActivationKind.LINEAR), _agent(4, ActivationKind.LOGISTIC)],
         [_agent(9, ActivationKind.LINEAR)],
     ]
-    player = Player(id=0, committees=committees, cash=0.0, holdings=[0, 0])
+    player = Player(id=0, committees=committees)
     assert mean_hidden_units(player) == pytest.approx(5.0)
     with pytest.raises(ValueError):
-        mean_hidden_units(Player(id=1, committees=[[]], cash=0.0, holdings=[0]))
+        mean_hidden_units(Player(id=1, committees=[[]]))
 
 
 def test_linear_fit_recovers_exact_line():
@@ -97,12 +98,11 @@ def test_linear_fit_degenerate_inputs():
 
 def test_record_networth_rows():
     metrics = RunMetrics()
-    players = [
-        Player(id=0, committees=[[]], cash=100.0, holdings=[3]),
-        Player(id=1, committees=[[]], cash=50.0, holdings=[10]),
-    ]
-    record_networth(metrics, players, prices=[2.0], day=7)
+    book = Portfolios(cash=np.array([100.0, 50.0]), holdings=np.array([[3], [10]]))
+    record_networth(metrics, book, prices=[2.0], day=7)
     assert metrics.networth_rows == [(7, 0, 106.0), (7, 1, 70.0)]
+    # Plain floats, so the report writes them as Python reprs.
+    assert all(type(worth) is float for _, _, worth in metrics.networth_rows)
 
 
 def test_record_generation_rows():
@@ -111,14 +111,10 @@ def test_record_generation_rows():
         Player(
             id=0,
             committees=[[_agent(2, ActivationKind.LINEAR), _agent(4, ActivationKind.LINEAR)]],
-            cash=0.0,
-            holdings=[0],
         ),
         Player(
             id=1,
             committees=[[_agent(6, ActivationKind.LOGISTIC), _agent(6, ActivationKind.LOGISTIC)]],
-            cash=0.0,
-            holdings=[0],
         ),
     ]
     record_generation(metrics, generation=3, players=players)

@@ -8,27 +8,11 @@ import pytest
 from gamarket.data import NormalizationParams
 from gamarket.errors import ConfigError
 from gamarket.neural import ActivationKind, AgentSpec, forward, init_random, new_agent
-from gamarket.players import (
-    PRICE_FLOOR,
-    Player,
-    Side,
-    choose_trade_side,
-    committee_predict,
-    decision_factor,
-    desired_quantity,
-    net_worth,
-    price_change,
-)
+from gamarket.players import PRICE_FLOOR, Player, committee_predict, decide, desired_quantity
 
 
-def _player(committees, cash=1000.0, holdings=None, pid=0):
-    stocks = len(committees)
-    return Player(
-        id=pid,
-        committees=committees,
-        cash=cash,
-        holdings=holdings if holdings is not None else [0] * stocks,
-    )
+def _player(committees, pid=0):
+    return Player(id=pid, committees=committees)
 
 
 def test_committee_predict_is_mean_then_denormalized():
@@ -67,48 +51,60 @@ def test_committee_predict_shape_checks():
         committee_predict(empty, [0.5], [NormalizationParams(1.0, 2.0)])
 
 
-def test_price_change_basic():
-    assert price_change(110.0, 100.0) == pytest.approx(0.1)
-    assert price_change(90.0, 100.0) == pytest.approx(-0.1)
-    with pytest.raises(ValueError):
-        price_change(1.0, 0.0)
+def test_decide_expects_the_relative_price_change():
+    prices = np.array([100.0, 100.0])
+    _, _, delta = decide(np.array([[110.0, 100.0], [100.0, 90.0]]), prices, [1, 1])
+    assert delta[0] == pytest.approx(0.1)
+    assert delta[1] == pytest.approx(-0.1)
 
 
-def test_decision_factor_scales_by_quantity():
-    assert decision_factor(0.05, 1000) == pytest.approx(50.0)
-    assert decision_factor(-0.02, 500) == pytest.approx(-10.0)
-    with pytest.raises(ValueError):
-        decision_factor(0.1, -1)
+def test_decide_scales_changes_by_supply():
+    # +5% on a supply of 1000 (factor 50) beats -2% on 500 (factor -10).
+    prices = np.array([100.0, 100.0])
+    sells, stock, _ = decide(np.array([[105.0, 98.0]]), prices, [1000, 500])
+    assert sells.tolist() == [False] and stock.tolist() == [0]
+    # Swapping the supplies to 10 and 5000 makes the fall the stronger signal.
+    sells, stock, _ = decide(np.array([[105.0, 98.0]]), prices, [10, 5000])
+    assert sells.tolist() == [True] and stock.tolist() == [1]
 
 
-def test_choose_trade_side_cases():
+def _side(factors):
+    """decide on one player whose decision factors are `factors` (price 1, supply 1)."""
+    sells, stock, _ = decide(np.array([factors]) + 1.0, np.ones(len(factors)), [1] * len(factors))
+    return ("sell" if sells[0] else "buy"), int(stock[0])
+
+
+def test_decide_side_cases():
     # Strongest signal is the large positive factor: buy it.
-    assert choose_trade_side([10.0, -3.0, 2.0]) == (Side.BUY, 0)
+    assert _side([10.0, -3.0, 2.0]) == ("buy", 0)
     # Strongest signal is the large negative factor: sell it.
-    assert choose_trade_side([3.0, -10.0, 2.0]) == (Side.SELL, 1)
+    assert _side([3.0, -10.0, 2.0]) == ("sell", 1)
     # Exact magnitude tie resolves to a buy.
-    assert choose_trade_side([5.0, -5.0]) == (Side.BUY, 0)
+    assert _side([5.0, -5.0]) == ("buy", 0)
     # Ties inside argmax/argmin take the lowest index.
-    assert choose_trade_side([7.0, 7.0, -1.0]) == (Side.BUY, 0)
-    assert choose_trade_side([-7.0, 1.0, -7.0]) == (Side.SELL, 0)
+    assert _side([7.0, 7.0, -1.0]) == ("buy", 0)
+    assert _side([-7.0, 1.0, -7.0]) == ("sell", 0)
     # All zero: a degenerate buy of stock 0 (quantity sizing will zero it out).
-    assert choose_trade_side([0.0, 0.0]) == (Side.BUY, 0)
-    with pytest.raises(ConfigError):
-        choose_trade_side([])
+    assert _side([0.0, 0.0]) == ("buy", 0)
+
+
+def test_decide_rows_are_independent_players():
+    factors = [[10.0, -3.0, 2.0], [3.0, -10.0, 2.0], [5.0, -5.0, 0.0], [-7.0, 1.0, -7.0]]
+    sells, stock, delta = decide(np.array(factors) + 1.0, np.ones(3), [1, 1, 1])
+    assert sells.tolist() == [False, True, False, True]
+    assert stock.tolist() == [0, 1, 0, 0]
+    assert delta.tolist() == [10.0, -10.0, 5.0, -7.0]
 
 
 def test_desired_quantity_buy_caps():
-    player = _player([[]], cash=250.0)
     # want = floor(0.3 * 100) = 30, affordable = floor(250/10) = 25.
-    intent = desired_quantity(player, 0, Side.BUY, 0.3, announced_price=10.0, market_volume=100)
-    assert intent == desired_quantity(player, 0, Side.BUY, -0.3, 10.0, 100)
-    assert intent.quantity == 25
+    quantity = desired_quantity(False, 0.3, 10.0, market_volume=100, cash=250.0, holding=0)
+    assert quantity == desired_quantity(False, -0.3, 10.0, 100, cash=250.0, holding=0)
+    assert quantity == 25
     # Market volume binds when it is the smallest cap.
-    intent = desired_quantity(player, 0, Side.BUY, 0.9, announced_price=10.0, market_volume=7)
-    assert intent.quantity == 6  # floor(0.9 * 7)
+    assert desired_quantity(False, 0.9, 10.0, market_volume=7, cash=250.0, holding=0) == 6
     # No cash means no buy.
-    broke = _player([[]], cash=0.0)
-    assert desired_quantity(broke, 0, Side.BUY, 0.5, 10.0, 100).quantity == 0
+    assert desired_quantity(False, 0.5, 10.0, 100, cash=0.0, holding=0) == 0
 
 
 def test_desired_quantity_affordability_never_overspends():
@@ -117,49 +113,30 @@ def test_desired_quantity_affordability_never_overspends():
     for _ in range(200):
         cash = float(rng.uniform(0.0, 1e4))
         price = float(rng.uniform(0.01, 50.0))
-        player = _player([[]], cash=cash)
-        intent = desired_quantity(player, 0, Side.BUY, 1.0, price, market_volume=10**9)
-        assert intent.quantity * price <= cash
+        quantity = desired_quantity(False, 1.0, price, market_volume=10**9, cash=cash, holding=0)
+        assert quantity * price <= cash
         # Maximal: one more share would not be affordable.
-        assert (intent.quantity + 1) * price > cash
+        assert (quantity + 1) * price > cash
 
 
 def test_desired_quantity_sell_cap_is_two_fifths_floor():
-    player = _player([[]], holdings=[13])
     # cap = 2*13 // 5 = 5; want = floor(0.9 * 100) = 90.
-    intent = desired_quantity(player, 0, Side.SELL, -0.9, announced_price=10.0, market_volume=100)
-    assert intent.quantity == 5
+    assert desired_quantity(True, -0.9, 10.0, market_volume=100, cash=1000.0, holding=13) == 5
     # want binds when smaller than the cap.
-    intent = desired_quantity(player, 0, Side.SELL, -0.02, 10.0, market_volume=100)
-    assert intent.quantity == 2
+    assert desired_quantity(True, -0.02, 10.0, market_volume=100, cash=1000.0, holding=13) == 2
     # No holdings means no sell.
-    assert desired_quantity(_player([[]], holdings=[0]), 0, Side.SELL, -0.9, 10.0, 100).quantity == 0
+    assert desired_quantity(True, -0.9, 10.0, 100, cash=1000.0, holding=0) == 0
     # Exact integer arithmetic on the cap, no float drift.
     for holding in range(0, 50):
-        p = _player([[]], holdings=[holding])
-        q = desired_quantity(p, 0, Side.SELL, -1.0, 10.0, 10**9).quantity
+        q = desired_quantity(True, -1.0, 10.0, 10**9, cash=1000.0, holding=holding)
         assert q == (2 * holding) // 5
 
 
 def test_desired_quantity_validation():
-    player = _player([[]])
     with pytest.raises(ValueError):
-        desired_quantity(player, 0, Side.BUY, 0.1, announced_price=0.0, market_volume=10)
+        desired_quantity(False, 0.1, announced_price=0.0, market_volume=10, cash=1000.0, holding=0)
     with pytest.raises(ValueError):
-        desired_quantity(player, 0, Side.BUY, 0.1, announced_price=1.0, market_volume=-1)
-
-
-def test_net_worth_matches_brute_force():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        holdings = [int(q) for q in rng.integers(0, 100, size=3)]
-        cash = float(rng.uniform(0, 1e5))
-        prices = rng.uniform(1.0, 500.0, size=3)
-        player = _player([[], [], []], cash=cash, holdings=holdings)
-        expected = cash + sum(h * p for h, p in zip(holdings, prices))
-        assert net_worth(player, prices) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        net_worth(player, [1.0, -1.0, 2.0])
+        desired_quantity(False, 0.1, announced_price=1.0, market_volume=-1, cash=1000.0, holding=0)
 
 
 def test_player_agent_iteration():

@@ -48,22 +48,22 @@ def test_run_shapes_and_conservation(tmp_path):
     gens_seen = {g for g, _, _ in output.metrics.complexity_rows}
     assert gens_seen == {0, 1}
     # Shares and cash only move between players.
+    book = output.portfolios
     for m in range(len(STOCKS)):
-        assert sum(p.holdings[m] for p in output.players) == SUPPLY[m]
-    total_cash = sum(p.cash for p in output.players)
+        assert book.holdings[:, m].sum() == SUPPLY[m]
+    total_cash = sum(book.cash.tolist())
     assert total_cash == pytest.approx(config.players * config.initial_cash, rel=1e-12)
     for trade in output.trades:
         assert config.window <= trade.day < config.window + config.days
         assert trade.quantity >= 1
-    for player in output.players:
-        assert player.cash >= 0
-        assert all(h >= 0 for h in player.holdings)
+    assert (book.cash >= 0).all()
+    assert (book.holdings >= 0).all()
 
 
 def _fingerprint(output):
     return (
         [(t.day, t.round, t.buyer, t.seller, t.stock, t.quantity, t.price) for t in output.trades],
-        [(p.cash, tuple(p.holdings)) for p in output.players],
+        (output.portfolios.cash.tolist(), output.portfolios.holdings.tolist()),
         [(a.spec, a.weights.tobytes()) for p in output.players for a in p.iter_agents()],
         output.metrics.networth_rows,
         output.metrics.hidden_rows,
@@ -115,21 +115,21 @@ def test_evolution_cadence_counts_events(tmp_path):
     assert [g for g, _ in output.metrics.generation_error_rows] == [0, 1, 2]
 
 
-def _mint_share(player, trade):
-    player.holdings[trade.stock] += 1
+def _mint_share(book, trade):
+    book.holdings[trade.buyer, trade.stock] += 1
 
 
-def _leak_cash(player, trade):
-    player.cash -= 1.0
+def _leak_cash(book, trade):
+    book.cash[trade.buyer] -= 1.0
 
 
 @pytest.mark.parametrize("corrupt, message", [(_mint_share, "shares of"), (_leak_cash, "cash")])
 def test_run_stops_when_clearing_breaks_conservation(tmp_path, monkeypatch, corrupt, message):
     settle = gamarket.market.apply_trade
 
-    def corrupted(players, trade):
-        settle(players, trade)
-        corrupt(players[trade.buyer], trade)
+    def corrupted(book, trade):
+        settle(book, trade)
+        corrupt(book, trade)
 
     monkeypatch.setattr(gamarket.market, "apply_trade", corrupted)
     # Four players with 1-epoch training: a seed that trades (115 trades in 6 days).
