@@ -10,7 +10,6 @@ from .errors import (
     ConfigError,
     ConservationError,
     DataError,
-    EndOfDataError,
     InsufficientHistoryError,
     SimulationError,
     TradeRejectedError,
@@ -29,7 +28,6 @@ __all__ = [
     "ConfigError",
     "ConservationError",
     "DataError",
-    "EndOfDataError",
     "Hyperparams",
     "InsufficientHistoryError",
     "Player",

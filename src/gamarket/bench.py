@@ -63,10 +63,9 @@ def scaling_benchmark(
         raise ConfigError(f"days must be >= 1, got {days}")
     result = BenchmarkResult()
     rows = window + days + 2
-    series = generate_series(rows, seed)
     with tempfile.TemporaryDirectory(prefix="gamarket-bench-") as tmp:
         csv_path = os.path.join(tmp, "prices.csv")
-        write_prices_csv(csv_path, series)
+        write_prices_csv(csv_path, DEFAULT_STOCKS, generate_series(rows, seed))
 
         def timed_run(n_players: int, n_agents: int) -> float:
             config = SimulationConfig(

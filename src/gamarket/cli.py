@@ -7,7 +7,7 @@ import sys
 
 from .bench import scaling_benchmark
 from .config import parse_config
-from .data import generate_series, write_prices_csv
+from .data import DEFAULT_STOCKS, generate_series, write_prices_csv
 from .errors import SimulationError
 from .reports import emit_bench_reports, emit_reports
 from .simulation import run_simulation
@@ -88,11 +88,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    series = generate_series(
-        args.days, args.seed, drift=args.drift, volatility=args.volatility
-    )
-    write_prices_csv(args.out, series)
-    print(f"wrote {args.days} rows for {len(series)} stocks to {args.out}")
+    prices = generate_series(args.days, args.seed, drift=args.drift, volatility=args.volatility)
+    write_prices_csv(args.out, DEFAULT_STOCKS, prices)
+    print(f"wrote {args.days} rows for {len(DEFAULT_STOCKS)} stocks to {args.out}")
     return 0
 
 

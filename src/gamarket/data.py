@@ -1,13 +1,18 @@
 """Price history: CSV loading, training windows, normalization, synthetic data.
 
 The on-disk format is a single CSV with a `day` column followed by one
-closing-price column per stock, e.g. `day,DJIA,NASDAQ,SP500`.  Day indices
-must be consecutive integers and every price strictly positive.
+closing-price column per stock, e.g. `day,DJIA,NASDAQ,SP500`.  In memory
+the history is one `(days, stocks)` float64 array: row t holds day t's
+closing prices, column m stock m's series.  `load_prices` is the only
+place prices are checked: day indices must be consecutive integers and
+every price finite and strictly positive, and a bad row is a `DataError`
+naming the file and line.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,17 +27,6 @@ DEFAULT_START_PRICES = (10600.0, 2050.0, 1220.0)
 # never have to reach their asymptotes to represent a window extreme.
 NORM_LO = 0.1
 NORM_HI = 0.9
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """One stock's closing prices, indexed by consecutive day numbers."""
-
-    name: str
-    prices: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.prices)
 
 
 @dataclass(frozen=True)
@@ -62,9 +56,10 @@ def denormalize(value, params: NormalizationParams):
     return params.lo + (value - NORM_LO) * (params.hi - params.lo) / (NORM_HI - NORM_LO)
 
 
-def build_window(series: PriceSeries, t: int, n: int) -> tuple[TrainingWindow, NormalizationParams]:
+def build_window(prices: np.ndarray, t: int, n: int) -> tuple[TrainingWindow, NormalizationParams]:
     """Training window of the n day-to-day price pairs ending at day t.
 
+    `prices` is one stock's daily closing prices, a `load_prices` column.
     Pairs are (p[t-n+i], p[t-n+i+1]) for i in 0..n-1, normalized with the
     min/max of the prices the window touches.  Returns the window together
     with the normalization parameters so predictions can be denormalized.
@@ -75,21 +70,21 @@ def build_window(series: PriceSeries, t: int, n: int) -> tuple[TrainingWindow, N
         raise InsufficientHistoryError(
             f"day {t} has only {t} prior prices, window needs {n}"
         )
-    if t >= len(series):
-        raise DataError(f"day {t} is beyond the end of series '{series.name}'")
-    chunk = series.prices[t - n : t + 1]
+    if t >= len(prices):
+        raise DataError(f"day {t} is beyond the end of the {len(prices)}-day price history")
+    chunk = prices[t - n : t + 1]
     params = NormalizationParams(lo=float(chunk.min()), hi=float(chunk.max()))
     scaled = normalize(chunk, params)
     return TrainingWindow(inputs=scaled[:-1], targets=scaled[1:]), params
 
 
-def load_prices(path, expected_stocks=DEFAULT_STOCKS, window: int = 50) -> list[PriceSeries]:
-    """Load aligned price series from a CSV file.
+def load_prices(path, expected_stocks=DEFAULT_STOCKS, window: int = 50) -> np.ndarray:
+    """Load the price history from a CSV file as a (days, stocks) array.
 
     The header must be exactly `day` followed by the expected stock names.
-    Raises a DataError naming the offending row for malformed or nonpositive
-    entries, and InsufficientHistoryError when fewer than window + 2 rows
-    are present.
+    Raises a DataError naming the offending line for a malformed row, a
+    day gap, or a price that is not finite and > 0, and
+    InsufficientHistoryError when fewer than window + 2 rows are present.
     """
     expected_stocks = tuple(expected_stocks)
     try:
@@ -106,7 +101,7 @@ def load_prices(path, expected_stocks=DEFAULT_STOCKS, window: int = 50) -> list[
         if [h.strip() for h in header] != wanted:
             raise DataError(f"{path}: header {header!r} does not match {wanted!r}")
         days: list[int] = []
-        columns: list[list[float]] = [[] for _ in expected_stocks]
+        rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(wanted):
                 raise DataError(f"{path}:{lineno}: expected {len(wanted)} fields, got {len(row)}")
@@ -120,51 +115,43 @@ def load_prices(path, expected_stocks=DEFAULT_STOCKS, window: int = 50) -> list[
                     f"{path}:{lineno}: day {day} does not follow {days[-1]} (no gaps allowed)"
                 )
             for name, value in zip(expected_stocks, values):
-                if not value > 0:
-                    raise DataError(f"{path}:{lineno}: nonpositive price {value} for {name}")
+                if not (math.isfinite(value) and value > 0):
+                    raise DataError(
+                        f"{path}:{lineno}: price {value} for {name} is not finite and > 0"
+                    )
             days.append(day)
-            for col, value in zip(columns, values):
-                col.append(value)
+            rows.append(values)
     if len(days) < window + 2:
         raise InsufficientHistoryError(
             f"{path}: {len(days)} rows is too short for window {window} (need >= {window + 2})"
         )
-    return [
-        PriceSeries(name=name, prices=np.asarray(col, dtype=float))
-        for name, col in zip(expected_stocks, columns)
-    ]
+    return np.array(rows, dtype=float)
 
 
 def generate_series(
     days: int,
     seed: int,
-    names=DEFAULT_STOCKS,
     start_prices=DEFAULT_START_PRICES,
     drift: float = 2e-4,
     volatility: float = 0.012,
-) -> list[PriceSeries]:
-    """Synthetic closing prices: an independent geometric random walk per stock."""
+) -> np.ndarray:
+    """Synthetic (days, stocks) closing prices: a geometric random walk per stock."""
     if days < 1:
         raise DataError(f"days must be >= 1, got {days}")
-    names = tuple(names)
-    if len(start_prices) != len(names):
-        raise DataError("start_prices must match the number of stock names")
     rng = np.random.default_rng(seed)
-    out = []
-    for name, p0 in zip(names, start_prices):
+    paths = []
+    for p0 in start_prices:
         steps = rng.normal(loc=drift, scale=volatility, size=days - 1)
-        path = float(p0) * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
-        out.append(PriceSeries(name=name, prices=path))
-    return out
+        paths.append(float(p0) * np.exp(np.concatenate([[0.0], np.cumsum(steps)])))
+    return np.column_stack(paths)
 
 
-def write_prices_csv(path, series: list[PriceSeries]) -> None:
-    """Write aligned series in the loadable CSV format."""
-    lengths = {len(s) for s in series}
-    if len(lengths) != 1:
-        raise DataError(f"series lengths differ: {sorted(lengths)}")
+def write_prices_csv(path, names, prices: np.ndarray) -> None:
+    """Write a (days, stocks) price array in the loadable CSV format."""
+    if prices.ndim != 2 or prices.shape[1] != len(names):
+        raise DataError(f"prices of shape {prices.shape} need one column per name in {names}")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["day", *(s.name for s in series)])
-        for day in range(lengths.pop()):
-            writer.writerow([day] + [f"{s.prices[day]:.4f}" for s in series])
+        writer.writerow(["day", *names])
+        for day, row in enumerate(prices):
+            writer.writerow([day] + [f"{price:.4f}" for price in row])

@@ -14,7 +14,7 @@ class DataError(SimulationError):
 
 
 class InsufficientHistoryError(DataError):
-    """A price series is too short for the requested training window."""
+    """The price history is too short for the requested training window."""
 
 
 class TrainingDivergedError(SimulationError):
@@ -28,7 +28,3 @@ class TradeRejectedError(SimulationError):
 
 class ConservationError(SimulationError):
     """A day's clearing changed a stock's share total or the total cash."""
-
-
-class EndOfDataError(SimulationError):
-    """The price series has no row for the requested day."""

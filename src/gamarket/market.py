@@ -1,10 +1,11 @@
-"""Market state, portfolios, price announcement, settlement and clearing.
+"""Portfolios, settlement and the daily clearing.
 
-Each trading day the market announces the historical closing price and
-players trade among themselves at that price until a full round passes
-with no trade (consensus) or a round cap is hit.  All cash and shares live
-in one `Portfolios` pair of arrays, row p for player p; every trade just
-moves shares between rows against cash at the announced price, so each
+Each trading day the players trade among themselves at that day's
+historical closing prices, one row of the `load_prices` array, until a
+full round passes with no trade (consensus) or a round cap is hit.  The
+prices were checked when they were loaded.  All cash and shares live in
+one `Portfolios` pair of arrays, row p for player p; every trade just
+moves shares between rows against cash at the day's price, so each
 stock's share total never changes.  Every player's stock and side are
 decided at once, once per day; only order sizes change between rounds.
 """
@@ -16,8 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import PriceSeries
-from .errors import ConfigError, EndOfDataError, TradeRejectedError
+from .errors import ConfigError, TradeRejectedError
 from .players import decide, desired_quantity
 
 DEFAULT_ROUND_CAP = 100
@@ -26,29 +26,6 @@ DEFAULT_ROUND_CAP = 100
 class Termination(Enum):
     NO_MORE_TRADES = "no_more_trades"
     ROUND_CAP = "round_cap"
-
-
-@dataclass
-class Market:
-    stock_names: list[str]
-    supply: list[int]  # fixed total shares per stock
-    prices: np.ndarray  # (days, stocks) closing prices
-    t: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.stock_names) != len(self.supply):
-            raise ConfigError("one supply figure is required per stock")
-        if not self.supply or any(q < 1 for q in self.supply):
-            raise ConfigError("need at least one stock, each with supply >= 1")
-        if self.prices.ndim != 2 or self.prices.shape[1] != len(self.stock_names):
-            raise ConfigError("price matrix must have one column per stock")
-        if not np.all((self.prices > 0) & np.isfinite(self.prices)):
-            raise ConfigError("every price must be finite and > 0")
-
-    @classmethod
-    def from_series(cls, series: list[PriceSeries], supply: list[int], t: int = 0) -> "Market":
-        matrix = np.column_stack([s.prices for s in series])
-        return cls(stock_names=[s.name for s in series], supply=list(supply), prices=matrix, t=t)
 
 
 @dataclass(frozen=True)
@@ -67,17 +44,6 @@ class ClearingReport:
     trades: list[Trade] = field(default_factory=list)
     rounds: int = 0
     terminated_by: Termination = Termination.NO_MORE_TRADES
-
-
-def announce_price(market: Market) -> np.ndarray:
-    """Today's official prices; every trade settles at these."""
-    if not 0 <= market.t < len(market.prices):
-        raise EndOfDataError(f"no price row for day {market.t}")
-    return market.prices[market.t].copy()
-
-
-def advance_day(market: Market) -> None:
-    market.t += 1
 
 
 def split_endowment(supply: int, n_players: int) -> list[int]:
@@ -138,34 +104,39 @@ def apply_trade(book: Portfolios, trade: Trade) -> None:
 
 
 def run_clearing(
-    market: Market,
+    day: int,
+    prices,
+    supply,
     book: Portfolios,
     predictions,
     rng: np.random.Generator,
     round_cap: int = DEFAULT_ROUND_CAP,
 ) -> ClearingReport:
-    """Trade at today's announced prices until consensus or the round cap.
+    """Trade at day `day`'s prices until consensus or the round cap.
 
-    `predictions` is a (players, stocks) array of predicted prices.  Each
-    player's stock and side depend only on its predictions and today's
-    prices, so `decide` fixes them for every player once per day.  Every
-    round the players act once each, in a freshly shuffled order: a player
-    sizes an order from its current cash or holding, and the order is
-    matched earliest-first against resting opposite-side orders from the
-    same round; any remainder rests in the book.  A round with zero
-    executed trades ends the day's clearing.
+    `prices` holds the day's price per stock and `supply` each stock's
+    fixed share total; `predictions` is a (players, stocks) array of
+    predicted prices.  Each player's stock and side depend only on its
+    predictions and the day's prices, so `decide` fixes them for every
+    player once per day.  Every round the players act once each, in a
+    freshly shuffled order: a player sizes an order from its current cash
+    or holding, and the order is matched earliest-first against resting
+    opposite-side orders from the same round; any remainder rests in the
+    book.  A round with zero executed trades ends the day's clearing.
     """
     if round_cap < 1:
         raise ConfigError(f"round cap must be >= 1, got {round_cap}")
-    prices = announce_price(market)
-    n_players, m_stocks = len(book.cash), len(market.supply)
+    prices = np.asarray(prices, dtype=float)
+    if len(prices) != len(supply):
+        raise ConfigError(f"need one price per stock: {len(prices)} prices, {len(supply)} stocks")
+    n_players, m_stocks = len(book.cash), len(supply)
     predictions = np.asarray(predictions, dtype=float)
     if predictions.shape != (n_players, m_stocks):
         raise ConfigError(f"predictions must be ({n_players}, {m_stocks}), got {predictions.shape}")
     if not np.all((predictions > 0) & np.isfinite(predictions)):
         raise ConfigError("predictions must be finite and > 0")
 
-    sells, stocks, deltas = (a.tolist() for a in decide(predictions, prices, market.supply))
+    sells, stocks, deltas = (a.tolist() for a in decide(predictions, prices, supply))
     prices = prices.tolist()
     report = ClearingReport()
     for round_no in range(1, round_cap + 1):
@@ -176,7 +147,7 @@ def run_clearing(
         traded_before = len(report.trades)
         for pid in rng.permutation(n_players).tolist():
             sell, stock, price = sells[pid], stocks[pid], prices[stocks[pid]]
-            volume = offered[stock] or market.supply[stock]
+            volume = offered[stock] or supply[stock]
             cash, holding = float(book.cash[pid]), int(book.holdings[pid, stock])
             remaining = desired_quantity(sell, deltas[pid], price, volume, cash, holding)
             if remaining == 0:
@@ -187,7 +158,7 @@ def run_clearing(
                     break
                 fill = min(remaining, entry[1])
                 buyer, seller = (entry[0], pid) if sell else (pid, entry[0])
-                trade = Trade(market.t, round_no, buyer, seller, stock, fill, price)
+                trade = Trade(day, round_no, buyer, seller, stock, fill, price)
                 apply_trade(book, trade)
                 report.trades.append(trade)
                 entry[1] -= fill

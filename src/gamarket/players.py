@@ -38,9 +38,6 @@ class Player:
         for group in self.committees:
             yield from group
 
-    def agent_count(self) -> int:
-        return sum(len(group) for group in self.committees)
-
 
 def committee_predict(
     player: Player,

@@ -1,9 +1,12 @@
 """End-to-end simulation loop: train, predict, clear, record, evolve.
 
-Trading starts once a full training window of history exists, so the
-first traded day has index `window` in the price file.  Architectures
-evolve every `evolution_cadence` trading days, after which every agent is
-retrained on the window ending that day.
+The price history is the `(days, stocks)` array from `load_prices`, which
+has already checked every price.  Trading starts once a full training
+window of history exists, so the first traded day has index `window` in
+the price file; one day index `t` runs over the traded days, and row
+`prices_by_day[t]` is the prices everyone trades at that day.
+Architectures evolve every `evolution_cadence` trading days, after which
+every agent is retrained on the window ending that day.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SimulationConfig
-from .data import NormalizationParams, PriceSeries, build_window, load_prices, normalize
+from .data import NormalizationParams, build_window, load_prices, normalize
 from .errors import ConservationError, InsufficientHistoryError, TrainingDivergedError
 from .evolution import evolve_generation
-from .market import Market, Portfolios, Trade, advance_day, announce_price, run_clearing
+from .market import Portfolios, Trade, run_clearing
 from .metrics import RunMetrics, record_generation, record_networth
 from .neural import TrainingWindow, evaluate_error, init_random, train
 from .players import Player, committee_predict
@@ -63,15 +66,11 @@ def _train_population(
 
 
 def _build_windows(
-    series: list[PriceSeries], t: int, window: int
+    prices_by_day: np.ndarray, t: int, window: int
 ) -> tuple[list[TrainingWindow], list[NormalizationParams]]:
-    windows = []
-    params = []
-    for s in series:
-        w, p = build_window(s, t, window)
-        windows.append(w)
-        params.append(p)
-    return windows, params
+    """Each stock's training window ending at day t, and its normalization."""
+    pairs = [build_window(column, t, window) for column in prices_by_day.T]
+    return [w for w, _ in pairs], [p for _, p in pairs]
 
 
 def _score_population(
@@ -117,35 +116,35 @@ def _check_conservation(book: Portfolios, config: SimulationConfig, t: int) -> N
 def run_simulation(config: SimulationConfig) -> RunOutput:
     """Run the whole market simulation described by `config`."""
     config.validate()
-    series = load_prices(config.input_path, config.stocks, config.window)
+    prices_by_day = load_prices(config.input_path, config.stocks, config.window)
     needed = config.window + max(config.days, 1)
-    if len(series[0]) < needed:
+    if len(prices_by_day) < needed:
         raise InsufficientHistoryError(
-            f"{config.input_path}: {len(series[0])} rows cannot cover window "
+            f"{config.input_path}: {len(prices_by_day)} rows cannot cover window "
             f"{config.window} plus {config.days} trading days (need >= {needed})"
         )
+    end = config.window + config.days  # one past the last traded day
     streams = make_streams(config.seed)
-    market = Market.from_series(series, list(config.total_supply), t=config.window)
     players = _build_players(config, streams)
     book = Portfolios.endow(config.players, config.total_supply, config.initial_cash)
     metrics = RunMetrics()
     output = RunOutput(config=config, metrics=metrics, players=players, portfolios=book)
 
-    windows, norm_params = _build_windows(series, market.t, config.window)
+    windows, norm_params = _build_windows(prices_by_day, config.window, config.window)
     _train_population(players, windows, config)
     record_generation(metrics, 0, players)
 
-    for day in range(1, config.days + 1):
-        prices = announce_price(market)
-        scaled = [normalize(float(prices[m]), norm_params[m]) for m in range(len(series))]
+    for t in range(config.window, end):
+        prices = prices_by_day[t]
+        scaled = [normalize(float(price), params) for price, params in zip(prices, norm_params)]
         predictions = [committee_predict(player, scaled, norm_params) for player in players]
-        report = run_clearing(market, book, predictions, streams.shuffle)
+        report = run_clearing(t, prices, config.total_supply, book, predictions, streams.shuffle)
         output.trades.extend(report.trades)
-        _check_conservation(book, config, market.t)
-        record_networth(metrics, book, prices, market.t)
+        _check_conservation(book, config, t)
+        record_networth(metrics, book, prices, t)
 
-        if day % config.evolution_cadence == 0 and day < config.days:
-            windows, norm_params = _build_windows(series, market.t, config.window)
+        if (t + 1 - config.window) % config.evolution_cadence == 0 and t + 1 < end:
+            windows, norm_params = _build_windows(prices_by_day, t, config.window)
             errors = _score_population(players, windows, metrics, output.generations)
             for pid in range(len(players)):
                 players[pid] = evolve_generation(
@@ -158,10 +157,9 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
             output.generations += 1
             _train_population(players, windows, config)
             record_generation(metrics, output.generations, players)
-        advance_day(market)
 
     if config.days >= 1:
-        # Score the final population on the last completed day's window.
-        windows, _ = _build_windows(series, market.t - 1, config.window)
+        # Score the final population on the last traded day's window.
+        windows, _ = _build_windows(prices_by_day, end - 1, config.window)
         _score_population(players, windows, metrics, output.generations)
     return output

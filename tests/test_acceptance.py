@@ -20,7 +20,13 @@ import scipy.stats
 from gamarket.bench import scaling_benchmark
 from gamarket.cli import main as cli_main
 from gamarket.config import SimulationConfig
-from gamarket.data import build_window, generate_series, load_prices, write_prices_csv
+from gamarket.data import (
+    DEFAULT_STOCKS,
+    build_window,
+    generate_series,
+    load_prices,
+    write_prices_csv,
+)
 from gamarket.evolution import (
     CHROMOSOME_BITS,
     crossover_one_point,
@@ -63,10 +69,8 @@ def price_file(tmp_path_factory):
     def build(rows: int) -> str:
         if rows not in cache:
             path = root / f"prices-{rows}.csv"
-            series = generate_series(
-                rows, DATA_SEED, start_prices=START_PRICES, volatility=0.012
-            )
-            write_prices_csv(path, series)
+            prices = generate_series(rows, DATA_SEED, start_prices=START_PRICES, volatility=0.012)
+            write_prices_csv(path, DEFAULT_STOCKS, prices)
             cache[rows] = str(path)
         return cache[rows]
 
@@ -111,7 +115,7 @@ def test_a2_conservation_over_a_long_seeded_run(price_file):
     config = SimulationConfig(input_path=price_file(351), **CONSERVATION_CONFIG)
     output = run_simulation(config)
     supply = config.total_supply
-    series = load_prices(config.input_path, config.stocks, config.window)
+    prices_by_day = load_prices(config.input_path, config.stocks, config.window)
 
     # Replay the trade log from the initial endowment, checking the share
     # totals after every single trade and the net-worth total around every
@@ -119,7 +123,7 @@ def test_a2_conservation_over_a_long_seeded_run(price_file):
     replay = Portfolios.endow(config.players, supply, config.initial_cash)
     worth_drift = 0.0
     for day, day_trades in itertools.groupby(output.trades, key=lambda t: t.day):
-        prices = [float(s.prices[day]) for s in series]
+        prices = prices_by_day[day].tolist()
         before = sum(replay.net_worth(prices).tolist())
         for trade in day_trades:
             apply_trade(replay, trade)
@@ -343,8 +347,8 @@ A7_DIGESTS = {
 def test_a7_output_bytes_match_recorded_digests(tmp_path, monkeypatch):
     # Relative paths keep `config.resolved` independent of the directory.
     monkeypatch.chdir(tmp_path)
-    series = generate_series(351, DATA_SEED, start_prices=START_PRICES, volatility=0.012)
-    write_prices_csv("prices.csv", series)
+    prices = generate_series(351, DATA_SEED, start_prices=START_PRICES, volatility=0.012)
+    write_prices_csv("prices.csv", DEFAULT_STOCKS, prices)
     with open("run.cfg", "w") as handle:
         handle.write(
             "seed = 3\ninput_path = prices.csv\nplayers = 4\nagents_per_stock = 2\n"

@@ -13,7 +13,7 @@ import subprocess
 import sys
 
 import gamarket
-from gamarket.data import generate_series, write_prices_csv
+from gamarket.data import DEFAULT_STOCKS, generate_series, write_prices_csv
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(gamarket.__file__)))
 REPO = os.path.dirname(SRC_DIR)
@@ -30,8 +30,8 @@ def _load_spans():
 
 
 def test_traced_run_reports_every_declared_per_layer_metric(tmp_path):
-    series = generate_series(351, 7, start_prices=(95.0, 52.0, 31.0), volatility=0.012)
-    write_prices_csv(tmp_path / "prices.csv", series)
+    prices = generate_series(351, 7, start_prices=(95.0, 52.0, 31.0), volatility=0.012)
+    write_prices_csv(tmp_path / "prices.csv", DEFAULT_STOCKS, prices)
     (tmp_path / "run.cfg").write_text(
         "seed = 3\ninput_path = prices.csv\nplayers = 4\nagents_per_stock = 2\n"
         "total_supply = 200000, 20000, 2000\nwindow = 50\nevolution_cadence = 10\n"

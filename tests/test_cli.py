@@ -201,6 +201,20 @@ def test_run_rejects_an_inline_comment_without_traceback(tmp_path, cli_process):
     assert sorted(os.listdir(tmp_path)) == ["prices.csv", "run.cfg"]
 
 
+def test_run_reports_a_non_finite_price_with_its_line(tmp_path, cli_process):
+    data = _gen_data(tmp_path)
+    lines = data.read_text().splitlines()
+    # Line 15 holds day 13, a traded day (window = 10); its SP500 cell becomes inf.
+    lines[14] = lines[14].rsplit(",", 1)[0] + ",inf"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    result = cli_process("run", "--config", str(_write_config(tmp_path, data, out)))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"DataError: {data}:15: price inf for SP500")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 def test_scaling_benchmark_skips_infeasible_points():
     result = scaling_benchmark(
         player_grid=[1, 2],

@@ -7,7 +7,6 @@ from gamarket.data import (
     NORM_HI,
     NORM_LO,
     NormalizationParams,
-    PriceSeries,
     build_window,
     denormalize,
     generate_series,
@@ -21,8 +20,8 @@ from gamarket.errors import DataError, InsufficientHistoryError
 def test_ramp_window_frozen_oracle():
     # Prices 1..5 with a 4-pair window ending at day 4 span the window exactly,
     # so the normalized chunk is an even ramp from NORM_LO to NORM_HI.
-    series = PriceSeries(name="X", prices=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-    window, params = build_window(series, t=4, n=4)
+    prices = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    window, params = build_window(prices, t=4, n=4)
     assert params == NormalizationParams(lo=1.0, hi=5.0)
     np.testing.assert_allclose(window.inputs, [0.1, 0.3, 0.5, 0.7], atol=1e-12)
     np.testing.assert_allclose(window.targets, [0.3, 0.5, 0.7, 0.9], atol=1e-12)
@@ -31,8 +30,8 @@ def test_ramp_window_frozen_oracle():
 def test_window_ignores_prices_outside_it():
     # The spike at day 0 is outside the window ending at day 5 and must not
     # influence the normalization bounds.
-    series = PriceSeries(name="X", prices=np.array([10.0, 1.0, 2.0, 3.0, 4.0, 5.0]))
-    _, params = build_window(series, t=5, n=4)
+    prices = np.array([10.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    _, params = build_window(prices, t=5, n=4)
     assert params == NormalizationParams(lo=1.0, hi=5.0)
 
 
@@ -55,8 +54,7 @@ def test_normalize_denormalize_round_trip():
 
 
 def test_degenerate_window_maps_to_midpoint():
-    series = PriceSeries(name="X", prices=np.full(6, 7.25))
-    window, params = build_window(series, t=5, n=4)
+    window, params = build_window(np.full(6, 7.25), t=5, n=4)
     assert params.lo == params.hi == 7.25
     assert np.all(window.inputs == 0.5)
     assert np.all(window.targets == 0.5)
@@ -66,54 +64,49 @@ def test_degenerate_window_maps_to_midpoint():
 
 
 def test_build_window_bounds_checks():
-    series = PriceSeries(name="X", prices=np.arange(1.0, 11.0))
+    prices = np.arange(1.0, 11.0)
     with pytest.raises(DataError):
-        build_window(series, t=4, n=0)
+        build_window(prices, t=4, n=0)
     with pytest.raises(InsufficientHistoryError):
-        build_window(series, t=3, n=4)
+        build_window(prices, t=3, n=4)
     with pytest.raises(DataError):
-        build_window(series, t=10, n=4)
+        build_window(prices, t=10, n=4)
 
 
 def test_generate_series_deterministic():
     a = generate_series(days=40, seed=9)
     b = generate_series(days=40, seed=9)
     c = generate_series(days=40, seed=10)
-    for sa, sb in zip(a, b):
-        assert sa.name == sb.name
-        np.testing.assert_array_equal(sa.prices, sb.prices)
-    assert any(not np.array_equal(sa.prices, sc.prices) for sa, sc in zip(a, c))
-    for s in a:
-        assert len(s) == 40
-        assert np.all(s.prices > 0)
-    assert a[0].prices[0] == 10600.0
+    np.testing.assert_array_equal(a, b)
+    assert any(not np.array_equal(a[:, m], c[:, m]) for m in range(3))
+    assert a.shape == (40, 3) and a.dtype == np.float64
+    assert np.all(a > 0)
+    assert a[0, 0] == 10600.0
 
 
-def test_generate_series_validation():
+def test_generate_series_validation(tmp_path):
     with pytest.raises(DataError):
         generate_series(days=0, seed=1)
+    # Two names for a one-stock history.
+    one_stock = generate_series(10, 1, start_prices=(1.0,))
     with pytest.raises(DataError):
-        generate_series(days=10, seed=1, names=("A", "B"), start_prices=(1.0,))
+        write_prices_csv(tmp_path / "unused.csv", ("A", "B"), one_stock)
 
 
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "prices.csv"
-    series = generate_series(days=60, seed=3)
-    write_prices_csv(path, series)
+    prices = generate_series(days=60, seed=3)
+    write_prices_csv(path, ("DJIA", "NASDAQ", "SP500"), prices)
     loaded = load_prices(path, window=50)
-    assert [s.name for s in loaded] == [s.name for s in series]
-    for orig, back in zip(series, loaded):
-        # Written with four decimal places, so absolute error is at most 5e-5.
-        np.testing.assert_allclose(back.prices, orig.prices, atol=1e-4)
+    assert loaded.shape == prices.shape and loaded.dtype == np.float64
+    # Written with four decimal places, so absolute error is at most 5e-5.
+    np.testing.assert_allclose(loaded, prices, atol=1e-4)
 
 
-def test_write_prices_csv_rejects_ragged_series():
-    series = [
-        PriceSeries(name="A", prices=np.ones(5)),
-        PriceSeries(name="B", prices=np.ones(6)),
-    ]
+def test_write_prices_csv_rejects_ragged_series(tmp_path):
+    # A flat array has no (days, stocks) rows to write.
     with pytest.raises(DataError):
-        write_prices_csv("/tmp/unused.csv", series)
+        write_prices_csv(tmp_path / "unused.csv", ("A", "B"), np.ones(5))
 
 
 def _write_rows(path, rows):
@@ -163,7 +156,7 @@ def test_load_prices_day_gap(tmp_path):
 def test_load_prices_nonpositive_price(tmp_path):
     path = tmp_path / "bad.csv"
     _write_rows(path, [["day", "A"], [0, 1.0], [1, -2.0]])
-    with pytest.raises(DataError, match="nonpositive"):
+    with pytest.raises(DataError, match=r":3: price -2.0 for A is not finite and > 0"):
         load_prices(path, expected_stocks=("A",))
 
 
@@ -174,4 +167,4 @@ def test_load_prices_too_short_for_window(tmp_path):
         load_prices(path, expected_stocks=("A",), window=50)
     # Exactly window + 2 rows is accepted.
     loaded = load_prices(path, expected_stocks=("A",), window=8)
-    assert len(loaded[0]) == 10
+    assert loaded.shape == (10, 1)

@@ -175,7 +175,8 @@ def _mixed_player(seed=0, stocks=2, per_stock=4):
 
 def test_evolve_generation_shape_and_legality():
     player = _mixed_player()
-    errors = list(np.random.default_rng(7).uniform(0.01, 0.2, player.agent_count()))
+    n = len(list(player.iter_agents()))
+    errors = list(np.random.default_rng(7).uniform(0.01, 0.2, n))
     child = evolve_generation(player, errors, GAParams(), make_streams(99))
     assert child.id == player.id
     assert [len(g) for g in child.committees] == [len(g) for g in player.committees]
@@ -187,7 +188,7 @@ def test_evolve_generation_shape_and_legality():
 def test_evolve_generation_keeps_parent_weights_when_spec_survives():
     # With mutation off and crossover vanishingly rare, children are parent copies.
     player = _mixed_player(seed=3)
-    n = player.agent_count()
+    n = len(list(player.iter_agents()))
     errors = [0.1] * n
     params = GAParams(p_cross=1e-12, p_mut=0.0)
     child = evolve_generation(player, errors, params, make_streams(5))
@@ -216,7 +217,8 @@ def test_evolve_generation_concentrates_on_fit_parent():
 
 def test_evolve_generation_is_deterministic_per_seed():
     player = _mixed_player(seed=21)
-    errors = list(np.random.default_rng(2).uniform(0.01, 0.5, player.agent_count()))
+    n = len(list(player.iter_agents()))
+    errors = list(np.random.default_rng(2).uniform(0.01, 0.5, n))
     a = evolve_generation(player, errors, GAParams(), make_streams(123))
     b = evolve_generation(_mixed_player(seed=21), errors, GAParams(), make_streams(123))
     for x, y in zip(a.iter_agents(), b.iter_agents()):
@@ -229,7 +231,7 @@ def test_evolve_generation_validation():
     streams = make_streams(1)
     with pytest.raises(ConfigError):
         evolve_generation(player, [0.1], GAParams(), streams)
-    n = player.agent_count()
+    n = len(list(player.iter_agents()))
     with pytest.raises(ValueError):
         evolve_generation(player, [-0.1] + [0.1] * (n - 1), GAParams(), streams)
     with pytest.raises(ValueError):

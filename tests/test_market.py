@@ -1,4 +1,4 @@
-"""Tests for market state, settlement, and the clearing loop."""
+"""Tests for portfolios, settlement, and the clearing loop."""
 
 import copy
 import csv
@@ -9,17 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamarket.data import generate_series, load_prices, write_prices_csv
-from gamarket.errors import ConfigError, EndOfDataError, TradeRejectedError
+from gamarket.data import DEFAULT_STOCKS, generate_series, load_prices, write_prices_csv
+from gamarket.errors import ConfigError, DataError, TradeRejectedError
 from gamarket.market import (
     DEFAULT_ROUND_CAP,
     ClearingReport,
-    Market,
     Portfolios,
     Termination,
     Trade,
-    advance_day,
-    announce_price,
     apply_trade,
     run_clearing,
     split_endowment,
@@ -45,54 +42,33 @@ def _traders(cash=1000.0, holdings=(50, 50), stocks=2):
 
 
 def test_announced_prices_match_the_csv(tmp_path):
+    # Day t's announced prices are row t of the loaded history.
     path = tmp_path / "prices.csv"
-    series = generate_series(days=60, seed=13)
-    write_prices_csv(path, series)
-    market = Market.from_series(load_prices(path, window=50), supply=[100, 100, 100])
+    write_prices_csv(path, DEFAULT_STOCKS, generate_series(days=60, seed=13))
+    prices_by_day = load_prices(path, window=50)
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))[1:]
     for t in (0, 1, 2, 30, 59):
-        market.t = t
-        got = announce_price(market)
         expected = [float(cell) for cell in rows[t][1:]]
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
-
-
-def test_announce_price_end_of_data():
-    market = Market(stock_names=["A"], supply=[10], prices=np.ones((3, 1)), t=3)
-    with pytest.raises(EndOfDataError):
-        announce_price(market)
-    market.t = 2
-    announce_price(market)
-    advance_day(market)
-    assert market.t == 3
-
-
-def test_announce_price_returns_a_copy():
-    market = Market(stock_names=["A"], supply=[10], prices=np.ones((3, 1)))
-    row = announce_price(market)
-    row[0] = 99.0
-    assert market.prices[0, 0] == 1.0
+        np.testing.assert_allclose(prices_by_day[t], expected, rtol=1e-12)
 
 
 def test_market_validation():
-    with pytest.raises(ConfigError):
-        Market(stock_names=["A", "B"], supply=[10], prices=np.ones((3, 2)))
-    with pytest.raises(ConfigError):
-        Market(stock_names=["A"], supply=[0], prices=np.ones((3, 1)))
-    with pytest.raises(ConfigError):
-        Market(stock_names=["A"], supply=[10], prices=np.ones((3, 2)))
-    # No stock at all leaves nothing to decide on.
-    with pytest.raises(ConfigError):
-        Market(stock_names=[], supply=[], prices=np.ones((3, 0)))
+    # A day's price row needs one price per stock in the supply.
+    book, rng = _traders(stocks=1), np.random.default_rng(0)
+    with pytest.raises(ConfigError, match="one price per stock"):
+        run_clearing(0, (1.0, 1.0), (10,), book, [[1.0], [1.0]], rng)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-def test_market_rejects_a_non_positive_or_non_finite_price(bad):
-    prices = np.ones((3, 2))
-    prices[2, 1] = bad
-    with pytest.raises(ConfigError, match="price"):
-        Market(stock_names=["A", "B"], supply=[10, 10], prices=prices)
+def test_market_rejects_a_non_positive_or_non_finite_price(tmp_path, bad):
+    # The market trades only at loaded prices, and load_prices is where a
+    # price is checked: the error names the file and line.
+    path = tmp_path / "prices.csv"
+    rows = [["day", "A", "B"], [0, 1.0, 1.0], [1, 1.0, 1.0], [2, 1.0, bad]]
+    path.write_text("\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
+    with pytest.raises(DataError, match=rf"prices.csv:4: price {bad} for B is not finite and > 0"):
+        load_prices(path, expected_stocks=("A", "B"), window=1)
 
 
 def test_split_endowment_exact():
@@ -167,19 +143,16 @@ def test_apply_trade_rejects_without_touching_state():
         apply_trade(book, Trade(0, 1, buyer=0, seller=1, stock=0, quantity=0, price=1.0))
 
 
-def _two_stock_market(prices=(10.0, 20.0), supply=(100, 100)):
-    return Market(
-        stock_names=["A", "B"],
-        supply=list(supply),
-        prices=np.array([list(prices)] * 5, dtype=float),
-    )
+# Day 0 of a two-stock market: A trades at 10, B at 20, 100 shares each.
+PRICES = (10.0, 20.0)
+SUPPLY = (100, 100)
 
 
 def test_clearing_consensus_when_nobody_wants_to_trade():
     # Predictions equal to the announced price size every intent at zero.
-    market = _two_stock_market()
     book = _traders()
-    report = run_clearing(market, book, [[10.0, 20.0], [10.0, 20.0]], np.random.default_rng(0))
+    preds = [[10.0, 20.0], [10.0, 20.0]]
+    report = run_clearing(0, PRICES, SUPPLY, book, preds, np.random.default_rng(0))
     assert report.trades == []
     assert report.rounds == 1
     assert report.terminated_by is Termination.NO_MORE_TRADES
@@ -189,9 +162,8 @@ def test_single_stock_pessimist_still_bids():
     # With one stock the max and min decision factor coincide, and the tie
     # rule resolves to a buy, so a lone pessimist never reaches the sell
     # side and two bids just rest: no trades.
-    market = Market(stock_names=["A"], supply=[100], prices=np.full((5, 1), 10.0))
     book = _traders(stocks=1)
-    report = run_clearing(market, book, [[11.0], [9.0]], np.random.default_rng(0))
+    report = run_clearing(0, (10.0,), (100,), book, [[11.0], [9.0]], np.random.default_rng(0))
     assert report.trades == []
     assert report.terminated_by is Termination.NO_MORE_TRADES
 
@@ -201,10 +173,9 @@ def test_clearing_buyer_first_frozen_scenario():
     # flat on B.  Player 0 acts first each round: it rests a bid of 10 and
     # the seller fills it, capped at 40% of its shrinking holding, so the
     # fills run 10,10,10 then 8,4,3,2,1 and round 9 reaches consensus.
-    market = _two_stock_market()
     book = _traders()
     preds = [[11.0, 20.0], [9.0, 20.0]]
-    report = run_clearing(market, book, preds, FixedOrder([0, 1]))
+    report = run_clearing(0, PRICES, SUPPLY, book, preds, FixedOrder([0, 1]))
     assert [t.quantity for t in report.trades] == [10, 10, 10, 8, 4, 3, 2, 1]
     assert report.rounds == 9
     assert report.terminated_by is Termination.NO_MORE_TRADES
@@ -221,10 +192,9 @@ def test_clearing_seller_first_uses_resting_volume_and_round_cap():
     # With the seller acting first, its resting ask of 10 becomes the market
     # volume, so the buyer's 10% sizing buys exactly one share per round.
     # A cap of 7 rounds cuts the session short.
-    market = _two_stock_market()
     book = _traders()
     preds = [[11.0, 20.0], [9.0, 20.0]]
-    report = run_clearing(market, book, preds, FixedOrder([1, 0]), round_cap=7)
+    report = run_clearing(0, PRICES, SUPPLY, book, preds, FixedOrder([1, 0]), round_cap=7)
     assert [t.quantity for t in report.trades] == [1] * 7
     assert report.rounds == 7
     assert report.terminated_by is Termination.ROUND_CAP
@@ -238,10 +208,9 @@ def test_clearing_sizes_each_buy_from_the_asks_still_resting():
     # Round 1: the seller rests 20 (40% of 50); the first buyer takes half
     # of those 20, and the second half of the 10 still resting.  Each
     # later round repeats this on the seller's shrinking holding.
-    market = _two_stock_market()
     book = Portfolios(cash=np.full(3, 1e6), holdings=np.array([[50, 0], [0, 0], [0, 0]]))
     preds = [[5.0, 20.0], [15.0, 20.0], [15.0, 20.0]]
-    report = run_clearing(market, book, preds, FixedOrder([0, 1, 2]))
+    report = run_clearing(0, PRICES, SUPPLY, book, preds, FixedOrder([0, 1, 2]))
     assert [(t.buyer, t.quantity) for t in report.trades] == [
         (1, 10), (2, 5), (1, 7), (2, 3), (1, 5), (2, 2), (1, 3), (2, 2),
         (1, 2), (2, 1), (1, 2), (2, 1), (1, 1), (1, 1), (1, 1),
@@ -252,14 +221,12 @@ def test_clearing_sizes_each_buy_from_the_asks_still_resting():
 
 def test_clearing_conserves_shares_and_cash():
     rng = np.random.default_rng(71)
-    series = generate_series(days=5, seed=2)
+    prices = generate_series(days=5, seed=2)[0]
     supply = [120, 90, 61]
-    market = Market.from_series(series, supply=supply)
-    prices = announce_price(market)
     book = Portfolios.endow(5, supply, 1e7)
     predictions = [[float(p * rng.uniform(0.9, 1.1)) for p in prices] for _ in range(5)]
     pristine = copy.deepcopy(book)
-    report = run_clearing(market, book, predictions, np.random.default_rng(5))
+    report = run_clearing(0, prices, supply, book, predictions, np.random.default_rng(5))
     assert report.trades, "scenario should produce at least one trade"
     for m in range(3):
         assert book.holdings[:, m].sum() == supply[m]
@@ -268,7 +235,7 @@ def test_clearing_conserves_shares_and_cash():
         assert trade.quantity >= 1
         assert trade.buyer != trade.seller
         assert trade.price == prices[trade.stock]
-        assert trade.day == market.t
+        assert trade.day == 0
     # Replaying the log from the initial portfolios reproduces the outcome.
     for trade in report.trades:
         apply_trade(pristine, trade)
@@ -307,13 +274,8 @@ def test_clearing_conserves_and_never_goes_negative(case):
     # Every stock needs a supply of at least one share.
     book.holdings[0] += 1
     supply = book.holdings.sum(axis=0).tolist()
-    market = Market(
-        stock_names=[f"S{m}" for m in range(len(prices))],
-        supply=supply,
-        prices=np.array([prices]),
-    )
     cash = math.fsum(book.cash)
-    run_clearing(market, book, predictions, np.random.default_rng(seed))
+    run_clearing(0, prices, supply, book, predictions, np.random.default_rng(seed))
     assert book.holdings.sum(axis=0).tolist() == supply
     assert math.fsum(book.cash) == pytest.approx(cash, rel=1e-12, abs=1e-6)
     assert (book.cash >= 0).all() and (book.holdings >= 0).all()
@@ -321,10 +283,9 @@ def test_clearing_conserves_and_never_goes_negative(case):
 
 def test_clearing_same_seed_is_identical():
     def run(seed):
-        market = _two_stock_market(supply=(500, 500))
         book = _traders(cash=5e4, holdings=(250, 250))
         preds = [[10.7, 20.0], [9.4, 20.0]]
-        report = run_clearing(market, book, preds, np.random.default_rng(seed))
+        report = run_clearing(0, PRICES, (500, 500), book, preds, np.random.default_rng(seed))
         return [
             (t.round, t.buyer, t.seller, t.stock, t.quantity, t.price) for t in report.trades
         ], (book.cash.tolist(), book.holdings.tolist())
@@ -333,20 +294,19 @@ def test_clearing_same_seed_is_identical():
 
 
 def test_run_clearing_validation():
-    market = _two_stock_market()
     book = _traders()
     rng = np.random.default_rng(0)
     # One row per player and one column per stock.
     with pytest.raises(ConfigError):
-        run_clearing(market, book, np.array([[10.0, 20.0]]), rng)
+        run_clearing(0, PRICES, SUPPLY, book, np.array([[10.0, 20.0]]), rng)
     with pytest.raises(ConfigError):
-        run_clearing(market, book, np.array([[10.0], [10.0]]), rng)
+        run_clearing(0, PRICES, SUPPLY, book, np.array([[10.0], [10.0]]), rng)
     with pytest.raises(ConfigError):
-        run_clearing(market, book, np.array([[10.0, 20.0], [-1.0, 20.0]]), rng)
+        run_clearing(0, PRICES, SUPPLY, book, np.array([[10.0, 20.0], [-1.0, 20.0]]), rng)
     with pytest.raises(ConfigError):
-        run_clearing(market, book, np.array([[10.0, 20.0], [float("nan"), 20.0]]), rng)
+        run_clearing(0, PRICES, SUPPLY, book, np.array([[10.0, 20.0], [float("nan"), 20.0]]), rng)
     with pytest.raises(ConfigError):
-        run_clearing(market, book, np.array([[10.0, 20.0], [10.0, 20.0]]), rng, round_cap=0)
+        run_clearing(0, PRICES, SUPPLY, book, np.array([[10.0, 20.0]] * 2), rng, round_cap=0)
 
 
 def test_default_round_cap_value():

@@ -143,5 +143,4 @@ def test_player_agent_iteration():
     rng = np.random.default_rng(2)
     committees = [[init_random((1, 10), rng) for _ in range(3)] for _ in range(2)]
     player = _player(committees)
-    assert player.agent_count() == 6
     assert list(player.iter_agents()) == committees[0] + committees[1]

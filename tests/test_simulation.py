@@ -15,8 +15,7 @@ SUPPLY = (40, 60)
 
 def _small_config(tmp_path, rows=16, days=6, **kwargs):
     path = tmp_path / "prices.csv"
-    series = generate_series(rows, seed=11, names=STOCKS, start_prices=(50.0, 80.0))
-    write_prices_csv(path, series)
+    write_prices_csv(path, STOCKS, generate_series(rows, seed=11, start_prices=(50.0, 80.0)))
     base = dict(
         seed=5,
         input_path=str(path),
