@@ -99,7 +99,7 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "bench": _cmd_bench, "gen-data": _cmd_gen_data}
     try:
         return handlers[args.command](args)
-    except SimulationError as exc:
+    except (SimulationError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -80,6 +80,12 @@ class SimulationConfig:
             raise ConfigError(f"evolution_cadence must be >= 1, got {self.evolution_cadence}")
         if self.days < 0:
             raise ConfigError(f"days must be >= 0, got {self.days}")
+        agents = self.agents_per_stock * len(self.stocks)
+        if self.evolution_cadence < self.days and agents < 2:
+            raise ConfigError(
+                f"evolution needs at least 2 agents per player, got {agents}; "
+                f"set evolution_cadence >= days ({self.days}) to run without evolving"
+            )
         if self.initial_cash < 0:
             raise ConfigError(f"initial_cash must be >= 0, got {self.initial_cash}")
         self.hyperparams().validate()

@@ -4,9 +4,10 @@ The on-disk format is a single CSV with a `day` column followed by one
 closing-price column per stock, e.g. `day,DJIA,NASDAQ,SP500`.  In memory
 the history is one `(days, stocks)` float64 array: row t holds day t's
 closing prices, column m stock m's series.  `load_prices` is the only
-place prices are checked: day indices must be consecutive integers and
+place prices are checked: data row t must be day t, counting from 0, and
 every price finite and strictly positive, and a bad row is a `DataError`
-naming the file and line.
+naming the file and line.  How many rows a run needs is `run_simulation`'s
+check.
 """
 
 from __future__ import annotations
@@ -78,13 +79,13 @@ def build_window(prices: np.ndarray, t: int, n: int) -> tuple[TrainingWindow, No
     return TrainingWindow(inputs=scaled[:-1], targets=scaled[1:]), params
 
 
-def load_prices(path, expected_stocks=DEFAULT_STOCKS, window: int = 50) -> np.ndarray:
+def load_prices(path, expected_stocks=DEFAULT_STOCKS) -> np.ndarray:
     """Load the price history from a CSV file as a (days, stocks) array.
 
     The header must be exactly `day` followed by the expected stock names.
     Raises a DataError naming the offending line for a malformed row, a
-    day gap, or a price that is not finite and > 0, and
-    InsufficientHistoryError when fewer than window + 2 rows are present.
+    day that is not its data row's index, or a price that is not finite
+    and > 0.
     """
     expected_stocks = tuple(expected_stocks)
     try:
@@ -100,7 +101,6 @@ def load_prices(path, expected_stocks=DEFAULT_STOCKS, window: int = 50) -> np.nd
         wanted = ["day", *expected_stocks]
         if [h.strip() for h in header] != wanted:
             raise DataError(f"{path}: header {header!r} does not match {wanted!r}")
-        days: list[int] = []
         rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(wanted):
@@ -110,21 +110,16 @@ def load_prices(path, expected_stocks=DEFAULT_STOCKS, window: int = 50) -> np.nd
                 values = [float(cell) for cell in row[1:]]
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed row {row!r}") from None
-            if days and day != days[-1] + 1:
+            if day != len(rows):
                 raise DataError(
-                    f"{path}:{lineno}: day {day} does not follow {days[-1]} (no gaps allowed)"
+                    f"{path}:{lineno}: day {day} should be {len(rows)} (day t is row t, from 0)"
                 )
             for name, value in zip(expected_stocks, values):
                 if not (math.isfinite(value) and value > 0):
                     raise DataError(
                         f"{path}:{lineno}: price {value} for {name} is not finite and > 0"
                     )
-            days.append(day)
             rows.append(values)
-    if len(days) < window + 2:
-        raise InsufficientHistoryError(
-            f"{path}: {len(days)} rows is too short for window {window} (need >= {window + 2})"
-        )
     return np.array(rows, dtype=float)
 
 
@@ -138,6 +133,10 @@ def generate_series(
     """Synthetic (days, stocks) closing prices: a geometric random walk per stock."""
     if days < 1:
         raise DataError(f"days must be >= 1, got {days}")
+    if not (math.isfinite(drift) and math.isfinite(volatility) and volatility >= 0):
+        raise DataError(
+            f"drift and volatility must be finite and volatility >= 0, got {drift}, {volatility}"
+        )
     rng = np.random.default_rng(seed)
     paths = []
     for p0 in start_prices:

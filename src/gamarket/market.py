@@ -1,4 +1,4 @@
-"""Portfolios, settlement and the daily clearing.
+"""Portfolios, the trading rules, settlement and the daily clearing.
 
 Each trading day the players trade among themselves at that day's
 historical closing prices, one row of the `load_prices` array, until a
@@ -6,21 +6,26 @@ full round passes with no trade (consensus) or a round cap is hit.  The
 prices were checked when they were loaded.  All cash and shares live in
 one `Portfolios` pair of arrays, row p for player p; every trade just
 moves shares between rows against cash at the day's price, so each
-stock's share total never changes.  Every player's stock and side are
-decided at once, once per day; only order sizes change between rounds.
+stock's share total never changes.  `decide` fixes every player's stock
+and side at once, once per day; `desired_quantity` sizes each order, and
+only order sizes change between rounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError, TradeRejectedError
-from .players import decide, desired_quantity
 
 DEFAULT_ROUND_CAP = 100
+
+# A sell order may offer at most 40% of the current holding.
+SELL_CAP_NUM = 2
+SELL_CAP_DEN = 5
 
 
 class Termination(Enum):
@@ -101,6 +106,52 @@ def apply_trade(book: Portfolios, trade: Trade) -> None:
     book.holdings[trade.buyer, trade.stock] += trade.quantity
     book.cash[trade.buyer] -= value
     book.cash[trade.seller] += value
+
+
+def decide(predictions, prices, supply) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every player's side, stock and expected relative change for the day.
+
+    A player's decision factors are its relative changes
+    (predicted - current) / current, one per stock, times each stock's
+    supply.  It sells the argmin stock when |min| beats |max|, otherwise
+    buys the argmax stock.  An exact tie between the two magnitudes
+    resolves to a buy; ties inside argmax/argmin resolve to the lowest
+    stock index.  Returns (sells, stock, delta), one entry per player.
+    """
+    deltas = (predictions - prices) / prices
+    factors = deltas * np.asarray(supply)
+    rows = np.arange(len(factors))
+    imax, imin = factors.argmax(axis=1), factors.argmin(axis=1)
+    sells = np.abs(factors[rows, imax]) < np.abs(factors[rows, imin])
+    stock = np.where(sells, imin, imax)
+    return sells, stock, deltas[rows, stock]
+
+
+def desired_quantity(
+    sells: bool,
+    delta_p: float,
+    announced_price: float,
+    market_volume: int,
+    cash: float,
+    holding: int,
+) -> int:
+    """Size an order: a |delta_p| share of the market volume, then capped.
+
+    Buys are limited by the shares `cash` affords and the market volume
+    itself; sells by 40% of `holding`.  Zero means the player sits out.
+    """
+    if not announced_price > 0:
+        raise ValueError(f"announced price must be > 0, got {announced_price}")
+    if market_volume < 0:
+        raise ValueError(f"market volume must be >= 0, got {market_volume}")
+    want = math.floor(abs(delta_p) * market_volume)
+    if sells:
+        return max(min(want, SELL_CAP_NUM * holding // SELL_CAP_DEN), 0)
+    affordable = int(cash // announced_price)
+    # Float division can round up across an integer boundary; back off.
+    while affordable > 0 and affordable * announced_price > cash:
+        affordable -= 1
+    return max(min(want, affordable, market_volume), 0)
 
 
 def run_clearing(

@@ -7,7 +7,8 @@ logistic.  Weights are stored flat in a fixed layout:
     [input->hidden (h), hidden biases (h), hidden->output (h), output bias]
 
 which is 3*h + 1 values for h hidden units.  Training is plain full-batch
-gradient descent on mean squared error.
+gradient descent on mean squared error, the loss `evaluate_error` reports;
+a `TrainingWindow` is never empty.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ class TrainingWindow:
     targets: np.ndarray
 
     def __post_init__(self) -> None:
+        if len(self.inputs) == 0:
+            raise DataError("a training window needs at least one (input, target) pair")
         if len(self.inputs) != len(self.targets):
             raise DataError(
                 f"window inputs/targets misaligned: {len(self.inputs)} vs {len(self.targets)}"
@@ -100,14 +103,10 @@ def _split(spec: AgentSpec, weights: np.ndarray):
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    # Stable piecewise form; clipped so the output is strictly inside (0, 1)
-    # even when the pre-activation saturates in float arithmetic.
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
+    # Stable two-sided form (exp never overflows); clipped so the output is
+    # strictly inside (0, 1) even when the pre-activation saturates in floats.
+    e = np.exp(-np.abs(u))
+    return np.clip(np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), _SIGMOID_LO, _SIGMOID_HI)
 
 
 def _predict(spec: AgentSpec, weights: np.ndarray, xs: np.ndarray):
@@ -128,18 +127,13 @@ def new_agent(spec: AgentSpec, rng: np.random.Generator, weight_init_scale: floa
     return Agent(spec=spec, weights=weights)
 
 
-def init_random(
-    bounds: tuple[int, int], rng: np.random.Generator, weight_init_scale: float = 0.5
-) -> Agent:
-    """Draw a random architecture within `bounds` and initialise its weights.
+def init_random(rng: np.random.Generator, weight_init_scale: float = 0.5) -> Agent:
+    """Draw a random architecture and initialise its weights.
 
-    Hidden-unit count is uniform on the closed interval, activation is a
-    fair coin between linear and logistic.
+    Hidden-unit count is uniform on [HIDDEN_MIN, HIDDEN_MAX], activation is
+    a fair coin between linear and logistic.
     """
-    lo, hi = bounds
-    if not (HIDDEN_MIN <= lo <= hi <= HIDDEN_MAX):
-        raise ConfigError(f"hidden-unit bounds must satisfy {HIDDEN_MIN} <= lo <= hi <= {HIDDEN_MAX}")
-    hidden = int(rng.integers(lo, hi + 1))
+    hidden = int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1))
     kind = ActivationKind.LINEAR if rng.integers(2) == 0 else ActivationKind.LOGISTIC
     return new_agent(AgentSpec(hidden, kind), rng, weight_init_scale)
 
@@ -152,12 +146,14 @@ def forward(agent: Agent, x: float) -> float:
     return float(preds[0])
 
 
+def _mse(spec: AgentSpec, weights: np.ndarray, window: TrainingWindow) -> float:
+    preds, _ = _predict(spec, weights, window.inputs)
+    return float(np.mean((preds - window.targets) ** 2))
+
+
 def evaluate_error(agent: Agent, window: TrainingWindow) -> float:
     """Mean squared error of the agent over a window."""
-    if len(window) == 0:
-        raise DataError("cannot evaluate on an empty window")
-    preds, _ = _predict(agent.spec, agent.weights, window.inputs)
-    return float(np.mean((preds - window.targets) ** 2))
+    return _mse(agent.spec, agent.weights, window)
 
 
 def mse_gradient(agent: Agent, window: TrainingWindow) -> np.ndarray:
@@ -165,8 +161,6 @@ def mse_gradient(agent: Agent, window: TrainingWindow) -> np.ndarray:
 
     Returned in the same flat layout as Agent.weights.
     """
-    if len(window) == 0:
-        raise DataError("cannot take a gradient over an empty window")
     return _gradient(agent.spec, agent.weights, window.inputs, window.targets)
 
 
@@ -194,8 +188,6 @@ def train(agent: Agent, window: TrainingWindow, hp: Hyperparams) -> Agent:
     Raises TrainingDivergedError if that MSE is not finite.
     """
     hp.validate()
-    if len(window) == 0:
-        raise DataError("cannot train on an empty window")
     weights = agent.weights.astype(float, copy=True)
     # A diverging run overflows; the check below reports it instead of numpy.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,8 +195,7 @@ def train(agent: Agent, window: TrainingWindow, hp: Hyperparams) -> Agent:
             weights -= hp.learning_rate * _gradient(
                 agent.spec, weights, window.inputs, window.targets
             )
-        preds, _ = _predict(agent.spec, weights, window.inputs)
-        final_mse = float(np.mean((preds - window.targets) ** 2))
+        final_mse = _mse(agent.spec, weights, window)
     if not math.isfinite(final_mse):
         raise TrainingDivergedError(
             f"training diverged for {agent.spec.hidden_units}-unit "

@@ -43,7 +43,7 @@ def _build_players(config: SimulationConfig, streams: RandomStreams) -> list[Pla
             id=pid,
             committees=[
                 [
-                    init_random((1, 10), streams.init, config.weight_init_scale)
+                    init_random(streams.init, config.weight_init_scale)
                     for _ in range(config.agents_per_stock)
                 ]
                 for _ in config.stocks
@@ -116,7 +116,7 @@ def _check_conservation(book: Portfolios, config: SimulationConfig, t: int) -> N
 def run_simulation(config: SimulationConfig) -> RunOutput:
     """Run the whole market simulation described by `config`."""
     config.validate()
-    prices_by_day = load_prices(config.input_path, config.stocks, config.window)
+    prices_by_day = load_prices(config.input_path, config.stocks)
     needed = config.window + max(config.days, 1)
     if len(prices_by_day) < needed:
         raise InsufficientHistoryError(

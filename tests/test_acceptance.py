@@ -115,7 +115,7 @@ def test_a2_conservation_over_a_long_seeded_run(price_file):
     config = SimulationConfig(input_path=price_file(351), **CONSERVATION_CONFIG)
     output = run_simulation(config)
     supply = config.total_supply
-    prices_by_day = load_prices(config.input_path, config.stocks, config.window)
+    prices_by_day = load_prices(config.input_path, config.stocks)
 
     # Replay the trade log from the initial endowment, checking the share
     # totals after every single trade and the net-worth total around every

@@ -271,3 +271,40 @@ def test_bench_cli_writes_fit_reports(tmp_path, capsys):
     agents_row = next(line for line in fits[1:] if line.startswith("agents,"))
     # A single point has no line fit; the fields stay empty.
     assert agents_row == "agents,,,,1"
+
+
+@pytest.mark.parametrize("flag, value", [("--volatility", "-1"), ("--drift", "inf")])
+def test_gen_data_rejects_a_bad_walk_without_traceback(tmp_path, cli_process, flag, value):
+    out = tmp_path / "a.csv"
+    result = cli_process("gen-data", "--days", "5", flag, value, "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith("DataError: drift and volatility must be finite")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+def test_io_errors_are_reported_by_name(tmp_path, cli_process):
+    data = _gen_data(tmp_path)
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    gen = cli_process("gen-data", "--days", "5", "--out", str(blocker / "x.csv"))
+    config_path = _write_config(tmp_path, data, tmp_path / "out")
+    run = cli_process("run", "--config", str(config_path), "--out", str(blocker / "out"))
+    for result in (gen, run):
+        assert result.returncode == 1
+        assert result.stderr.startswith("NotADirectoryError: ")
+        assert "Traceback" not in result.stderr
+    assert blocker.read_text() == ""
+
+
+def test_run_rejects_days_not_counted_from_zero(tmp_path, cli_process):
+    data = _gen_data(tmp_path)
+    lines = data.read_text().splitlines()
+    rows = [f"{1000 + t},{line.split(',', 1)[1]}" for t, line in enumerate(lines[1:])]
+    data.write_text("\n".join([lines[0], *rows]) + "\n")
+    out = tmp_path / "out"
+    result = cli_process("run", "--config", str(_write_config(tmp_path, data, out)))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"DataError: {data}:2: day 1000 should be 0")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()

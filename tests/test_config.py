@@ -75,12 +75,36 @@ def test_defaults_validate():
         {"weight_init_scale": float("inf")},
         {"weight_init_scale": 0.0},
         {"learning_rate": float("inf")},
+        # One agent per player cannot evolve, and cadence 3 < days 6 would evolve.
+        {
+            "stocks": ("A",),
+            "total_supply": (90,),
+            "agents_per_stock": 1,
+            "evolution_cadence": 3,
+            "days": 6,
+        },
     ],
 )
 def test_validate_rejects_bad_fields(kwargs):
     config = SimulationConfig(**{"seed": 1, "input_path": "x", **kwargs})
     with pytest.raises(ConfigError):
         config.validate()
+
+
+@pytest.mark.parametrize("cadence", [6, 7])
+def test_validate_accepts_one_agent_that_never_evolves(cadence):
+    # Evolution first runs after `evolution_cadence` days, so with a cadence
+    # of at least `days` a single agent per player never needs a partner.
+    config = SimulationConfig(
+        seed=1,
+        input_path="x",
+        stocks=("A",),
+        total_supply=(90,),
+        agents_per_stock=1,
+        evolution_cadence=cadence,
+        days=6,
+    )
+    config.validate()
 
 
 def test_parse_full_config(tmp_path):
@@ -198,19 +222,23 @@ _FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def _valid_configs(draw):
     stocks = tuple(draw(st.lists(_NAME, min_size=1, max_size=4, unique=True)))
+    agents_per_stock = draw(st.integers(min_value=1, max_value=10**6))
+    days = draw(st.integers(min_value=0, max_value=10**6))
+    # A player with a single agent is valid only if it never evolves.
+    min_cadence = max(days, 1) if agents_per_stock * len(stocks) < 2 else 1
     p_cross = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
     return SimulationConfig(
         seed=draw(st.integers(min_value=0, max_value=2**64)),
         input_path=draw(_TEXT),
         players=draw(st.integers(min_value=2, max_value=10**6)),
-        agents_per_stock=draw(st.integers(min_value=1, max_value=10**6)),
+        agents_per_stock=agents_per_stock,
         stocks=stocks,
         total_supply=tuple(
             draw(st.lists(st.integers(1, 10**12), min_size=len(stocks), max_size=len(stocks)))
         ),
         window=draw(st.integers(min_value=2, max_value=10**6)),
-        evolution_cadence=draw(st.integers(min_value=1, max_value=10**6)),
-        days=draw(st.integers(min_value=0, max_value=10**6)),
+        evolution_cadence=draw(st.integers(min_value=min_cadence, max_value=10**6)),
+        days=days,
         p_cross=p_cross,
         p_mut=draw(st.floats(min_value=0.0, max_value=p_cross, exclude_max=True)),
         epochs=draw(st.integers(min_value=1, max_value=10**6)),

@@ -14,7 +14,9 @@ from gamarket.data import (
     normalize,
     write_prices_csv,
 )
+from gamarket.config import SimulationConfig
 from gamarket.errors import DataError, InsufficientHistoryError
+from gamarket.simulation import run_simulation
 
 
 def test_ramp_window_frozen_oracle():
@@ -97,7 +99,7 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "prices.csv"
     prices = generate_series(days=60, seed=3)
     write_prices_csv(path, ("DJIA", "NASDAQ", "SP500"), prices)
-    loaded = load_prices(path, window=50)
+    loaded = load_prices(path)
     assert loaded.shape == prices.shape and loaded.dtype == np.float64
     # Written with four decimal places, so absolute error is at most 5e-5.
     np.testing.assert_allclose(loaded, prices, atol=1e-4)
@@ -149,7 +151,12 @@ def test_load_prices_malformed_cell(tmp_path):
 def test_load_prices_day_gap(tmp_path):
     path = tmp_path / "bad.csv"
     _write_rows(path, [["day", "A"], [0, 1.0], [2, 2.0]])
-    with pytest.raises(DataError, match="does not follow"):
+    with pytest.raises(DataError, match=r":3: day 2 should be 1"):
+        load_prices(path, expected_stocks=("A",))
+    # Day t is row t, so a file numbered from 1000 is refused rather than
+    # having its outputs labelled with row indices instead of its own days.
+    _write_rows(path, [["day", "A"]] + [[1000 + d, 1.0 + d] for d in range(5)])
+    with pytest.raises(DataError, match=r"bad.csv:2: day 1000 should be 0"):
         load_prices(path, expected_stocks=("A",))
 
 
@@ -161,10 +168,18 @@ def test_load_prices_nonpositive_price(tmp_path):
 
 
 def test_load_prices_too_short_for_window(tmp_path):
-    path = tmp_path / "short.csv"
-    _write_rows(path, [["day", "A"]] + [[d, 1.0 + d] for d in range(10)])
-    with pytest.raises(InsufficientHistoryError):
-        load_prices(path, expected_stocks=("A",), window=50)
-    # Exactly window + 2 rows is accepted.
-    loaded = load_prices(path, expected_stocks=("A",), window=8)
-    assert loaded.shape == (10, 1)
+    # load_prices reads any length; run_simulation's window + days is the
+    # only history-length rule.
+    def run(rows):
+        path = tmp_path / "short.csv"
+        _write_rows(path, [["day", "A"]] + [[d, 1.0 + d] for d in range(rows)])
+        config = SimulationConfig(
+            seed=1, input_path=str(path), players=2, agents_per_stock=2, stocks=("A",),
+            total_supply=(10,), window=8, days=2, evolution_cadence=2, epochs=1,
+        )
+        return run_simulation(config)
+
+    with pytest.raises(InsufficientHistoryError, match="need >= 10"):
+        run(9)
+    # Exactly window + days rows is accepted.
+    assert len(run(10).metrics.networth_rows) == 2 * 2

@@ -45,7 +45,7 @@ def test_announced_prices_match_the_csv(tmp_path):
     # Day t's announced prices are row t of the loaded history.
     path = tmp_path / "prices.csv"
     write_prices_csv(path, DEFAULT_STOCKS, generate_series(days=60, seed=13))
-    prices_by_day = load_prices(path, window=50)
+    prices_by_day = load_prices(path)
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))[1:]
     for t in (0, 1, 2, 30, 59):
@@ -68,7 +68,7 @@ def test_market_rejects_a_non_positive_or_non_finite_price(tmp_path, bad):
     rows = [["day", "A", "B"], [0, 1.0, 1.0], [1, 1.0, 1.0], [2, 1.0, bad]]
     path.write_text("\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
     with pytest.raises(DataError, match=rf"prices.csv:4: price {bad} for B is not finite and > 0"):
-        load_prices(path, expected_stocks=("A", "B"), window=1)
+        load_prices(path, expected_stocks=("A", "B"))
 
 
 def test_split_endowment_exact():

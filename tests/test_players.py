@@ -1,4 +1,4 @@
-"""Tests for committee prediction and the trading decision rules."""
+"""Tests for committee prediction and the trading rules that act on it."""
 
 import math
 
@@ -8,7 +8,8 @@ import pytest
 from gamarket.data import NormalizationParams
 from gamarket.errors import ConfigError
 from gamarket.neural import ActivationKind, AgentSpec, forward, init_random, new_agent
-from gamarket.players import PRICE_FLOOR, Player, committee_predict, decide, desired_quantity
+from gamarket.market import decide, desired_quantity
+from gamarket.players import PRICE_FLOOR, Player, committee_predict
 
 
 def _player(committees, pid=0):
@@ -17,7 +18,7 @@ def _player(committees, pid=0):
 
 def test_committee_predict_is_mean_then_denormalized():
     rng = np.random.default_rng(11)
-    committees = [[init_random((1, 10), rng) for _ in range(4)] for _ in range(2)]
+    committees = [[init_random(rng) for _ in range(4)] for _ in range(2)]
     player = _player(committees)
     xs = [0.35, 0.62]
     params = [NormalizationParams(10.0, 20.0), NormalizationParams(5.0, 9.0)]
@@ -43,7 +44,7 @@ def test_committee_predict_floors_negative_prices():
 
 def test_committee_predict_shape_checks():
     rng = np.random.default_rng(1)
-    player = _player([[init_random((1, 10), rng)]])
+    player = _player([[init_random(rng)]])
     with pytest.raises(ConfigError):
         committee_predict(player, [0.5, 0.6], [NormalizationParams(1.0, 2.0)] * 2)
     empty = _player([[]])
@@ -141,6 +142,6 @@ def test_desired_quantity_validation():
 
 def test_player_agent_iteration():
     rng = np.random.default_rng(2)
-    committees = [[init_random((1, 10), rng) for _ in range(3)] for _ in range(2)]
+    committees = [[init_random(rng) for _ in range(3)] for _ in range(2)]
     player = _player(committees)
     assert list(player.iter_agents()) == committees[0] + committees[1]
