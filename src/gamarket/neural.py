@@ -1,4 +1,4 @@
-"""Single predictive agent: a one-hidden-layer feed-forward network.
+"""Predictive agents: one-hidden-layer feed-forward networks, trained in stacks.
 
 Each agent maps one normalized price to one normalized next-price estimate.
 The hidden layer uses tanh units; the output unit is either linear or
@@ -9,10 +9,26 @@ logistic.  Weights are stored flat in a fixed layout:
 which is 3*h + 1 values for h hidden units.  Training is plain full-batch
 gradient descent on mean squared error, the loss `evaluate_error` reports;
 a `TrainingWindow` is never empty.
+
+`train` takes the whole population at once.  It sorts the agents by
+hidden count, so the agents of one count h are one slice of rows, and it
+stacks them: inputs, targets, outputs and errors are `(A, n)` arrays over
+the whole population, each row with its own stock's window, and each hidden
+count's weights are one `(rows, 3h+1)` array.  A boolean row mask picks the
+logistic output.  The work shaped by h (hidden layer, gradient reductions)
+runs once per group; every reduction is a batched `@` or a per-row sum,
+which numpy runs as the same BLAS call or loop for each row that a lone
+agent gets, so a stacked agent trains to the same bits as it would alone.
+Grouping by hidden count only, across players, stocks and activations,
+gives at most 10 groups for any population, so the per-group Python
+overhead stays nearly constant and run time stays linear in the number of
+agents (acceptance test A1).  Grouping by spec and stock made up to 60
+groups, whose count grew with the population and bent that line.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -97,11 +113,6 @@ class Hyperparams:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
-def _split(spec: AgentSpec, weights: np.ndarray):
-    h = spec.hidden_units
-    return weights[:h], weights[h : 2 * h], weights[2 * h : 3 * h], weights[3 * h]
-
-
 def _sigmoid(u: np.ndarray) -> np.ndarray:
     # Stable two-sided form (exp never overflows); clipped so the output is
     # strictly inside (0, 1) even when the pre-activation saturates in floats.
@@ -110,10 +121,10 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
 
 
 def _predict(spec: AgentSpec, weights: np.ndarray, xs: np.ndarray):
-    """Batch forward pass; returns (predictions, hidden activations)."""
-    w_in, b_in, w_out, b_out = _split(spec, weights)
-    hidden = np.tanh(np.outer(xs, w_in) + b_in)  # (n, h)
-    u = hidden @ w_out + b_out
+    """One agent's forward pass; returns (predictions, hidden activations)."""
+    h = spec.hidden_units
+    hidden = np.tanh(np.outer(xs, weights[:h]) + weights[h : 2 * h])  # (n, h)
+    u = hidden @ weights[2 * h : 3 * h] + weights[3 * h]
     if spec.activation is ActivationKind.LOGISTIC:
         return _sigmoid(u), hidden
     return u, hidden
@@ -146,14 +157,15 @@ def forward(agent: Agent, x: float) -> float:
     return float(preds[0])
 
 
-def _mse(spec: AgentSpec, weights: np.ndarray, window: TrainingWindow) -> float:
-    preds, _ = _predict(spec, weights, window.inputs)
-    return float(np.mean((preds - window.targets) ** 2))
+def _mse(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The loss: mean squared error along the last axis (one value per row)."""
+    return np.mean((preds - targets) ** 2, axis=-1)
 
 
 def evaluate_error(agent: Agent, window: TrainingWindow) -> float:
     """Mean squared error of the agent over a window."""
-    return _mse(agent.spec, agent.weights, window)
+    preds, _ = _predict(agent.spec, agent.weights, window.inputs)
+    return float(_mse(preds, window.targets))
 
 
 def mse_gradient(agent: Agent, window: TrainingWindow) -> np.ndarray:
@@ -161,45 +173,96 @@ def mse_gradient(agent: Agent, window: TrainingWindow) -> np.ndarray:
 
     Returned in the same flat layout as Agent.weights.
     """
-    return _gradient(agent.spec, agent.weights, window.inputs, window.targets)
+    _, groups, xs, ys, logistic = _stack([agent], [window])
+    return _gradient(groups, xs, ys, logistic)[0][0]
 
 
-def _gradient(spec: AgentSpec, weights: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    w_in, b_in, w_out, b_out = _split(spec, weights)
-    n = len(xs)
-    preds, hidden = _predict(spec, weights, xs)
-    delta = (2.0 / n) * (preds - ys)
-    if spec.activation is ActivationKind.LOGISTIC:
-        delta = delta * preds * (1.0 - preds)
+def _stack(agents: list[Agent], windows: list[TrainingWindow]):
+    """Sort the agents by hidden count and stack them, one row each.
+
+    Returns (order, groups, inputs, targets, logistic): row r holds
+    agents[order[r]]; inputs and targets are (A, n) and logistic is the
+    (A,) row mask of logistic outputs.  Each group is (rows, h, weights):
+    the slice of rows with h hidden units and their (rows, 3h+1) weights.
+    """
+    order = sorted(range(len(agents)), key=lambda i: agents[i].spec.hidden_units)
+    groups, start = [], 0
+    for h, run in itertools.groupby(agents[i].spec.hidden_units for i in order):
+        rows = slice(start, start + len(list(run)))
+        groups.append((rows, h, np.array([agents[i].weights for i in order[rows]], dtype=float)))
+        start = rows.stop
+    return (
+        order,
+        groups,
+        np.array([windows[i].inputs for i in order], dtype=float),
+        np.array([windows[i].targets for i in order], dtype=float),
+        np.array([agents[i].spec.activation is ActivationKind.LOGISTIC for i in order]),
+    )
+
+
+def _stack_predict(groups, xs: np.ndarray, logistic: np.ndarray):
+    """Forward pass; returns (predictions (A, n), each group's hidden (rows, n, h))."""
+    u = np.empty_like(xs)
+    hiddens = []
+    for rows, h, w in groups:
+        hidden = np.tanh(xs[rows, :, None] * w[:, None, :h] + w[:, None, h : 2 * h])
+        u[rows] = (hidden @ w[:, 2 * h : 3 * h, None])[:, :, 0] + w[:, 3 * h :]
+        hiddens.append(hidden)
+    return np.where(logistic[:, None], _sigmoid(u), u), hiddens
+
+
+def _gradient(groups, xs: np.ndarray, ys: np.ndarray, logistic: np.ndarray) -> list[np.ndarray]:
+    """Gradient of each row's MSE: one (rows, 3h+1) array per group, flat layout."""
+    preds, hiddens = _stack_predict(groups, xs, logistic)
+    delta = (2.0 / xs.shape[1]) * (preds - ys)
+    delta = np.where(logistic[:, None], delta * preds * (1.0 - preds), delta)
     # delta is dMSE/du for the output pre-activation u of each sample.
-    grad_w_out = hidden.T @ delta
-    grad_b_out = float(np.sum(delta))
-    back = np.outer(delta, w_out) * (1.0 - hidden**2)  # (n, h)
-    grad_w_in = xs @ back
-    grad_b_in = back.sum(axis=0)
-    return np.concatenate([grad_w_in, grad_b_in, grad_w_out, [grad_b_out]])
+    grad_b_out = delta.sum(axis=1, keepdims=True)
+    grads = []
+    for (rows, h, w), hidden in zip(groups, hiddens):
+        d = delta[rows]
+        back = d[:, :, None] * w[:, None, 2 * h : 3 * h] * (1.0 - hidden**2)  # (rows, n, h)
+        grad_w_in = (xs[rows, None, :] @ back)[:, 0, :]
+        grad_w_out = (hidden.transpose(0, 2, 1) @ d[:, :, None])[:, :, 0]
+        grads.append(
+            np.concatenate([grad_w_in, back.sum(axis=1), grad_w_out, grad_b_out[rows]], axis=1)
+        )
+    return grads
 
 
-def train(agent: Agent, window: TrainingWindow, hp: Hyperparams) -> Agent:
-    """Full-batch gradient descent for hp.epochs passes.
+def train(agents: list[Agent], windows: list[TrainingWindow], hp: Hyperparams) -> list[Agent]:
+    """Full-batch gradient descent for hp.epochs passes, agent i on windows[i].
 
-    Returns a new Agent; the input agent is left untouched.  The returned
-    agent keeps the same architecture and records its final training MSE.
-    Raises TrainingDivergedError if that MSE is not finite.
+    Returns new Agents in the order given; the inputs are left untouched.
+    Each returned agent keeps its architecture and records its final
+    training MSE.  All windows must have one length.  Raises
+    TrainingDivergedError naming the first agent, in list order, whose
+    final MSE is not finite.
     """
     hp.validate()
-    weights = agent.weights.astype(float, copy=True)
-    # A diverging run overflows; the check below reports it instead of numpy.
+    if len(agents) != len(windows):
+        raise DataError(f"train got {len(agents)} agents but {len(windows)} windows")
+    lengths = sorted({len(window) for window in windows})
+    if len(lengths) > 1:
+        raise DataError(f"train needs windows of one length, got lengths {lengths}")
+    if not agents:
+        return []
+    order, groups, xs, ys, logistic = _stack(agents, windows)
+    # A diverging row overflows; the check below reports it instead of numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hp.epochs):
-            weights -= hp.learning_rate * _gradient(
-                agent.spec, weights, window.inputs, window.targets
+            for (_, _, weights), grad in zip(groups, _gradient(groups, xs, ys, logistic)):
+                weights -= hp.learning_rate * grad
+        final_mse = _mse(_stack_predict(groups, xs, logistic)[0], ys).tolist()
+    weight_rows = [row for _, _, weights in groups for row in weights]
+    trained: list = [None] * len(agents)
+    for i, row, mse in zip(order, weight_rows, final_mse):
+        trained[i] = Agent(spec=agents[i].spec, weights=row, last_training_error=mse)
+    for agent in trained:
+        if not math.isfinite(agent.last_training_error):
+            raise TrainingDivergedError(
+                f"training diverged for {agent.spec.hidden_units}-unit "
+                f"{agent.spec.activation.value} agent: final MSE {agent.last_training_error} "
+                f"after {hp.epochs} epochs at learning rate {hp.learning_rate}"
             )
-        final_mse = _mse(agent.spec, weights, window)
-    if not math.isfinite(final_mse):
-        raise TrainingDivergedError(
-            f"training diverged for {agent.spec.hidden_units}-unit "
-            f"{agent.spec.activation.value} agent: final MSE {final_mse} after "
-            f"{hp.epochs} epochs at learning rate {hp.learning_rate}"
-        )
-    return Agent(spec=agent.spec, weights=weights, last_training_error=final_mse)
+    return trained

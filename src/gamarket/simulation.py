@@ -56,13 +56,14 @@ def _build_players(config: SimulationConfig, streams: RandomStreams) -> list[Pla
 def _train_population(
     players: list[Player], windows: list[TrainingWindow], config: SimulationConfig
 ) -> None:
-    """Retrain every agent on its stock's window, in place."""
-    hp = config.hyperparams()
+    """Retrain every agent on its stock's window in one `train` call, in place."""
+    agents = [agent for player in players for agent in player.iter_agents()]
+    agent_windows = [
+        windows[m] for player in players for m, group in enumerate(player.committees) for _ in group
+    ]
+    trained = iter(train(agents, agent_windows, config.hyperparams()))
     for player in players:
-        player.committees = [
-            [train(agent, windows[m], hp) for agent in group]
-            for m, group in enumerate(player.committees)
-        ]
+        player.committees = [[next(trained) for _ in group] for group in player.committees]
 
 
 def _build_windows(

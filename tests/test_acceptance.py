@@ -229,7 +229,7 @@ def test_a4_gradients_match_finite_differences_and_training_learns():
     for i in range(100):
         agent = new_agent(specs[i % len(specs)], rng)
         befores.append(evaluate_error(agent, ramp))
-        trained = train(agent, ramp, Hyperparams(epochs=200, learning_rate=0.05))
+        [trained] = train([agent], [ramp], Hyperparams(epochs=200, learning_rate=0.05))
         afters.append(trained.last_training_error)
         assert trained.last_training_error < befores[-1]
     ratio = float(np.mean(afters) / np.mean(befores))

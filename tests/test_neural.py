@@ -200,7 +200,7 @@ def test_train_returns_new_agent_and_preserves_architecture():
     original = agent.weights.copy()
     xs = np.linspace(0.1, 0.9, 50)
     window = TrainingWindow(inputs=xs, targets=xs)
-    trained = train(agent, window, Hyperparams(epochs=20))
+    [trained] = train([agent], [window], Hyperparams(epochs=20))
     assert trained is not agent
     assert trained.spec == agent.spec
     assert np.array_equal(agent.weights, original)  # input untouched
@@ -222,7 +222,7 @@ def test_train_reduces_error_on_linear_series():
         for trial in range(10):
             agent = new_agent(AgentSpec(int(rng.integers(1, 11)), kind), rng)
             before = evaluate_error(agent, window)
-            trained = train(agent, window, Hyperparams(epochs=200, learning_rate=0.05))
+            [trained] = train([agent], [window], Hyperparams(epochs=200, learning_rate=0.05))
             assert trained.last_training_error < before
             if kind is ActivationKind.LINEAR:
                 linear_befores.append(before)
@@ -236,12 +236,8 @@ def test_train_reduces_error_on_linear_series():
 def test_train_is_bit_reproducible():
     xs = np.linspace(0.1, 0.9, 50)
     window = TrainingWindow(inputs=xs, targets=xs**2)
-    first = train(
-        init_random(np.random.default_rng(8)), window, Hyperparams(epochs=50)
-    )
-    second = train(
-        init_random(np.random.default_rng(8)), window, Hyperparams(epochs=50)
-    )
+    [first] = train([init_random(np.random.default_rng(8))], [window], Hyperparams(epochs=50))
+    [second] = train([init_random(np.random.default_rng(8))], [window], Hyperparams(epochs=50))
     assert first.spec == second.spec
     assert first.weights.tobytes() == second.weights.tobytes()
 
@@ -259,7 +255,7 @@ def test_divergent_training_raises_a_named_error():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergedError) as info:
-                train(agent, window, Hyperparams(epochs=200, learning_rate=1000.0))
+                train([agent], [window], Hyperparams(epochs=200, learning_rate=1000.0))
         message = str(info.value)
         assert f"{hidden}-unit linear" in message
         assert "200 epochs" in message
@@ -270,9 +266,131 @@ def test_zero_epochs_is_a_config_error():
     agent = make_agent(1, ActivationKind.LINEAR, [0.1, 0.2, 0.3, 0.4])
     window = TrainingWindow(inputs=np.array([0.5]), targets=np.array([0.5]))
     with pytest.raises(ConfigError):
-        train(agent, window, Hyperparams(epochs=0))
+        train([agent], [window], Hyperparams(epochs=0))
 
 
 def test_misaligned_window_is_rejected():
     with pytest.raises(DataError):
         TrainingWindow(inputs=np.array([0.1, 0.2]), targets=np.array([0.3]))
+
+
+def reference_predict(spec, weights, xs):
+    """The per-agent forward pass that stacked training replaced."""
+    h = spec.hidden_units
+    hidden = np.tanh(np.outer(xs, weights[:h]) + weights[h : 2 * h])
+    u = hidden @ weights[2 * h : 3 * h] + weights[3 * h]
+    if spec.activation is ActivationKind.LOGISTIC:
+        return _sigmoid(u), hidden
+    return u, hidden
+
+
+def reference_gradient(spec, weights, xs, ys):
+    """The per-agent gradient that stacked training replaced."""
+    h = spec.hidden_units
+    w_out = weights[2 * h : 3 * h]
+    preds, hidden = reference_predict(spec, weights, xs)
+    delta = (2.0 / len(xs)) * (preds - ys)
+    if spec.activation is ActivationKind.LOGISTIC:
+        delta = delta * preds * (1.0 - preds)
+    grad_w_out = hidden.T @ delta
+    grad_b_out = float(np.sum(delta))
+    back = np.outer(delta, w_out) * (1.0 - hidden**2)
+    grad_w_in = xs @ back
+    grad_b_in = back.sum(axis=0)
+    return np.concatenate([grad_w_in, grad_b_in, grad_w_out, [grad_b_out]])
+
+
+def reference_train(agent, window, hp):
+    """One agent at a time; returns (weights, final MSE)."""
+    weights = agent.weights.astype(float, copy=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(hp.epochs):
+            weights -= hp.learning_rate * reference_gradient(
+                agent.spec, weights, window.inputs, window.targets
+            )
+        preds, _ = reference_predict(agent.spec, weights, window.inputs)
+        final_mse = float(np.mean((preds - window.targets) ** 2))
+    return weights, final_mse
+
+
+def mixed_population(rng):
+    """Every hidden count with both activations, interleaved, on three windows."""
+    xs = np.linspace(0.1, 0.9, 50)
+    windows = [
+        TrainingWindow(inputs=xs, targets=xs),
+        TrainingWindow(inputs=xs, targets=xs**2),
+        TrainingWindow(inputs=rng.uniform(0.1, 0.9, 50), targets=rng.uniform(0.1, 0.9, 50)),
+    ]
+    specs = [AgentSpec(h, kind) for h in range(HIDDEN_MIN, HIDDEN_MAX + 1) for kind in ActivationKind]
+    specs = [specs[i] for i in rng.permutation(len(specs))] * 2
+    agents = [new_agent(spec, rng) for spec in specs]
+    return agents, [windows[i % len(windows)] for i in range(len(agents))]
+
+
+def test_stacked_training_equals_the_per_agent_loop_bit_for_bit():
+    # Bit-equality holds because each row of a stack goes through the same
+    # numpy/BLAS calls as a lone agent; a numpy or BLAS change may break it.
+    agents, windows = mixed_population(np.random.default_rng(31))
+    hp = Hyperparams(epochs=200)
+    trained = train(agents, windows, hp)
+    assert len(trained) == len(agents)
+    for k, (agent, window, got) in enumerate(zip(agents, windows, trained)):
+        weights, final_mse = reference_train(agent, window, hp)
+        where = f"agent {k} ({agent.spec}) under numpy {np.__version__}"
+        assert got.spec == agent.spec
+        assert np.array_equal(got.weights, weights), f"weights differ for {where}"
+        assert got.last_training_error == final_mse, f"final MSE differs for {where}"
+
+
+def test_mse_gradient_equals_the_per_agent_gradient_bit_for_bit():
+    agents, windows = mixed_population(np.random.default_rng(32))
+    for agent, window in zip(agents, windows):
+        expected = reference_gradient(agent.spec, agent.weights, window.inputs, window.targets)
+        assert np.array_equal(mse_gradient(agent, window), expected), (
+            f"{agent.spec} under numpy {np.__version__}"
+        )
+
+
+def test_train_rejects_unequal_agent_and_window_counts():
+    agents, windows = mixed_population(np.random.default_rng(33))
+    with pytest.raises(DataError, match="40 agents but 39 windows"):
+        train(agents, windows[:-1], Hyperparams(epochs=1))
+
+
+def test_train_rejects_windows_of_different_lengths():
+    agent = make_agent(1, ActivationKind.LINEAR, [0.1, 0.2, 0.3, 0.4])
+    short = TrainingWindow(inputs=np.array([0.2, 0.4]), targets=np.array([0.4, 0.6]))
+    long = TrainingWindow(inputs=np.array([0.2, 0.4, 0.6]), targets=np.array([0.4, 0.6, 0.8]))
+    with pytest.raises(DataError, match=r"lengths \[2, 3\]"):
+        train([agent, agent], [long, short], Hyperparams(epochs=1))
+
+
+def test_train_of_no_agents_returns_an_empty_list():
+    assert train([], [], Hyperparams(epochs=1)) == []
+
+
+def test_divergence_inside_a_mixed_stack_names_the_first_diverged_agent():
+    # Linear agents blow up at a learning rate of 1000 among logistic agents
+    # of the same and other hidden counts.  The row mask evaluates the
+    # logistic output and factor on their overflowing rows too; none of
+    # numpy's warnings may escape.  The 7-unit stack is built first, so the
+    # error must name the 3-unit agent, the one the per-agent loop stops at.
+    rng = np.random.default_rng(34)
+    xs = np.linspace(0.1, 0.9, 50)
+    window = TrainingWindow(inputs=xs, targets=xs)
+    logistic, linear = ActivationKind.LOGISTIC, ActivationKind.LINEAR
+    specs = [(7, logistic), (5, logistic), (3, linear), (3, logistic), (7, linear)]
+    agents = [new_agent(AgentSpec(h, kind), rng) for h, kind in specs]
+    hp = Hyperparams(epochs=200, learning_rate=1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError) as info:
+            train(agents, [window] * len(agents), hp)
+        first = next(
+            agent for agent in agents if not math.isfinite(reference_train(agent, window, hp)[1])
+        )
+    assert first.spec == AgentSpec(3, ActivationKind.LINEAR)
+    message = str(info.value)
+    assert "3-unit linear" in message
+    assert "200 epochs" in message
+    assert "learning rate 1000.0" in message
