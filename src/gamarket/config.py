@@ -58,6 +58,8 @@ class SimulationConfig:
                     f"{f.name} must not contain '#' (a comment needs a line of its own), "
                     f"got {getattr(self, f.name)!r}"
                 )
+        if not self.output_dir:
+            raise ConfigError("output_dir must not be empty")
         if not self.weight_init_scale > 0:
             raise ConfigError(f"weight_init_scale must be > 0, got {self.weight_init_scale}")
         if self.players < 2:

@@ -1,4 +1,4 @@
-"""Predictive agents: one-hidden-layer feed-forward networks, trained in stacks.
+"""Predictive agents: one-hidden-layer feed-forward networks, run in stacks.
 
 Each agent maps one normalized price to one normalized next-price estimate.
 The hidden layer uses tanh units; the output unit is either linear or
@@ -10,20 +10,20 @@ which is 3*h + 1 values for h hidden units.  Training is plain full-batch
 gradient descent on mean squared error, the loss `evaluate_error` reports;
 a `TrainingWindow` is never empty.
 
-`train` takes the whole population at once.  It sorts the agents by
-hidden count, so the agents of one count h are one slice of rows, and it
-stacks them: inputs, targets, outputs and errors are `(A, n)` arrays over
-the whole population, each row with its own stock's window, and each hidden
-count's weights are one `(rows, 3h+1)` array.  A boolean row mask picks the
-logistic output.  The work shaped by h (hidden layer, gradient reductions)
-runs once per group; every reduction is a batched `@` or a per-row sum,
-which numpy runs as the same BLAS call or loop for each row that a lone
-agent gets, so a stacked agent trains to the same bits as it would alone.
-Grouping by hidden count only, across players, stocks and activations,
-gives at most 10 groups for any population, so the per-group Python
-overhead stays nearly constant and run time stays linear in the number of
-agents (acceptance test A1).  Grouping by spec and stock made up to 60
-groups, whose count grew with the population and bent that line.
+There is one forward kernel, `_stack_predict`, and each caller hands it
+the whole population: `train` every epoch, `forward` for a day's
+predictions (one input per agent) and `evaluate_error` for a generation's
+scores.  `_stack` sorts the agents by hidden count, so the agents of one
+count h are one slice of rows with one `(rows, 3h+1)` weight array;
+inputs, targets, outputs and errors are `(A, n)` arrays, one row per
+agent, and a boolean row mask picks the logistic output.  The work shaped
+by h runs once per group; every reduction is a batched `@` or a per-row
+sum, which numpy runs as the same BLAS call or loop for each row that a
+lone agent gets, so a stacked agent computes the same bits as it would
+alone.  Grouping by hidden count only, across players, stocks and
+activations, gives at most 10 groups for any population, so the per-group
+Python overhead stays nearly constant and run time stays linear in the
+number of agents (acceptance test A1).
 """
 
 from __future__ import annotations
@@ -120,16 +120,6 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return np.clip(np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), _SIGMOID_LO, _SIGMOID_HI)
 
 
-def _predict(spec: AgentSpec, weights: np.ndarray, xs: np.ndarray):
-    """One agent's forward pass; returns (predictions, hidden activations)."""
-    h = spec.hidden_units
-    hidden = np.tanh(np.outer(xs, weights[:h]) + weights[h : 2 * h])  # (n, h)
-    u = hidden @ weights[2 * h : 3 * h] + weights[3 * h]
-    if spec.activation is ActivationKind.LOGISTIC:
-        return _sigmoid(u), hidden
-    return u, hidden
-
-
 def new_agent(spec: AgentSpec, rng: np.random.Generator, weight_init_scale: float = 0.5) -> Agent:
     """Create an agent with the given architecture and fresh uniform weights."""
     if not weight_init_scale > 0:
@@ -149,41 +139,17 @@ def init_random(rng: np.random.Generator, weight_init_scale: float = 0.5) -> Age
     return new_agent(AgentSpec(hidden, kind), rng, weight_init_scale)
 
 
-def forward(agent: Agent, x: float) -> float:
-    """Evaluate the network on a single normalized input."""
-    if not math.isfinite(x):
-        raise ValueError(f"forward input must be finite, got {x!r}")
-    preds, _ = _predict(agent.spec, agent.weights, np.asarray([float(x)]))
-    return float(preds[0])
-
-
 def _mse(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """The loss: mean squared error along the last axis (one value per row)."""
     return np.mean((preds - targets) ** 2, axis=-1)
 
 
-def evaluate_error(agent: Agent, window: TrainingWindow) -> float:
-    """Mean squared error of the agent over a window."""
-    preds, _ = _predict(agent.spec, agent.weights, window.inputs)
-    return float(_mse(preds, window.targets))
+def _stack(agents: list[Agent]):
+    """Sort the agents by hidden count and stack their weights, one row each.
 
-
-def mse_gradient(agent: Agent, window: TrainingWindow) -> np.ndarray:
-    """Analytic gradient of the window MSE with respect to every weight.
-
-    Returned in the same flat layout as Agent.weights.
-    """
-    _, groups, xs, ys, logistic = _stack([agent], [window])
-    return _gradient(groups, xs, ys, logistic)[0][0]
-
-
-def _stack(agents: list[Agent], windows: list[TrainingWindow]):
-    """Sort the agents by hidden count and stack them, one row each.
-
-    Returns (order, groups, inputs, targets, logistic): row r holds
-    agents[order[r]]; inputs and targets are (A, n) and logistic is the
-    (A,) row mask of logistic outputs.  Each group is (rows, h, weights):
-    the slice of rows with h hidden units and their (rows, 3h+1) weights.
+    Returns (order, groups, logistic): row r holds agents[order[r]], logistic
+    is the (A,) row mask of logistic outputs, and each group is (rows, h,
+    weights), the slice of rows with h hidden units and their (rows, 3h+1) weights.
     """
     order = sorted(range(len(agents)), key=lambda i: agents[i].spec.hidden_units)
     groups, start = [], 0
@@ -191,13 +157,43 @@ def _stack(agents: list[Agent], windows: list[TrainingWindow]):
         rows = slice(start, start + len(list(run)))
         groups.append((rows, h, np.array([agents[i].weights for i in order[rows]], dtype=float)))
         start = rows.stop
-    return (
-        order,
-        groups,
-        np.array([windows[i].inputs for i in order], dtype=float),
-        np.array([windows[i].targets for i in order], dtype=float),
-        np.array([agents[i].spec.activation is ActivationKind.LOGISTIC for i in order]),
-    )
+    logistic = np.array([agents[i].spec.activation is ActivationKind.LOGISTIC for i in order])
+    return order, groups, logistic
+
+
+def _stack_windows(agents: list[Agent], windows: list[TrainingWindow], caller: str):
+    """(A, n) inputs and targets, row i from windows[i], in list order."""
+    if len(agents) != len(windows):
+        raise DataError(f"{caller} got {len(agents)} agents but {len(windows)} windows")
+    lengths = sorted({len(window) for window in windows})
+    if len(lengths) > 1:
+        raise DataError(f"{caller} needs windows of one length, got lengths {lengths}")
+    xs = np.array([window.inputs for window in windows], dtype=float)
+    return xs, np.array([window.targets for window in windows], dtype=float)
+
+
+def forward(agents: list[Agent], xs) -> np.ndarray:
+    """Outputs (A, n) in list order: row i of the (A, n) inputs goes through agents[i]."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or len(xs) != len(agents) or not np.isfinite(xs).all():
+        raise ValueError(f"forward needs finite ({len(agents)}, n) inputs, got {xs!r}")
+    order, groups, logistic = _stack(agents)
+    preds = np.empty_like(xs)
+    preds[order] = _stack_predict(groups, xs[order], logistic)[0]
+    return preds
+
+
+def evaluate_error(agents: list[Agent], windows: list[TrainingWindow]) -> list[float]:
+    """Mean squared error of agent i over windows[i], in list order."""
+    xs, ys = _stack_windows(agents, windows, "evaluate_error")
+    return _mse(forward(agents, xs), ys).tolist() if agents else []
+
+
+def mse_gradient(agent: Agent, window: TrainingWindow) -> np.ndarray:
+    """Analytic gradient of the window MSE for every weight, laid out as Agent.weights."""
+    xs, ys = _stack_windows([agent], [window], "mse_gradient")
+    _, groups, logistic = _stack([agent])
+    return _gradient(groups, xs, ys, logistic)[0][0]
 
 
 def _stack_predict(groups, xs: np.ndarray, logistic: np.ndarray):
@@ -240,24 +236,19 @@ def train(agents: list[Agent], windows: list[TrainingWindow], hp: Hyperparams) -
     final MSE is not finite.
     """
     hp.validate()
-    if len(agents) != len(windows):
-        raise DataError(f"train got {len(agents)} agents but {len(windows)} windows")
-    lengths = sorted({len(window) for window in windows})
-    if len(lengths) > 1:
-        raise DataError(f"train needs windows of one length, got lengths {lengths}")
+    xs, ys = _stack_windows(agents, windows, "train")
     if not agents:
         return []
-    order, groups, xs, ys, logistic = _stack(agents, windows)
+    order, groups, logistic = _stack(agents)
+    xs, ys = xs[order], ys[order]
     # A diverging row overflows; the check below reports it instead of numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hp.epochs):
             for (_, _, weights), grad in zip(groups, _gradient(groups, xs, ys, logistic)):
                 weights -= hp.learning_rate * grad
         final_mse = _mse(_stack_predict(groups, xs, logistic)[0], ys).tolist()
-    weight_rows = [row for _, _, weights in groups for row in weights]
-    trained: list = [None] * len(agents)
-    for i, row, mse in zip(order, weight_rows, final_mse):
-        trained[i] = Agent(spec=agents[i].spec, weights=row, last_training_error=mse)
+    rows = [row for _, _, weights in groups for row in weights]
+    trained = [Agent(a.spec, rows[r], final_mse[r]) for a, r in zip(agents, np.argsort(order))]
     for agent in trained:
         if not math.isfinite(agent.last_training_error):
             raise TrainingDivergedError(

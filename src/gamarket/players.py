@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import NormalizationParams, denormalize
 from .errors import ConfigError
 from .neural import Agent, forward
@@ -32,25 +34,29 @@ class Player:
 
 
 def committee_predict(
-    player: Player,
-    normalized_prices,
-    norm_params: list[NormalizationParams],
-) -> list[float]:
-    """Predicted next price per stock, in price units.
+    players: list[Player], normalized_prices, norm_params: list[NormalizationParams]
+) -> np.ndarray:
+    """Every player's predicted next price per stock: a (players, stocks) array.
 
-    Each committee's outputs are averaged in normalized space and mapped
-    back through that stock's normalization parameters.
+    One `forward` call runs every agent on its stock's normalized price.
+    A committee's outputs are added in committee order from 0, then divided
+    by k (numpy's `sum` or `mean` along an axis adds in another order from
+    k = 8 up, changing the last bits), and denormalized per stock.
     """
-    if len(normalized_prices) != len(player.committees):
-        raise ConfigError(
-            f"player {player.id} has {len(player.committees)} committees, "
-            f"got {len(normalized_prices)} prices"
-        )
-    predictions = []
-    for group, x, params in zip(player.committees, normalized_prices, norm_params):
-        if not group:
-            raise ConfigError(f"player {player.id} has an empty committee")
-        mean_out = sum(forward(agent, x) for agent in group) / len(group)
-        # NaN and inf pass the floor unchanged; run_clearing rejects them.
-        predictions.append(max(float(denormalize(mean_out, params)), PRICE_FLOOR))
-    return predictions
+    stocks = len(normalized_prices)
+    sizes = [[len(group) for group in player.committees] for player in players]
+    k = sizes[0][0] if sizes[0] else 0
+    for player, row in zip(players, sizes):
+        if row != [k] * stocks or k < 1:
+            raise ConfigError(
+                f"player {player.id} has committees of sizes {row}; every player needs "
+                f"{stocks} committees (one per price) of the same k >= 1 agents"
+            )
+    agents = [agent for player in players for agent in player.iter_agents()]
+    xs = np.tile(np.repeat(normalized_prices, k), len(players))
+    outs = forward(agents, xs[:, None]).reshape(len(players), stocks, k)
+    mean = sum(outs[:, :, j] for j in range(k)) / k
+    for m, params in zip(range(stocks), norm_params, strict=True):
+        mean[:, m] = denormalize(mean[:, m], params)
+    # NaN and inf pass the floor unchanged; run_clearing rejects them.
+    return np.maximum(mean, PRICE_FLOOR)

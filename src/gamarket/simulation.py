@@ -53,15 +53,20 @@ def _build_players(config: SimulationConfig, streams: RandomStreams) -> list[Pla
     ]
 
 
-def _train_population(
-    players: list[Player], windows: list[TrainingWindow], config: SimulationConfig
-) -> None:
-    """Retrain every agent on its stock's window in one `train` call, in place."""
+def _flatten(players: list[Player], windows: list[TrainingWindow]):
+    """Every agent, player by player in committee order, and its stock's window."""
     agents = [agent for player in players for agent in player.iter_agents()]
     agent_windows = [
         windows[m] for player in players for m, group in enumerate(player.committees) for _ in group
     ]
-    trained = iter(train(agents, agent_windows, config.hyperparams()))
+    return agents, agent_windows
+
+
+def _train_population(
+    players: list[Player], windows: list[TrainingWindow], config: SimulationConfig
+) -> None:
+    """Retrain every agent on its stock's window in one `train` call, in place."""
+    trained = iter(train(*_flatten(players, windows), config.hyperparams()))
     for player in players:
         player.committees = [[next(trained) for _ in group] for group in player.committees]
 
@@ -83,22 +88,16 @@ def _score_population(
     Targets lie in [0.1, 0.9], so a mean above 1.0 means the agents did
     not learn, and the run stops with `TrainingDivergedError`.
     """
-    errors = [
-        [
-            evaluate_error(agent, windows[m])
-            for m, group in enumerate(player.committees)
-            for agent in group
-        ]
-        for player in players
-    ]
-    mean = float(np.mean([e for per_player in errors for e in per_player]))
+    flat = evaluate_error(*_flatten(players, windows))
+    mean = float(np.mean(flat))
     if mean > 1.0:
         raise TrainingDivergedError(
             f"generation {generation}: mean validation MSE {mean:.3g} is above 1.0; "
             "the agents did not learn (try a smaller learning_rate)"
         )
     metrics.generation_error_rows.append((generation, mean))
-    return errors
+    rest = iter(flat)
+    return [[next(rest) for _ in player.iter_agents()] for player in players]
 
 
 def _check_conservation(book: Portfolios, config: SimulationConfig, t: int) -> None:
@@ -138,7 +137,7 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
     for t in range(config.window, end):
         prices = prices_by_day[t]
         scaled = [normalize(float(price), params) for price, params in zip(prices, norm_params)]
-        predictions = [committee_predict(player, scaled, norm_params) for player in players]
+        predictions = committee_predict(players, scaled, norm_params)
         report = run_clearing(t, prices, config.total_supply, book, predictions, streams.shuffle)
         output.trades.extend(report.trades)
         _check_conservation(book, config, t)

@@ -2,9 +2,9 @@
 
 One test per numbered claim, each printing a PASS/FAIL line with the
 measured values.  Run `pytest tests/test_acceptance.py -v -rA` to see
-both the per-test verdicts and the measurement lines.  The whole suite
-is slower than the unit tests (a few minutes); the scaling benchmark in
-A1 dominates.
+both the per-test verdicts and the measurement lines.  The suite takes
+30-50 s on a 2-vCPU host; A1 (the scaling sweep) and A6 (ten 500-day
+runs) take 11-22 s each.
 """
 
 import hashlib
@@ -191,12 +191,8 @@ def _central_difference(agent, window, step=1e-5):
         down = agent.weights.copy()
         up[i] += step
         down[i] -= step
-        e_up = evaluate_error(
-            type(agent)(spec=agent.spec, weights=up), window
-        )
-        e_down = evaluate_error(
-            type(agent)(spec=agent.spec, weights=down), window
-        )
+        [e_up] = evaluate_error([type(agent)(spec=agent.spec, weights=up)], [window])
+        [e_down] = evaluate_error([type(agent)(spec=agent.spec, weights=down)], [window])
         grad[i] = (e_up - e_down) / (2 * step)
     return grad
 
@@ -228,7 +224,7 @@ def test_a4_gradients_match_finite_differences_and_training_learns():
     afters = []
     for i in range(100):
         agent = new_agent(specs[i % len(specs)], rng)
-        befores.append(evaluate_error(agent, ramp))
+        befores.extend(evaluate_error([agent], [ramp]))
         [trained] = train([agent], [ramp], Hyperparams(epochs=200, learning_rate=0.05))
         afters.append(trained.last_training_error)
         assert trained.last_training_error < befores[-1]

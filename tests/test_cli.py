@@ -308,3 +308,17 @@ def test_run_rejects_days_not_counted_from_zero(tmp_path, cli_process):
     assert result.stderr.startswith(f"DataError: {data}:2: day 1000 should be 0")
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+def test_run_rejects_an_empty_output_dir_before_running(tmp_path, cli_process):
+    data = _gen_data(tmp_path)
+    config_path = _write_config(tmp_path, data, "")
+    from_file = cli_process("run", "--config", str(config_path))
+    from_flag = cli_process(
+        "run", "--config", str(_write_config(tmp_path, data, tmp_path / "out")), "--out", ""
+    )
+    for result in (from_file, from_flag):
+        assert result.returncode == 1
+        assert result.stderr.startswith("ConfigError: output_dir must not be empty")
+        assert "Traceback" not in result.stderr
+    assert sorted(os.listdir(tmp_path)) == ["prices.csv", "run.cfg"]

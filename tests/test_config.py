@@ -245,7 +245,7 @@ def _valid_configs(draw):
         learning_rate=draw(_FLOAT.filter(lambda x: x > 0)),
         weight_init_scale=draw(_FLOAT.filter(lambda x: x > 0)),
         initial_cash=draw(_FLOAT.filter(lambda x: x >= 0)),
-        output_dir=draw(_TEXT),
+        output_dir=draw(_TEXT.filter(bool)),
     )
 
 

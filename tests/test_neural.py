@@ -29,6 +29,17 @@ def make_agent(hidden, kind, weights):
     return Agent(spec=AgentSpec(hidden, kind), weights=np.asarray(weights, dtype=float))
 
 
+def forward_one(agent, x):
+    """One agent on one input, through the population forward pass."""
+    return float(forward([agent], [[x]])[0, 0])
+
+
+def error_one(agent, window):
+    """One agent's MSE over one window, through the population scorer."""
+    [error] = evaluate_error([agent], [window])
+    return error
+
+
 def reference_forward(hidden, kind, weights, x):
     """Independent scalar re-implementation using math, not numpy."""
     h = hidden
@@ -46,10 +57,10 @@ def test_forward_matches_hand_computation():
     weights = [0.5, -0.25, 0.1, 0.2, 0.3, 0.4, 0.05]
     agent = make_agent(2, ActivationKind.LINEAR, weights)
     expected = 0.3 * math.tanh(0.25) + 0.4 * math.tanh(0.125) + 0.05
-    assert forward(agent, 0.3) == pytest.approx(expected, abs=1e-12)
+    assert forward_one(agent, 0.3) == pytest.approx(expected, abs=1e-12)
 
     logistic = make_agent(2, ActivationKind.LOGISTIC, weights)
-    assert forward(logistic, 0.3) == pytest.approx(
+    assert forward_one(logistic, 0.3) == pytest.approx(
         1.0 / (1.0 + math.exp(-expected)), abs=1e-12
     )
 
@@ -62,15 +73,15 @@ def test_forward_matches_reference_on_random_agents():
         expected = reference_forward(
             agent.spec.hidden_units, agent.spec.activation, agent.weights, x
         )
-        assert forward(agent, x) == pytest.approx(expected, rel=1e-12)
+        assert forward_one(agent, x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_forward_is_pure():
     rng = np.random.default_rng(5)
     agent = init_random(rng)
     before = agent.weights.copy()
-    first = forward(agent, 0.4)
-    second = forward(agent, 0.4)
+    first = forward_one(agent, 0.4)
+    second = forward_one(agent, 0.4)
     assert first == second
     assert np.array_equal(agent.weights, before)
 
@@ -79,7 +90,7 @@ def test_forward_rejects_non_finite_input():
     agent = make_agent(1, ActivationKind.LINEAR, [0.1, 0.2, 0.3, 0.4])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            forward(agent, bad)
+            forward([agent], [[bad]])
 
 
 def test_logistic_output_strictly_inside_unit_interval():
@@ -88,7 +99,7 @@ def test_logistic_output_strictly_inside_unit_interval():
         for sign in (1.0, -1.0):
             weights = [1.0, 0.0, sign * scale, sign * scale]
             agent = make_agent(1, ActivationKind.LOGISTIC, weights)
-            value = forward(agent, 1.0)
+            value = forward_one(agent, 1.0)
             assert 0.0 < value < 1.0
 
 
@@ -155,7 +166,7 @@ def test_evaluate_error_matches_loop_oracle():
     for x, y in zip(xs, ys):
         pred = reference_forward(agent.spec.hidden_units, agent.spec.activation, agent.weights, x)
         total += (pred - y) ** 2
-    assert evaluate_error(agent, window) == pytest.approx(total / 20, rel=1e-12)
+    assert error_one(agent, window) == pytest.approx(total / 20, rel=1e-12)
 
 
 def test_evaluate_error_rejects_empty_window():
@@ -169,9 +180,9 @@ def central_difference(agent, window, step=1e-5):
     for i in range(len(agent.weights)):
         bumped = agent.weights.copy()
         bumped[i] += step
-        up = evaluate_error(Agent(agent.spec, bumped), window)
+        up = error_one(Agent(agent.spec, bumped), window)
         bumped[i] -= 2 * step
-        down = evaluate_error(Agent(agent.spec, bumped), window)
+        down = error_one(Agent(agent.spec, bumped), window)
         numeric[i] = (up - down) / (2 * step)
     return numeric
 
@@ -206,7 +217,7 @@ def test_train_returns_new_agent_and_preserves_architecture():
     assert np.array_equal(agent.weights, original)  # input untouched
     assert trained.last_training_error is not None
     assert trained.last_training_error >= 0
-    assert trained.last_training_error == pytest.approx(evaluate_error(trained, window), rel=1e-12)
+    assert trained.last_training_error == pytest.approx(error_one(trained, window), rel=1e-12)
 
 
 def test_train_reduces_error_on_linear_series():
@@ -221,7 +232,7 @@ def test_train_reduces_error_on_linear_series():
     for kind in ActivationKind:
         for trial in range(10):
             agent = new_agent(AgentSpec(int(rng.integers(1, 11)), kind), rng)
-            before = evaluate_error(agent, window)
+            before = error_one(agent, window)
             [trained] = train([agent], [window], Hyperparams(epochs=200, learning_rate=0.05))
             assert trained.last_training_error < before
             if kind is ActivationKind.LINEAR:
@@ -275,7 +286,7 @@ def test_misaligned_window_is_rejected():
 
 
 def reference_predict(spec, weights, xs):
-    """The per-agent forward pass that stacked training replaced."""
+    """The per-agent forward pass that the stacked one replaced."""
     h = spec.hidden_units
     hidden = np.tanh(np.outer(xs, weights[:h]) + weights[h : 2 * h])
     u = hidden @ weights[2 * h : 3 * h] + weights[3 * h]
@@ -349,6 +360,45 @@ def test_mse_gradient_equals_the_per_agent_gradient_bit_for_bit():
         assert np.array_equal(mse_gradient(agent, window), expected), (
             f"{agent.spec} under numpy {np.__version__}"
         )
+
+
+def test_forward_equals_the_per_agent_forward_pass_bit_for_bit():
+    # One input per agent (a day's prediction, inputs spread past the
+    # training range) and a whole window per agent (scoring).
+    rng = np.random.default_rng(35)
+    agents, windows = mixed_population(rng)
+    for xs in (rng.uniform(-0.8, 2.7, size=(len(agents), 1)), [w.inputs for w in windows]):
+        got = forward(agents, xs)
+        assert got.shape == np.shape(xs)
+        for agent, row, out in zip(agents, xs, got):
+            expected, _ = reference_predict(agent.spec, agent.weights, row)
+            assert np.array_equal(out, expected), f"{agent.spec} under numpy {np.__version__}"
+
+
+def test_forward_rejects_inputs_of_the_wrong_shape():
+    agents, _ = mixed_population(np.random.default_rng(36))
+    for shape in ((len(agents),), (len(agents) - 1, 1), (len(agents) + 1, 1)):
+        with pytest.raises(ValueError, match="inputs"):
+            forward(agents, np.full(shape, 0.5))
+
+
+def test_evaluate_error_equals_the_per_agent_mse_bit_for_bit():
+    agents, windows = mixed_population(np.random.default_rng(37))
+    errors = evaluate_error(agents, windows)
+    assert len(errors) == len(agents)
+    for agent, window, error in zip(agents, windows, errors):
+        preds, _ = reference_predict(agent.spec, agent.weights, window.inputs)
+        assert error == np.mean((preds - window.targets) ** 2), f"{agent.spec}"
+
+
+def test_evaluate_error_shares_the_window_checks_of_train():
+    agents, windows = mixed_population(np.random.default_rng(38))
+    with pytest.raises(DataError, match="40 agents but 39 windows"):
+        evaluate_error(agents, windows[:-1])
+    short = TrainingWindow(inputs=np.array([0.2, 0.4]), targets=np.array([0.4, 0.6]))
+    with pytest.raises(DataError, match=r"lengths \[2, 50\]"):
+        evaluate_error(agents[:2], [windows[0], short])
+    assert evaluate_error([], []) == []
 
 
 def test_train_rejects_unequal_agent_and_window_counts():

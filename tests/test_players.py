@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from gamarket.data import NormalizationParams
+from gamarket.data import NormalizationParams, denormalize
 from gamarket.errors import ConfigError
 from gamarket.neural import ActivationKind, AgentSpec, forward, init_random, new_agent
 from gamarket.market import decide, desired_quantity
 from gamarket.players import PRICE_FLOOR, Player, committee_predict
+from test_neural import reference_predict
 
 
 def _player(committees, pid=0):
@@ -22,9 +23,9 @@ def test_committee_predict_is_mean_then_denormalized():
     player = _player(committees)
     xs = [0.35, 0.62]
     params = [NormalizationParams(10.0, 20.0), NormalizationParams(5.0, 9.0)]
-    got = committee_predict(player, xs, params)
+    [got] = committee_predict([player], xs, params)
     for m in range(2):
-        outs = [forward(agent, xs[m]) for agent in committees[m]]
+        outs = [float(forward([agent], [[xs[m]]])[0, 0]) for agent in committees[m]]
         mean = sum(outs) / len(outs)
         p = params[m]
         expected = p.lo + (mean - 0.1) * (p.hi - p.lo) / 0.8
@@ -38,7 +39,7 @@ def test_committee_predict_floors_negative_prices():
     agent = new_agent(spec, np.random.default_rng(0))
     agent.weights[:] = [0.0, 0.0, 0.0, -50.0]
     player = _player([[agent]])
-    got = committee_predict(player, [0.5], [NormalizationParams(10.0, 20.0)])
+    [got] = committee_predict([player], [0.5], [NormalizationParams(10.0, 20.0)])
     assert got[0] == PRICE_FLOOR
 
 
@@ -46,10 +47,51 @@ def test_committee_predict_shape_checks():
     rng = np.random.default_rng(1)
     player = _player([[init_random(rng)]])
     with pytest.raises(ConfigError):
-        committee_predict(player, [0.5, 0.6], [NormalizationParams(1.0, 2.0)] * 2)
+        committee_predict([player], [0.5, 0.6], [NormalizationParams(1.0, 2.0)] * 2)
     empty = _player([[]])
     with pytest.raises(ConfigError):
-        committee_predict(empty, [0.5], [NormalizationParams(1.0, 2.0)])
+        committee_predict([empty], [0.5], [NormalizationParams(1.0, 2.0)])
+    ragged = _player([[init_random(rng)], [init_random(rng), init_random(rng)]])
+    with pytest.raises(ConfigError, match=r"sizes \[1, 2\]"):
+        committee_predict([ragged], [0.5, 0.6], [NormalizationParams(1.0, 2.0)] * 2)
+    pair = _player([[init_random(rng), init_random(rng)]], pid=1)
+    with pytest.raises(ConfigError, match=r"player 1 has committees of sizes \[2\]"):
+        committee_predict([player, pair], [0.5], [NormalizationParams(1.0, 2.0)])
+
+
+def reference_committee_predict(players, xs, params):
+    """The per-player loop that the population prediction replaced."""
+    predictions = np.empty((len(players), len(xs)))
+    for p, player in enumerate(players):
+        for m, group in enumerate(player.committees):
+            outs = [reference_predict(a.spec, a.weights, np.array([xs[m]]))[0][0] for a in group]
+            mean = sum(float(out) for out in outs) / len(group)
+            predictions[p, m] = max(float(denormalize(mean, params[m])), PRICE_FLOOR)
+    return predictions
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 9, 16])
+def test_committee_predict_equals_the_per_player_loop_bit_for_bit(k):
+    # Committee means add members in committee order; numpy's sum or mean
+    # along an axis adds in another order from k = 8 up, so these pin it.
+    rng = np.random.default_rng(40 + k)
+    players = [
+        _player([[init_random(rng) for _ in range(k)] for _ in range(3)], pid)
+        for pid in range(5)
+    ]
+    # Player 0's first committee is rigged far negative: that cell is floored.
+    for agent in players[0].committees[0]:
+        agent.spec = AgentSpec(agent.spec.hidden_units, ActivationKind.LINEAR)
+        agent.weights[-1] = -50.0
+    xs = [0.35, 1.7, 0.5]
+    # The third stock's window was constant (hi == lo).
+    params = [NormalizationParams(10.0, 20.0), NormalizationParams(5.0, 9.0)]
+    params.append(NormalizationParams(3.0, 3.0))
+    got = committee_predict(players, xs, params)
+    expected = reference_committee_predict(players, xs, params)
+    assert got[0, 0] == PRICE_FLOOR
+    assert np.all(got[:, 2] == 3.0)
+    assert np.array_equal(got, expected), f"k = {k} under numpy {np.__version__}"
 
 
 def test_decide_expects_the_relative_price_change():
