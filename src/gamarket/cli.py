@@ -8,7 +8,7 @@ import sys
 from .bench import scaling_benchmark
 from .config import parse_config
 from .data import DEFAULT_STOCKS, generate_series, write_prices_csv
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError
 from .reports import emit_bench_reports, emit_reports
 from .simulation import run_simulation
 
@@ -62,6 +62,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if not args.out:
+        raise ConfigError("--out must not be empty")
     result = scaling_benchmark(
         player_grid=args.players,
         agent_grid=args.agents,

@@ -137,20 +137,35 @@ def generate_series(
         raise DataError(
             f"drift and volatility must be finite and volatility >= 0, got {drift}, {volatility}"
         )
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     paths = []
     for p0 in start_prices:
         steps = rng.normal(loc=drift, scale=volatility, size=days - 1)
-        paths.append(float(p0) * np.exp(np.concatenate([[0.0], np.cumsum(steps)])))
+        with np.errstate(over="ignore"):  # an overflowing walk is refused when written
+            paths.append(float(p0) * np.exp(np.concatenate([[0.0], np.cumsum(steps)])))
     return np.column_stack(paths)
 
 
 def write_prices_csv(path, names, prices: np.ndarray) -> None:
-    """Write a (days, stocks) price array in the loadable CSV format."""
+    """Write a (days, stocks) price array in the loadable CSV format.
+
+    Prices are written to 4 decimals.  A price that would not load (not
+    finite, or 0 at 4 decimals) is a `DataError`, and no file is written.
+    """
     if prices.ndim != 2 or prices.shape[1] != len(names):
         raise DataError(f"prices of shape {prices.shape} need one column per name in {names}")
+    rows = [[f"{price:.4f}" for price in row] for row in prices]
+    for day, row in enumerate(rows):
+        for m, cell in enumerate(row):
+            if not 0 < float(cell) < math.inf:  # false for nan too
+                raise DataError(
+                    f"day {day}: {names[m]} would be written as {cell} (price "
+                    f"{float(prices[day, m])!r}), which is not finite and > 0"
+                )
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["day", *names])
-        for day, row in enumerate(prices):
-            writer.writerow([day] + [f"{price:.4f}" for price in row])
+        for day, row in enumerate(rows):
+            writer.writerow([day, *row])

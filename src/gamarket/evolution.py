@@ -1,4 +1,4 @@
-"""Architecture evolution for a player's committees.
+"""Architecture evolution for a player's agents, one flat stock-major list.
 
 Every agent's architecture is a 9-bit chromosome held as a plain int,
 `gray(h) << 1 | gene`: the hidden-unit count h Gray-coded into the high
@@ -11,7 +11,6 @@ counts are clamped back into the legal range.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -107,16 +106,16 @@ def evolve_generation(
 ) -> Player:
     """Produce the next generation of one player's agents.
 
-    errors[i] is the validation MSE of the i-th agent in committee order
-    (stock-major).  Selection draws a same-size mating pool by roulette,
-    pool neighbours are crossed with probability p_cross at a uniform
-    interior cut, every chromosome faces single-bit mutation, and the
-    decoded specs rebuild the committees.  An agent whose decoded spec
-    matches its selected parent keeps that parent's weights; any changed
-    architecture gets fresh random weights.
+    errors[i] is the validation MSE of `player.agents[i]`.  Selection draws
+    a same-size mating pool by roulette, pool neighbours are crossed with
+    probability p_cross at a uniform interior cut, every chromosome faces
+    single-bit mutation, and the i-th decoded spec becomes agent i of the
+    next list (its slot, not its parent, fixes which stock it predicts).
+    An agent whose decoded spec matches its selected parent keeps that
+    parent's weights; any changed architecture gets fresh random weights.
     """
     params.validate()
-    agents = list(player.iter_agents())
+    agents = player.agents
     n = len(agents)
     if n != len(errors):
         raise ConfigError(f"got {len(errors)} errors for {n} agents")
@@ -140,9 +139,4 @@ def evolve_generation(
             next_agents.append(replace(parent, weights=parent.weights.copy()))
         else:
             next_agents.append(new_agent(spec, streams.init, weight_init_scale))
-
-    pool = iter(next_agents)
-    return Player(
-        id=player.id,
-        committees=[list(islice(pool, len(group))) for group in player.committees],
-    )
+    return Player(next_agents)

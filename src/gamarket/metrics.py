@@ -13,39 +13,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .market import Portfolios
-from .neural import ActivationKind, Agent
+from .neural import ActivationKind
 from .players import Player
-
-
-def species_partition(agents) -> dict[ActivationKind, list[Agent]]:
-    """Group agents by activation kind; only nonempty species appear."""
-    partition: dict[ActivationKind, list[Agent]] = {}
-    for agent in agents:
-        partition.setdefault(agent.spec.activation, []).append(agent)
-    return partition
 
 
 def complexity(agents) -> dict[ActivationKind, float]:
     """Per-species population standard deviation of hidden-unit counts.
 
-    Uses the population estimator (divide by the species count).  Empty
-    species are absent from the result, not reported as zero.
+    Uses the population estimator (divide by the species count).  Species
+    appear in the order their first agent does; empty species are absent
+    from the result, not reported as zero.
     """
-    partition = species_partition(agents)
-    if not partition:
-        raise ValueError("complexity needs at least one agent")
-    return {
-        kind: float(np.std([a.spec.hidden_units for a in group]))
-        for kind, group in partition.items()
-    }
-
-
-def mean_hidden_units(player: Player) -> float:
-    """Average hidden-unit count over every agent the player owns."""
-    counts = [agent.spec.hidden_units for agent in player.iter_agents()]
+    counts: dict[ActivationKind, list[int]] = {}
+    for agent in agents:
+        counts.setdefault(agent.spec.activation, []).append(agent.spec.hidden_units)
     if not counts:
-        raise ValueError(f"player {player.id} has no agents")
-    return float(np.mean(counts))
+        raise ValueError("complexity needs at least one agent")
+    return {kind: float(np.std(hs)) for kind, hs in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -95,8 +79,8 @@ def record_networth(metrics: RunMetrics, book: Portfolios, prices, day: int) -> 
 
 def record_generation(metrics: RunMetrics, generation: int, players: list[Player]) -> None:
     """Snapshot architecture statistics for the whole population."""
-    for player in players:
-        metrics.hidden_rows.append((generation, player.id, mean_hidden_units(player)))
-    everyone = [agent for player in players for agent in player.iter_agents()]
-    for kind, sigma in complexity(everyone).items():
+    for pid, player in enumerate(players):
+        mean = float(np.mean([agent.spec.hidden_units for agent in player.agents]))
+        metrics.hidden_rows.append((generation, pid, mean))
+    for kind, sigma in complexity(a for player in players for a in player.agents).items():
         metrics.complexity_rows.append((generation, kind.value, sigma))

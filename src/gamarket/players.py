@@ -1,9 +1,10 @@
 """Players: committees of agents and their price predictions.
 
-A player keeps one committee of k agents per stock (its cash and shares are
-a row of `market.Portfolios`).  Its prediction for a stock is the mean of
-that committee's outputs.  The trading rules that turn predictions into
-orders live in `market`.
+A player is one committee of agents held as one flat list, stock-major:
+with k agents per stock, `agents[m*k:(m+1)*k]` predict stock m (its cash
+and shares are a row of `market.Portfolios`).  Its prediction for a stock
+is the mean of those k agents' outputs.  The trading rules that turn
+predictions into orders live in `market`.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ PRICE_FLOOR = 1e-9
 
 @dataclass
 class Player:
-    """One market participant: one committee of agents per stock."""
+    """One market participant: k agents per stock, stock-major."""
 
-    id: int
-    committees: list[list[Agent]]  # committees[m] predicts stock m
+    agents: list[Agent]
 
     def iter_agents(self):
-        for group in self.committees:
-            yield from group
+        # Kept only for perfbench's `_count_kept`, which reads evolve_generation's result.
+        return iter(self.agents)
 
 
 def committee_predict(
@@ -44,15 +44,14 @@ def committee_predict(
     k = 8 up, changing the last bits), and denormalized per stock.
     """
     stocks = len(normalized_prices)
-    sizes = [[len(group) for group in player.committees] for player in players]
-    k = sizes[0][0] if sizes[0] else 0
-    for player, row in zip(players, sizes):
-        if row != [k] * stocks or k < 1:
+    k = len(players[0].agents) // max(stocks, 1)
+    for pid, player in enumerate(players):
+        if len(player.agents) != stocks * k or k < 1:
             raise ConfigError(
-                f"player {player.id} has committees of sizes {row}; every player needs "
-                f"{stocks} committees (one per price) of the same k >= 1 agents"
+                f"player {pid} has {len(player.agents)} agents; every player needs the same "
+                f"k >= 1 agents for each of the {stocks} prices"
             )
-    agents = [agent for player in players for agent in player.iter_agents()]
+    agents = [agent for player in players for agent in player.agents]
     xs = np.tile(np.repeat(normalized_prices, k), len(players))
     outs = forward(agents, xs[:, None]).reshape(len(players), stocks, k)
     mean = sum(outs[:, :, j] for j in range(k)) / k

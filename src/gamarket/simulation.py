@@ -7,6 +7,11 @@ the price file; one day index `t` runs over the traded days, and row
 `prices_by_day[t]` is the prices everyone trades at that day.
 Architectures evolve every `evolution_cadence` trading days, after which
 every agent is retrained on the window ending that day.
+
+The population has one layout: player-major, then stock-major, then
+member.  Each player holds one flat list of k agents per stock, and
+`agents[m*k:(m+1)*k]` predict stock m.  Training and scoring run the whole
+population in one call and cut the result back into one slice per player.
 """
 
 from __future__ import annotations
@@ -38,37 +43,33 @@ class RunOutput:
 
 
 def _build_players(config: SimulationConfig, streams: RandomStreams) -> list[Player]:
+    per_player = len(config.stocks) * config.agents_per_stock
     return [
-        Player(
-            id=pid,
-            committees=[
-                [
-                    init_random(streams.init, config.weight_init_scale)
-                    for _ in range(config.agents_per_stock)
-                ]
-                for _ in config.stocks
-            ],
-        )
-        for pid in range(config.players)
+        Player([init_random(streams.init, config.weight_init_scale) for _ in range(per_player)])
+        for _ in range(config.players)
     ]
 
 
 def _flatten(players: list[Player], windows: list[TrainingWindow]):
-    """Every agent, player by player in committee order, and its stock's window."""
-    agents = [agent for player in players for agent in player.iter_agents()]
-    agent_windows = [
-        windows[m] for player in players for m, group in enumerate(player.committees) for _ in group
-    ]
-    return agents, agent_windows
+    """Every agent, player-major then stock-major, and its stock's window."""
+    agents = [agent for player in players for agent in player.agents]
+    k = len(agents) // (len(players) * len(windows))
+    return agents, [w for w in windows for _ in range(k)] * len(players)
+
+
+def _per_player(players: list[Player], flat: list) -> list[list]:
+    """Cut a population-long list back into one slice per player."""
+    n = len(players[0].agents)
+    return [flat[i * n : (i + 1) * n] for i in range(len(players))]
 
 
 def _train_population(
     players: list[Player], windows: list[TrainingWindow], config: SimulationConfig
 ) -> None:
     """Retrain every agent on its stock's window in one `train` call, in place."""
-    trained = iter(train(*_flatten(players, windows), config.hyperparams()))
-    for player in players:
-        player.committees = [[next(trained) for _ in group] for group in player.committees]
+    trained = train(*_flatten(players, windows), config.hyperparams())
+    for player, agents in zip(players, _per_player(players, trained)):
+        player.agents = agents
 
 
 def _build_windows(
@@ -82,7 +83,7 @@ def _build_windows(
 def _score_population(
     players: list[Player], windows: list[TrainingWindow], metrics: RunMetrics, generation: int
 ) -> list[list[float]]:
-    """Validation MSE per agent, committee order, one list per player.
+    """Validation MSE per agent, one list per player in its agents' order.
 
     The population mean is appended to `metrics.generation_error_rows`.
     Targets lie in [0.1, 0.9], so a mean above 1.0 means the agents did
@@ -96,8 +97,7 @@ def _score_population(
             "the agents did not learn (try a smaller learning_rate)"
         )
     metrics.generation_error_rows.append((generation, mean))
-    rest = iter(flat)
-    return [[next(rest) for _ in player.iter_agents()] for player in players]
+    return _per_player(players, flat)
 
 
 def _check_conservation(book: Portfolios, config: SimulationConfig, t: int) -> None:

@@ -254,7 +254,7 @@ def test_a5_selection_pressure_reduces_population_error(price_file):
     assert [g for g, _ in rows] == list(range(11))
     first, last = rows[0][1], rows[-1][1]
     for player in output.players:
-        for agent in player.iter_agents():
+        for agent in player.agents:
             assert HIDDEN_MIN <= agent.spec.hidden_units <= HIDDEN_MAX
     _report(
         "A5 selection pressure",

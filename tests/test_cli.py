@@ -273,14 +273,51 @@ def test_bench_cli_writes_fit_reports(tmp_path, capsys):
     assert agents_row == "agents,,,,1"
 
 
-@pytest.mark.parametrize("flag, value", [("--volatility", "-1"), ("--drift", "inf")])
-def test_gen_data_rejects_a_bad_walk_without_traceback(tmp_path, cli_process, flag, value):
+BAD_WALK = "DataError: drift and volatility must be finite"
+BAD_WALKS = [
+    ("--volatility", "-1", BAD_WALK),
+    ("--drift", "inf", BAD_WALK),
+    ("--seed", "-1", "DataError: seed must be >= 0, got -1"),
+    # The walk overflows in row 1, or falls below 0.00005 and is written as 0.
+    ("--drift", "1e3", "DataError: day 1: DJIA would be written as inf (price inf)"),
+    ("--drift", "-20", "DataError: day 1: DJIA would be written as 0.0000 (price 2.19"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message", BAD_WALKS, ids=[f"{flag}-{value}" for flag, value, _ in BAD_WALKS]
+)
+def test_gen_data_rejects_a_bad_walk_without_traceback(
+    tmp_path, cli_process, flag, value, message
+):
     out = tmp_path / "a.csv"
     result = cli_process("gen-data", "--days", "5", flag, value, "--out", str(out))
     assert result.returncode == 1
-    assert result.stderr.startswith("DataError: drift and volatility must be finite")
+    assert result.stderr.startswith(message)
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+def test_bench_rejects_a_negative_seed_without_traceback(tmp_path, cli_process):
+    out = tmp_path / "bench"
+    result = cli_process(
+        "bench", "--players", "2", "--agents", "1", "--seed", "-1", "--out", str(out)
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("DataError: seed must be >= 0, got -1")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+def test_bench_rejects_an_empty_out_before_any_run(monkeypatch, capsys):
+    def sweep(**kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr("gamarket.cli.scaling_benchmark", sweep)
+    assert main(["bench", "--out", ""]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("ConfigError: --out must not be empty")
+    assert "Traceback" not in stderr
 
 
 def test_io_errors_are_reported_by_name(tmp_path, cli_process):

@@ -162,25 +162,21 @@ def test_ga_params_validation():
 
 def _mixed_player(seed=0, stocks=2, per_stock=4):
     rng = np.random.default_rng(seed)
-    committees = []
-    for _ in range(stocks):
-        group = []
-        for _ in range(per_stock):
-            h = int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1))
-            kind = ActivationKind.LINEAR if rng.integers(2) == 0 else ActivationKind.LOGISTIC
-            group.append(new_agent(AgentSpec(h, kind), rng))
-        committees.append(group)
-    return Player(id=0, committees=committees)
+    agents = []
+    for _ in range(stocks * per_stock):
+        h = int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1))
+        kind = ActivationKind.LINEAR if rng.integers(2) == 0 else ActivationKind.LOGISTIC
+        agents.append(new_agent(AgentSpec(h, kind), rng))
+    return Player(agents)
 
 
 def test_evolve_generation_shape_and_legality():
     player = _mixed_player()
-    n = len(list(player.iter_agents()))
+    n = len(player.agents)
     errors = list(np.random.default_rng(7).uniform(0.01, 0.2, n))
     child = evolve_generation(player, errors, GAParams(), make_streams(99))
-    assert child.id == player.id
-    assert [len(g) for g in child.committees] == [len(g) for g in player.committees]
-    for agent in child.iter_agents():
+    assert len(child.agents) == len(player.agents)
+    for agent in child.agents:
         assert HIDDEN_MIN <= agent.spec.hidden_units <= HIDDEN_MAX
         assert len(agent.weights) == agent.spec.weight_count()
 
@@ -188,13 +184,13 @@ def test_evolve_generation_shape_and_legality():
 def test_evolve_generation_keeps_parent_weights_when_spec_survives():
     # With mutation off and crossover vanishingly rare, children are parent copies.
     player = _mixed_player(seed=3)
-    n = len(list(player.iter_agents()))
+    n = len(player.agents)
     errors = [0.1] * n
     params = GAParams(p_cross=1e-12, p_mut=0.0)
     child = evolve_generation(player, errors, params, make_streams(5))
-    parents = list(player.iter_agents())
+    parents = player.agents
     by_key = {(a.spec, a.weights.tobytes()) for a in parents}
-    for agent in child.iter_agents():
+    for agent in child.agents:
         assert (agent.spec, agent.weights.tobytes()) in by_key
         # Copies, not aliases: mutating a child cannot corrupt the parent.
         assert all(agent.weights is not p.weights for p in parents)
@@ -204,24 +200,24 @@ def test_evolve_generation_concentrates_on_fit_parent():
     # One agent vastly fitter than the rest should dominate the mating pool.
     player = _mixed_player(seed=8, stocks=1, per_stock=8)
     errors = [1e-9] + [10.0] * 7
-    star_spec = list(player.iter_agents())[0].spec
+    star_spec = player.agents[0].spec
     hits = 0
     trials = 200
     for seed in range(trials):
         child = evolve_generation(
             player, errors, GAParams(p_cross=1e-12, p_mut=0.0), make_streams(seed)
         )
-        hits += sum(agent.spec == star_spec for agent in child.iter_agents())
+        hits += sum(agent.spec == star_spec for agent in child.agents)
     assert hits / (trials * 8) > 0.99
 
 
 def test_evolve_generation_is_deterministic_per_seed():
     player = _mixed_player(seed=21)
-    n = len(list(player.iter_agents()))
+    n = len(player.agents)
     errors = list(np.random.default_rng(2).uniform(0.01, 0.5, n))
     a = evolve_generation(player, errors, GAParams(), make_streams(123))
     b = evolve_generation(_mixed_player(seed=21), errors, GAParams(), make_streams(123))
-    for x, y in zip(a.iter_agents(), b.iter_agents()):
+    for x, y in zip(a.agents, b.agents):
         assert x.spec == y.spec
         assert x.weights.tobytes() == y.weights.tobytes()
 
@@ -231,12 +227,12 @@ def test_evolve_generation_validation():
     streams = make_streams(1)
     with pytest.raises(ConfigError):
         evolve_generation(player, [0.1], GAParams(), streams)
-    n = len(list(player.iter_agents()))
+    n = len(player.agents)
     with pytest.raises(ValueError):
         evolve_generation(player, [-0.1] + [0.1] * (n - 1), GAParams(), streams)
     with pytest.raises(ValueError):
         evolve_generation(player, [float("nan")] + [0.1] * (n - 1), GAParams(), streams)
-    single = Player(id=0, committees=[[new_agent(AgentSpec(2, ActivationKind.LINEAR), np.random.default_rng(0))]])
+    single = Player([new_agent(AgentSpec(2, ActivationKind.LINEAR), np.random.default_rng(0))])
     with pytest.raises(ConfigError):
         evolve_generation(single, [0.1], GAParams(), streams)
 
@@ -250,12 +246,12 @@ def test_evolve_generation_pins_the_draw_order():
     streams = make_streams(123)
     child = evolve_generation(player, errors, GAParams(p_cross=0.9, p_mut=0.5), streams)
     L, G = ActivationKind.LINEAR, ActivationKind.LOGISTIC
-    assert [a.spec for a in child.iter_agents()] == [
+    assert [a.spec for a in child.agents] == [
         AgentSpec(h, kind)
         for h, kind in [(10, L), (6, L), (4, G), (5, L), (6, L), (5, L), (9, G), (3, L)]
     ]
-    parent_weights = {a.weights.tobytes() for a in player.iter_agents()}
-    kept = [a.weights.tobytes() in parent_weights for a in child.iter_agents()]
+    parent_weights = {a.weights.tobytes() for a in player.agents}
+    kept = [a.weights.tobytes() in parent_weights for a in child.agents]
     assert kept == [False, True, True, False, True, False, False, False]
     assert streams.ga.random() == 0.557870569619728
     assert streams.mutation.random() == 0.6298292058975088

@@ -10,10 +10,8 @@ from gamarket.metrics import (
     RunMetrics,
     complexity,
     linear_fit,
-    mean_hidden_units,
     record_generation,
     record_networth,
-    species_partition,
 )
 from gamarket.market import Portfolios
 from gamarket.neural import ActivationKind, AgentSpec, new_agent
@@ -22,18 +20,6 @@ from gamarket.players import Player
 
 def _agent(hidden, kind):
     return new_agent(AgentSpec(hidden, kind), np.random.default_rng(hidden))
-
-
-def test_species_partition_groups_by_activation():
-    agents = [
-        _agent(2, ActivationKind.LINEAR),
-        _agent(5, ActivationKind.LOGISTIC),
-        _agent(7, ActivationKind.LINEAR),
-    ]
-    parts = species_partition(agents)
-    assert set(parts) == {ActivationKind.LINEAR, ActivationKind.LOGISTIC}
-    assert [a.spec.hidden_units for a in parts[ActivationKind.LINEAR]] == [2, 7]
-    assert [a.spec.hidden_units for a in parts[ActivationKind.LOGISTIC]] == [5]
 
 
 def test_complexity_matches_two_pass_oracle():
@@ -56,15 +42,11 @@ def test_complexity_omits_empty_species():
         complexity([])
 
 
-def test_mean_hidden_units():
-    committees = [
-        [_agent(2, ActivationKind.LINEAR), _agent(4, ActivationKind.LOGISTIC)],
-        [_agent(9, ActivationKind.LINEAR)],
-    ]
-    player = Player(id=0, committees=committees)
-    assert mean_hidden_units(player) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        mean_hidden_units(Player(id=1, committees=[[]]))
+def test_complexity_lists_species_in_first_occurrence_order():
+    # complexity.csv writes one row per species in this order.
+    agents = [_agent(4, ActivationKind.LOGISTIC), _agent(2, ActivationKind.LINEAR)]
+    assert list(complexity(agents)) == [ActivationKind.LOGISTIC, ActivationKind.LINEAR]
+    assert list(complexity(agents[::-1])) == [ActivationKind.LINEAR, ActivationKind.LOGISTIC]
 
 
 def test_linear_fit_recovers_exact_line():
@@ -108,14 +90,8 @@ def test_record_networth_rows():
 def test_record_generation_rows():
     metrics = RunMetrics()
     players = [
-        Player(
-            id=0,
-            committees=[[_agent(2, ActivationKind.LINEAR), _agent(4, ActivationKind.LINEAR)]],
-        ),
-        Player(
-            id=1,
-            committees=[[_agent(6, ActivationKind.LOGISTIC), _agent(6, ActivationKind.LOGISTIC)]],
-        ),
+        Player([_agent(2, ActivationKind.LINEAR), _agent(4, ActivationKind.LINEAR)]),
+        Player([_agent(6, ActivationKind.LOGISTIC), _agent(6, ActivationKind.LOGISTIC)]),
     ]
     record_generation(metrics, generation=3, players=players)
     assert metrics.hidden_rows == [(3, 0, 3.0), (3, 1, 6.0)]

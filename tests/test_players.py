@@ -13,19 +13,14 @@ from gamarket.players import PRICE_FLOOR, Player, committee_predict
 from test_neural import reference_predict
 
 
-def _player(committees, pid=0):
-    return Player(id=pid, committees=committees)
-
-
 def test_committee_predict_is_mean_then_denormalized():
     rng = np.random.default_rng(11)
-    committees = [[init_random(rng) for _ in range(4)] for _ in range(2)]
-    player = _player(committees)
+    agents = [init_random(rng) for _ in range(8)]
     xs = [0.35, 0.62]
     params = [NormalizationParams(10.0, 20.0), NormalizationParams(5.0, 9.0)]
-    [got] = committee_predict([player], xs, params)
+    [got] = committee_predict([Player(agents)], xs, params)
     for m in range(2):
-        outs = [float(forward([agent], [[xs[m]]])[0, 0]) for agent in committees[m]]
+        outs = [float(forward([agent], [[xs[m]]])[0, 0]) for agent in agents[m * 4 : (m + 1) * 4]]
         mean = sum(outs) / len(outs)
         p = params[m]
         expected = p.lo + (mean - 0.1) * (p.hi - p.lo) / 0.8
@@ -38,24 +33,26 @@ def test_committee_predict_floors_negative_prices():
     spec = AgentSpec(hidden_units=1, activation=ActivationKind.LINEAR)
     agent = new_agent(spec, np.random.default_rng(0))
     agent.weights[:] = [0.0, 0.0, 0.0, -50.0]
-    player = _player([[agent]])
-    [got] = committee_predict([player], [0.5], [NormalizationParams(10.0, 20.0)])
+    [got] = committee_predict([Player([agent])], [0.5], [NormalizationParams(10.0, 20.0)])
     assert got[0] == PRICE_FLOOR
 
 
 def test_committee_predict_shape_checks():
     rng = np.random.default_rng(1)
-    player = _player([[init_random(rng)]])
+    player = Player([init_random(rng)])
     with pytest.raises(ConfigError):
         committee_predict([player], [0.5, 0.6], [NormalizationParams(1.0, 2.0)] * 2)
-    empty = _player([[]])
+    empty = Player([])
     with pytest.raises(ConfigError):
         committee_predict([empty], [0.5], [NormalizationParams(1.0, 2.0)])
-    ragged = _player([[init_random(rng)], [init_random(rng), init_random(rng)]])
-    with pytest.raises(ConfigError, match=r"sizes \[1, 2\]"):
-        committee_predict([ragged], [0.5, 0.6], [NormalizationParams(1.0, 2.0)] * 2)
-    pair = _player([[init_random(rng), init_random(rng)]], pid=1)
-    with pytest.raises(ConfigError, match=r"player 1 has committees of sizes \[2\]"):
+    # 4 and 8 agents on 3 stocks are 12 in all, which would reshape to
+    # (2, 3, 2) and pair agents with the wrong stocks.
+    short = Player([init_random(rng) for _ in range(4)])
+    long = Player([init_random(rng) for _ in range(8)])
+    with pytest.raises(ConfigError, match=r"player 0 has 4 agents"):
+        committee_predict([short, long], [0.5, 0.6, 0.7], [NormalizationParams(1.0, 2.0)] * 3)
+    pair = Player([init_random(rng), init_random(rng)])
+    with pytest.raises(ConfigError, match=r"player 1 has 2 agents"):
         committee_predict([player, pair], [0.5], [NormalizationParams(1.0, 2.0)])
 
 
@@ -63,7 +60,9 @@ def reference_committee_predict(players, xs, params):
     """The per-player loop that the population prediction replaced."""
     predictions = np.empty((len(players), len(xs)))
     for p, player in enumerate(players):
-        for m, group in enumerate(player.committees):
+        k = len(player.agents) // len(xs)
+        for m in range(len(xs)):
+            group = player.agents[m * k : (m + 1) * k]
             outs = [reference_predict(a.spec, a.weights, np.array([xs[m]]))[0][0] for a in group]
             mean = sum(float(out) for out in outs) / len(group)
             predictions[p, m] = max(float(denormalize(mean, params[m])), PRICE_FLOOR)
@@ -75,12 +74,9 @@ def test_committee_predict_equals_the_per_player_loop_bit_for_bit(k):
     # Committee means add members in committee order; numpy's sum or mean
     # along an axis adds in another order from k = 8 up, so these pin it.
     rng = np.random.default_rng(40 + k)
-    players = [
-        _player([[init_random(rng) for _ in range(k)] for _ in range(3)], pid)
-        for pid in range(5)
-    ]
+    players = [Player([init_random(rng) for _ in range(3 * k)]) for _ in range(5)]
     # Player 0's first committee is rigged far negative: that cell is floored.
-    for agent in players[0].committees[0]:
+    for agent in players[0].agents[:k]:
         agent.spec = AgentSpec(agent.spec.hidden_units, ActivationKind.LINEAR)
         agent.weights[-1] = -50.0
     xs = [0.35, 1.7, 0.5]
@@ -184,6 +180,6 @@ def test_desired_quantity_validation():
 
 def test_player_agent_iteration():
     rng = np.random.default_rng(2)
-    committees = [[init_random(rng) for _ in range(3)] for _ in range(2)]
-    player = _player(committees)
-    assert list(player.iter_agents()) == committees[0] + committees[1]
+    agents = [init_random(rng) for _ in range(6)]
+    player = Player(agents)
+    assert list(player.iter_agents()) == agents

@@ -63,7 +63,7 @@ def _fingerprint(output):
     return (
         [(t.day, t.round, t.buyer, t.seller, t.stock, t.quantity, t.price) for t in output.trades],
         (output.portfolios.cash.tolist(), output.portfolios.holdings.tolist()),
-        [(a.spec, a.weights.tobytes()) for p in output.players for a in p.iter_agents()],
+        [(a.spec, a.weights.tobytes()) for p in output.players for a in p.agents],
         output.metrics.networth_rows,
         output.metrics.hidden_rows,
         output.metrics.complexity_rows,
@@ -101,7 +101,7 @@ def test_zero_days_trains_but_never_trades(tmp_path):
     # The initial population is still trained and recorded.
     assert len(output.metrics.hidden_rows) == config.players
     for player in output.players:
-        for agent in player.iter_agents():
+        for agent in player.agents:
             assert agent.last_training_error is not None
 
 
