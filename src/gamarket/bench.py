@@ -2,9 +2,10 @@
 
 Each grid point runs the full simulation on shared synthetic data, with
 one discarded warm-up run, and reports the median wall-clock time over
-the requested repetitions.  Two sweeps are produced: player count with
-the committee size held at a base value, and committee size with the
-player count held at a base value; each sweep gets a least-squares line.
+the requested repetitions; each repetition times every point of a sweep
+in turn.  Two sweeps are produced: player count with the committee size
+held at a base value, and committee size with the player count held at a
+base value; each sweep gets a least-squares line.
 """
 
 from __future__ import annotations
@@ -67,37 +68,36 @@ def scaling_benchmark(
         csv_path = os.path.join(tmp, "prices.csv")
         write_prices_csv(csv_path, DEFAULT_STOCKS, generate_series(rows, seed))
 
-        def timed_run(n_players: int, n_agents: int) -> float:
-            config = SimulationConfig(
-                seed=seed,
-                input_path=csv_path,
-                players=n_players,
-                agents_per_stock=n_agents,
-                stocks=DEFAULT_STOCKS,
-                total_supply=(10_000,) * len(DEFAULT_STOCKS),
-                window=window,
-                days=days,
-            )
-            run_simulation(config)  # warm-up, discarded
-            laps = []
-            for _ in range(reps):
-                started = time.perf_counter()
-                run_simulation(config)
-                laps.append(time.perf_counter() - started)
-            return statistics.median(laps)
+        def lap(config: SimulationConfig) -> float:
+            started = time.perf_counter()
+            run_simulation(config)
+            return time.perf_counter() - started
 
         for sweep, grid in ((PLAYER_SWEEP, player_grid), (AGENT_SWEEP, agent_grid)):
-            xs = []
-            ys = []
+            xs, configs = [], []
             for x in grid:
                 n_players = x if sweep == PLAYER_SWEEP else base_players
                 n_agents = base_agents if sweep == PLAYER_SWEEP else x
                 if n_players < 2 or n_agents < 1:
                     result.warnings.append(f"skipped infeasible point {sweep}={x}")
                     continue
-                seconds = timed_run(n_players, n_agents)
-                result.samples.append(BenchmarkSample(sweep=sweep, x=x, seconds=seconds))
+                config = SimulationConfig(
+                    seed=seed,
+                    input_path=csv_path,
+                    players=n_players,
+                    agents_per_stock=n_agents,
+                    stocks=DEFAULT_STOCKS,
+                    total_supply=(10_000,) * len(DEFAULT_STOCKS),
+                    window=window,
+                    days=days,
+                )
+                run_simulation(config)  # warm-up, discarded
                 xs.append(x)
-                ys.append(seconds)
+                configs.append(config)
+            # Each repetition laps the whole grid, so a few slow seconds on the
+            # host land on one lap of several points, which their medians drop.
+            laps = [[lap(config) for config in configs] for _ in range(reps)]
+            ys = [statistics.median(times) for times in zip(*laps)]
+            result.samples.extend(BenchmarkSample(sweep, x, seconds) for x, seconds in zip(xs, ys))
             result.fits.append(SweepFit(sweep=sweep, fit=linear_fit(xs, ys), samples=len(xs)))
     return result

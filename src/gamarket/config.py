@@ -74,8 +74,8 @@ class SimulationConfig:
             raise ConfigError(
                 f"total_supply has {len(self.total_supply)} entries for {len(self.stocks)} stocks"
             )
-        if any(q < 1 for q in self.total_supply):
-            raise ConfigError("every total_supply entry must be >= 1")
+        if not all(1 <= q < 2**63 for q in self.total_supply):  # shares are int64
+            raise ConfigError(f"total_supply must lie in [1, 2**63) per stock: {self.total_supply}")
         if self.window < 2:
             raise ConfigError(f"window must be >= 2, got {self.window}")
         if self.evolution_cadence < 1:
@@ -88,8 +88,11 @@ class SimulationConfig:
                 f"evolution needs at least 2 agents per player, got {agents}; "
                 f"set evolution_cadence >= days ({self.days}) to run without evolving"
             )
-        if self.initial_cash < 0:
-            raise ConfigError(f"initial_cash must be >= 0, got {self.initial_cash}")
+        if not (self.initial_cash >= 0 and math.isfinite(self.players * self.initial_cash)):
+            raise ConfigError(
+                f"initial_cash must be >= 0 and finite over all {self.players} players, "
+                f"got {self.initial_cash}"
+            )
         self.hyperparams().validate()
         self.ga_params().validate()
 
@@ -126,10 +129,12 @@ def parse_config(path, overrides: dict | None = None) -> SimulationConfig:
     """
     raw: dict[str, object] = {}
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

@@ -13,6 +13,7 @@ check.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -32,38 +33,35 @@ NORM_HI = 0.9
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """Min/max of the source window that was mapped onto [NORM_LO, NORM_HI]."""
+    """Per-stock min/max, (stocks,) arrays, of the window mapped onto [NORM_LO, NORM_HI]."""
 
-    lo: float
-    hi: float
-
-
-def normalize(price, params: NormalizationParams):
-    """Map a price (scalar or array) onto the normalized interval."""
-    if params.hi == params.lo:
-        # Degenerate window (constant prices): everything maps to the midpoint.
-        if isinstance(price, np.ndarray):
-            return np.full(price.shape, 0.5)
-        return 0.5
-    return NORM_LO + (NORM_HI - NORM_LO) * (price - params.lo) / (params.hi - params.lo)
+    lo: np.ndarray
+    hi: np.ndarray
 
 
-def denormalize(value, params: NormalizationParams):
-    """Inverse of normalize; a degenerate window maps back to its constant."""
-    if params.hi == params.lo:
-        if isinstance(value, np.ndarray):
-            return np.full(value.shape, params.lo)
-        return params.lo
-    return params.lo + (value - NORM_LO) * (params.hi - params.lo) / (NORM_HI - NORM_LO)
+def normalize(prices, params: NormalizationParams) -> np.ndarray:
+    """Map prices, stock on the last axis, onto [NORM_LO, NORM_HI]; a flat window maps to 0.5."""
+    span = params.hi - params.lo
+    scaled = NORM_LO + (NORM_HI - NORM_LO) * (prices - params.lo) / np.where(span == 0, 1.0, span)
+    return np.where(span == 0, 0.5, scaled)
 
 
-def build_window(prices: np.ndarray, t: int, n: int) -> tuple[TrainingWindow, NormalizationParams]:
-    """Training window of the n day-to-day price pairs ending at day t.
+def denormalize(values, params: NormalizationParams) -> np.ndarray:
+    """Inverse of normalize; a constant window maps back to its constant."""
+    span = params.hi - params.lo
+    unscaled = params.lo + (values - NORM_LO) * span / (NORM_HI - NORM_LO)
+    return np.where(span == 0, params.lo, unscaled)
 
-    `prices` is one stock's daily closing prices, a `load_prices` column.
-    Pairs are (p[t-n+i], p[t-n+i+1]) for i in 0..n-1, normalized with the
-    min/max of the prices the window touches.  Returns the window together
-    with the normalization parameters so predictions can be denormalized.
+
+def build_window(
+    prices_by_day: np.ndarray, t: int, n: int
+) -> tuple[TrainingWindow, NormalizationParams]:
+    """Every stock's window of the n day-to-day price pairs ending at day t.
+
+    Row m of the (stocks, n) inputs and targets holds stock m's pairs
+    (p[t-n+i], p[t-n+i+1]) of the (days, stocks) `prices_by_day`, i in 0..n-1,
+    normalized with the min/max of the prices they touch.  Returns the
+    window with those (stocks,) min/max arrays, to denormalize predictions.
     """
     if n < 1:
         raise DataError(f"window size must be >= 1, got {n}")
@@ -71,12 +69,12 @@ def build_window(prices: np.ndarray, t: int, n: int) -> tuple[TrainingWindow, No
         raise InsufficientHistoryError(
             f"day {t} has only {t} prior prices, window needs {n}"
         )
-    if t >= len(prices):
-        raise DataError(f"day {t} is beyond the end of the {len(prices)}-day price history")
-    chunk = prices[t - n : t + 1]
-    params = NormalizationParams(lo=float(chunk.min()), hi=float(chunk.max()))
-    scaled = normalize(chunk, params)
-    return TrainingWindow(inputs=scaled[:-1], targets=scaled[1:]), params
+    if t >= len(prices_by_day):
+        raise DataError(f"day {t} is beyond the end of the {len(prices_by_day)}-day price history")
+    chunk = prices_by_day[t - n : t + 1]
+    params = NormalizationParams(lo=chunk.min(axis=0), hi=chunk.max(axis=0))
+    scaled = normalize(chunk, params).T
+    return TrainingWindow(inputs=scaled[:, :-1].copy(), targets=scaled[:, 1:].copy()), params
 
 
 def load_prices(path, expected_stocks=DEFAULT_STOCKS) -> np.ndarray:
@@ -89,37 +87,39 @@ def load_prices(path, expected_stocks=DEFAULT_STOCKS) -> np.ndarray:
     """
     expected_stocks = tuple(expected_stocks)
     try:
-        handle = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as handle:
+            text = handle.read()
     except FileNotFoundError:
         raise DataError(f"price file not found: {path}") from None
-    with handle:
-        reader = csv.reader(handle)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    wanted = ["day", *expected_stocks]
+    if [h.strip() for h in header] != wanted:
+        raise DataError(f"{path}: header {header!r} does not match {wanted!r}")
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(wanted):
+            raise DataError(f"{path}:{lineno}: expected {len(wanted)} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        wanted = ["day", *expected_stocks]
-        if [h.strip() for h in header] != wanted:
-            raise DataError(f"{path}: header {header!r} does not match {wanted!r}")
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(wanted):
-                raise DataError(f"{path}:{lineno}: expected {len(wanted)} fields, got {len(row)}")
-            try:
-                day = int(row[0])
-                values = [float(cell) for cell in row[1:]]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed row {row!r}") from None
-            if day != len(rows):
+            day = int(row[0])
+            values = [float(cell) for cell in row[1:]]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed row {row!r}") from None
+        if day != len(rows):
+            raise DataError(
+                f"{path}:{lineno}: day {day} should be {len(rows)} (day t is row t, from 0)"
+            )
+        for name, value in zip(expected_stocks, values):
+            if not (math.isfinite(value) and value > 0):
                 raise DataError(
-                    f"{path}:{lineno}: day {day} should be {len(rows)} (day t is row t, from 0)"
+                    f"{path}:{lineno}: price {value} for {name} is not finite and > 0"
                 )
-            for name, value in zip(expected_stocks, values):
-                if not (math.isfinite(value) and value > 0):
-                    raise DataError(
-                        f"{path}:{lineno}: price {value} for {name} is not finite and > 0"
-                    )
-            rows.append(values)
+        rows.append(values)
     return np.array(rows, dtype=float)
 
 

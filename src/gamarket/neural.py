@@ -7,8 +7,10 @@ logistic.  Weights are stored flat in a fixed layout:
     [input->hidden (h), hidden biases (h), hidden->output (h), output bias]
 
 which is 3*h + 1 values for h hidden units.  Training is plain full-batch
-gradient descent on mean squared error, the loss `evaluate_error` reports;
-a `TrainingWindow` is never empty.
+gradient descent on mean squared error, the loss `evaluate_error` reports.
+A `TrainingWindow` is a pair of aligned `(rows, n)` arrays, n >= 1: `train`
+and `evaluate_error` take one whose row i is agent i's series (a
+simulation takes each agent's stock row of a `(stocks, n)` window).
 
 There is one forward kernel, `_stack_predict`, and each caller hands it
 the whole population: `train` every epoch, `forward` for a day's
@@ -84,21 +86,20 @@ class Agent:
 
 @dataclass(frozen=True)
 class TrainingWindow:
-    """Aligned (input, target) pairs of normalized prices."""
+    """Aligned (input, target) pairs of normalized prices: (rows, n) arrays, n >= 1."""
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.inputs) == 0:
-            raise DataError("a training window needs at least one (input, target) pair")
-        if len(self.inputs) != len(self.targets):
+        shape = np.shape(self.inputs)
+        if len(shape) != 2 or shape != np.shape(self.targets):
             raise DataError(
-                f"window inputs/targets misaligned: {len(self.inputs)} vs {len(self.targets)}"
+                "window inputs/targets must be aligned (rows, n) arrays, "
+                f"got shapes {shape} and {np.shape(self.targets)}"
             )
-
-    def __len__(self) -> int:
-        return len(self.inputs)
+        if shape[1] == 0:
+            raise DataError("a training window needs at least one (input, target) pair")
 
 
 @dataclass(frozen=True)
@@ -161,15 +162,9 @@ def _stack(agents: list[Agent]):
     return order, groups, logistic
 
 
-def _stack_windows(agents: list[Agent], windows: list[TrainingWindow], caller: str):
-    """(A, n) inputs and targets, row i from windows[i], in list order."""
-    if len(agents) != len(windows):
-        raise DataError(f"{caller} got {len(agents)} agents but {len(windows)} windows")
-    lengths = sorted({len(window) for window in windows})
-    if len(lengths) > 1:
-        raise DataError(f"{caller} needs windows of one length, got lengths {lengths}")
-    xs = np.array([window.inputs for window in windows], dtype=float)
-    return xs, np.array([window.targets for window in windows], dtype=float)
+def _check_rows(agents: list[Agent], window: TrainingWindow, caller: str) -> None:
+    if len(agents) != len(window.inputs):
+        raise DataError(f"{caller} got {len(agents)} agents but {len(window.inputs)} window rows")
 
 
 def forward(agents: list[Agent], xs) -> np.ndarray:
@@ -183,17 +178,17 @@ def forward(agents: list[Agent], xs) -> np.ndarray:
     return preds
 
 
-def evaluate_error(agents: list[Agent], windows: list[TrainingWindow]) -> list[float]:
-    """Mean squared error of agent i over windows[i], in list order."""
-    xs, ys = _stack_windows(agents, windows, "evaluate_error")
-    return _mse(forward(agents, xs), ys).tolist() if agents else []
+def evaluate_error(agents: list[Agent], window: TrainingWindow) -> list[float]:
+    """Mean squared error of agent i over window row i, in list order."""
+    _check_rows(agents, window, "evaluate_error")
+    return _mse(forward(agents, window.inputs), window.targets).tolist() if agents else []
 
 
 def mse_gradient(agent: Agent, window: TrainingWindow) -> np.ndarray:
-    """Analytic gradient of the window MSE for every weight, laid out as Agent.weights."""
-    xs, ys = _stack_windows([agent], [window], "mse_gradient")
+    """Gradient of a one-row window's MSE for every weight, laid out as Agent.weights."""
+    _check_rows([agent], window, "mse_gradient")
     _, groups, logistic = _stack([agent])
-    return _gradient(groups, xs, ys, logistic)[0][0]
+    return _gradient(groups, window.inputs, window.targets, logistic)[0][0]
 
 
 def _stack_predict(groups, xs: np.ndarray, logistic: np.ndarray):
@@ -226,21 +221,20 @@ def _gradient(groups, xs: np.ndarray, ys: np.ndarray, logistic: np.ndarray) -> l
     return grads
 
 
-def train(agents: list[Agent], windows: list[TrainingWindow], hp: Hyperparams) -> list[Agent]:
-    """Full-batch gradient descent for hp.epochs passes, agent i on windows[i].
+def train(agents: list[Agent], window: TrainingWindow, hp: Hyperparams) -> list[Agent]:
+    """Full-batch gradient descent for hp.epochs passes, agent i on window row i.
 
     Returns new Agents in the order given; the inputs are left untouched.
     Each returned agent keeps its architecture and records its final
-    training MSE.  All windows must have one length.  Raises
-    TrainingDivergedError naming the first agent, in list order, whose
-    final MSE is not finite.
+    training MSE.  Raises TrainingDivergedError naming the first agent, in
+    list order, whose final MSE is not finite.
     """
     hp.validate()
-    xs, ys = _stack_windows(agents, windows, "train")
+    _check_rows(agents, window, "train")
     if not agents:
         return []
     order, groups, logistic = _stack(agents)
-    xs, ys = xs[order], ys[order]
+    xs, ys = window.inputs[order], window.targets[order]
     # A diverging row overflows; the check below reports it instead of numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hp.epochs):

@@ -9,9 +9,10 @@ Architectures evolve every `evolution_cadence` trading days, after which
 every agent is retrained on the window ending that day.
 
 The population has one layout: player-major, then stock-major, then
-member.  Each player holds one flat list of k agents per stock, and
-`agents[m*k:(m+1)*k]` predict stock m.  Training and scoring run the whole
-population in one call and cut the result back into one slice per player.
+member, so each player's `agents[m*k:(m+1)*k]` predict stock m.  One
+`build_window` call gives every stock's (stocks, n) window rows, and
+`population` hands each agent its stock's row: training and scoring run
+the whole population in one call and cut the result back per player.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SimulationConfig
-from .data import NormalizationParams, build_window, load_prices, normalize
+from .data import build_window, load_prices, normalize
 from .errors import ConservationError, InsufficientHistoryError, TrainingDivergedError
 from .evolution import evolve_generation
 from .market import Portfolios, Trade, run_clearing
 from .metrics import RunMetrics, record_generation, record_networth
 from .neural import TrainingWindow, evaluate_error, init_random, train
-from .players import Player, committee_predict
+from .players import Player, committee_predict, population
 from .rng import RandomStreams, make_streams
 
 
@@ -50,38 +51,29 @@ def _build_players(config: SimulationConfig, streams: RandomStreams) -> list[Pla
     ]
 
 
-def _flatten(players: list[Player], windows: list[TrainingWindow]):
-    """Every agent, player-major then stock-major, and its stock's window."""
-    agents = [agent for player in players for agent in player.agents]
-    k = len(agents) // (len(players) * len(windows))
-    return agents, [w for w in windows for _ in range(k)] * len(players)
-
-
 def _per_player(players: list[Player], flat: list) -> list[list]:
     """Cut a population-long list back into one slice per player."""
     n = len(players[0].agents)
     return [flat[i * n : (i + 1) * n] for i in range(len(players))]
 
 
+def _agent_rows(players: list[Player], window: TrainingWindow):
+    """Every agent, population order, and the (A, n) window of its stock's rows."""
+    agents, rows = population(players, len(window.inputs))
+    return agents, TrainingWindow(window.inputs[rows], window.targets[rows])
+
+
 def _train_population(
-    players: list[Player], windows: list[TrainingWindow], config: SimulationConfig
+    players: list[Player], window: TrainingWindow, config: SimulationConfig
 ) -> None:
-    """Retrain every agent on its stock's window in one `train` call, in place."""
-    trained = train(*_flatten(players, windows), config.hyperparams())
+    """Retrain every agent on its stock's window row in one `train` call, in place."""
+    trained = train(*_agent_rows(players, window), config.hyperparams())
     for player, agents in zip(players, _per_player(players, trained)):
         player.agents = agents
 
 
-def _build_windows(
-    prices_by_day: np.ndarray, t: int, window: int
-) -> tuple[list[TrainingWindow], list[NormalizationParams]]:
-    """Each stock's training window ending at day t, and its normalization."""
-    pairs = [build_window(column, t, window) for column in prices_by_day.T]
-    return [w for w, _ in pairs], [p for _, p in pairs]
-
-
 def _score_population(
-    players: list[Player], windows: list[TrainingWindow], metrics: RunMetrics, generation: int
+    players: list[Player], window: TrainingWindow, metrics: RunMetrics, generation: int
 ) -> list[list[float]]:
     """Validation MSE per agent, one list per player in its agents' order.
 
@@ -89,7 +81,7 @@ def _score_population(
     Targets lie in [0.1, 0.9], so a mean above 1.0 means the agents did
     not learn, and the run stops with `TrainingDivergedError`.
     """
-    flat = evaluate_error(*_flatten(players, windows))
+    flat = evaluate_error(*_agent_rows(players, window))
     mean = float(np.mean(flat))
     if mean > 1.0:
         raise TrainingDivergedError(
@@ -130,22 +122,21 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
     metrics = RunMetrics()
     output = RunOutput(config=config, metrics=metrics, players=players, portfolios=book)
 
-    windows, norm_params = _build_windows(prices_by_day, config.window, config.window)
-    _train_population(players, windows, config)
+    window, norm_params = build_window(prices_by_day, config.window, config.window)
+    _train_population(players, window, config)
     record_generation(metrics, 0, players)
 
     for t in range(config.window, end):
         prices = prices_by_day[t]
-        scaled = [normalize(float(price), params) for price, params in zip(prices, norm_params)]
-        predictions = committee_predict(players, scaled, norm_params)
+        predictions = committee_predict(players, normalize(prices, norm_params), norm_params)
         report = run_clearing(t, prices, config.total_supply, book, predictions, streams.shuffle)
         output.trades.extend(report.trades)
         _check_conservation(book, config, t)
         record_networth(metrics, book, prices, t)
 
         if (t + 1 - config.window) % config.evolution_cadence == 0 and t + 1 < end:
-            windows, norm_params = _build_windows(prices_by_day, t, config.window)
-            errors = _score_population(players, windows, metrics, output.generations)
+            window, norm_params = build_window(prices_by_day, t, config.window)
+            errors = _score_population(players, window, metrics, output.generations)
             for pid in range(len(players)):
                 players[pid] = evolve_generation(
                     players[pid],
@@ -155,11 +146,11 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
                     config.weight_init_scale,
                 )
             output.generations += 1
-            _train_population(players, windows, config)
+            _train_population(players, window, config)
             record_generation(metrics, output.generations, players)
 
     if config.days >= 1:
         # Score the final population on the last traded day's window.
-        windows, _ = _build_windows(prices_by_day, end - 1, config.window)
-        _score_population(players, windows, metrics, output.generations)
+        window, _ = build_window(prices_by_day, end - 1, config.window)
+        _score_population(players, window, metrics, output.generations)
     return output

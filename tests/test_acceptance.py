@@ -3,8 +3,8 @@
 One test per numbered claim, each printing a PASS/FAIL line with the
 measured values.  Run `pytest tests/test_acceptance.py -v -rA` to see
 both the per-test verdicts and the measurement lines.  The suite takes
-30-50 s on a 2-vCPU host; A1 (the scaling sweep) and A6 (ten 500-day
-runs) take 11-22 s each.
+40-60 s on a 2-vCPU host; A1 (the scaling sweep, three timed laps per
+point) takes 23-35 s and A6 (ten 500-day runs) about 11 s.
 """
 
 import hashlib
@@ -86,7 +86,7 @@ def test_a1_scaling_is_linear_in_players_and_committee_size():
         base_agents=4,
         days=120,
         seed=1,
-        reps=1,
+        reps=3,
     )
     elapsed = time.perf_counter() - started
     fits = {f.sweep: f.fit for f in result.fits}
@@ -191,8 +191,8 @@ def _central_difference(agent, window, step=1e-5):
         down = agent.weights.copy()
         up[i] += step
         down[i] -= step
-        [e_up] = evaluate_error([type(agent)(spec=agent.spec, weights=up)], [window])
-        [e_down] = evaluate_error([type(agent)(spec=agent.spec, weights=down)], [window])
+        [e_up] = evaluate_error([type(agent)(spec=agent.spec, weights=up)], window)
+        [e_down] = evaluate_error([type(agent)(spec=agent.spec, weights=down)], window)
         grad[i] = (e_up - e_down) / (2 * step)
     return grad
 
@@ -210,7 +210,7 @@ def test_a4_gradients_match_finite_differences_and_training_learns():
         agent = new_agent(spec, rng)
         inputs = rng.uniform(0.05, 0.95, size=30)
         targets = rng.uniform(0.1, 0.9, size=30)
-        window = TrainingWindow(inputs=inputs, targets=targets)
+        window = TrainingWindow(inputs=inputs[None], targets=targets[None])
         analytic = mse_gradient(agent, window)
         numeric = _central_difference(agent, window)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
@@ -219,13 +219,13 @@ def test_a4_gradients_match_finite_differences_and_training_learns():
 
     # A noiseless linear ramp: 200 epochs halve the population's mean error.
     xs = np.linspace(0.1, 0.9, 50)
-    ramp = TrainingWindow(inputs=xs, targets=xs)
+    ramp = TrainingWindow(inputs=xs[None], targets=xs[None])
     befores = []
     afters = []
     for i in range(100):
         agent = new_agent(specs[i % len(specs)], rng)
-        befores.extend(evaluate_error([agent], [ramp]))
-        [trained] = train([agent], [ramp], Hyperparams(epochs=200, learning_rate=0.05))
+        befores.extend(evaluate_error([agent], ramp))
+        [trained] = train([agent], ramp, Hyperparams(epochs=200, learning_rate=0.05))
         afters.append(trained.last_training_error)
         assert trained.last_training_error < befores[-1]
     ratio = float(np.mean(afters) / np.mean(befores))

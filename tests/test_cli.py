@@ -359,3 +359,24 @@ def test_run_rejects_an_empty_output_dir_before_running(tmp_path, cli_process):
         assert result.stderr.startswith("ConfigError: output_dir must not be empty")
         assert "Traceback" not in result.stderr
     assert sorted(os.listdir(tmp_path)) == ["prices.csv", "run.cfg"]
+
+
+def test_run_rejects_a_config_that_is_not_utf8(tmp_path, cli_process):
+    data = _gen_data(tmp_path)
+    config_path = _write_config(tmp_path, data, tmp_path / "out")
+    config_path.write_bytes(config_path.read_bytes() + b"# caf\xe9\n")
+    result = cli_process("run", "--config", str(config_path))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"ConfigError: {config_path}: not UTF-8 text")
+    assert "Traceback" not in result.stderr
+
+
+def test_run_rejects_a_price_file_that_is_not_utf8(tmp_path, cli_process):
+    data = _gen_data(tmp_path)
+    data.write_bytes(data.read_bytes().replace(b"day,", b"\xff\xfeday,", 1))
+    out = tmp_path / "out"
+    result = cli_process("run", "--config", str(_write_config(tmp_path, data, out)))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"DataError: {data}: not UTF-8 text")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()

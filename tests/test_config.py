@@ -83,6 +83,9 @@ def test_defaults_validate():
             "evolution_cadence": 3,
             "days": 6,
         },
+        # Shares are int64, and the players' total cash must be a finite float.
+        {"total_supply": (10, 99999999999999999999, 10)},
+        {"players": 4, "initial_cash": 1e308},
     ],
 )
 def test_validate_rejects_bad_fields(kwargs):
@@ -244,7 +247,8 @@ def _valid_configs(draw):
         epochs=draw(st.integers(min_value=1, max_value=10**6)),
         learning_rate=draw(_FLOAT.filter(lambda x: x > 0)),
         weight_init_scale=draw(_FLOAT.filter(lambda x: x > 0)),
-        initial_cash=draw(_FLOAT.filter(lambda x: x >= 0)),
+        # At most 10**6 players, so their total cash stays finite.
+        initial_cash=draw(st.floats(min_value=0.0, max_value=1e300)),
         output_dir=draw(_TEXT.filter(bool)),
     )
 

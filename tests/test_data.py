@@ -22,19 +22,19 @@ from gamarket.simulation import run_simulation
 def test_ramp_window_frozen_oracle():
     # Prices 1..5 with a 4-pair window ending at day 4 span the window exactly,
     # so the normalized chunk is an even ramp from NORM_LO to NORM_HI.
-    prices = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    prices = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
     window, params = build_window(prices, t=4, n=4)
-    assert params == NormalizationParams(lo=1.0, hi=5.0)
-    np.testing.assert_allclose(window.inputs, [0.1, 0.3, 0.5, 0.7], atol=1e-12)
-    np.testing.assert_allclose(window.targets, [0.3, 0.5, 0.7, 0.9], atol=1e-12)
+    assert (params.lo.tolist(), params.hi.tolist()) == ([1.0], [5.0])
+    np.testing.assert_allclose(window.inputs, [[0.1, 0.3, 0.5, 0.7]], atol=1e-12)
+    np.testing.assert_allclose(window.targets, [[0.3, 0.5, 0.7, 0.9]], atol=1e-12)
 
 
 def test_window_ignores_prices_outside_it():
     # The spike at day 0 is outside the window ending at day 5 and must not
     # influence the normalization bounds.
-    prices = np.array([10.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    prices = np.array([10.0, 1.0, 2.0, 3.0, 4.0, 5.0])[:, None]
     _, params = build_window(prices, t=5, n=4)
-    assert params == NormalizationParams(lo=1.0, hi=5.0)
+    assert (params.lo.tolist(), params.hi.tolist()) == ([1.0], [5.0])
 
 
 def test_normalize_denormalize_round_trip():
@@ -42,37 +42,75 @@ def test_normalize_denormalize_round_trip():
     for _ in range(50):
         lo = float(rng.uniform(1.0, 100.0))
         hi = lo + float(rng.uniform(0.5, 100.0))
-        params = NormalizationParams(lo=lo, hi=hi)
-        prices = rng.uniform(lo, hi, size=20)
+        params = NormalizationParams(lo=np.array([lo]), hi=np.array([hi]))
+        prices = rng.uniform(lo, hi, size=(20, 1))
         scaled = normalize(prices, params)
         assert scaled.min() >= NORM_LO - 1e-12
         assert scaled.max() <= NORM_HI + 1e-12
         np.testing.assert_allclose(denormalize(scaled, params), prices, rtol=1e-12)
-    # Scalars take the same path.
-    params = NormalizationParams(lo=2.0, hi=4.0)
-    assert normalize(2.0, params) == pytest.approx(NORM_LO)
-    assert normalize(4.0, params) == pytest.approx(NORM_HI)
-    assert denormalize(0.5, params) == pytest.approx(3.0)
+    # A day's prices, one per stock, take the same path.
+    params = NormalizationParams(lo=np.array([2.0, 2.0]), hi=np.array([4.0, 4.0]))
+    np.testing.assert_allclose(normalize(np.array([2.0, 4.0]), params), [NORM_LO, NORM_HI])
+    np.testing.assert_allclose(denormalize(np.array([0.5, 0.5]), params), [3.0, 3.0])
 
 
 def test_degenerate_window_maps_to_midpoint():
-    window, params = build_window(np.full(6, 7.25), t=5, n=4)
-    assert params.lo == params.hi == 7.25
+    window, params = build_window(np.full((6, 1), 7.25), t=5, n=4)
+    assert params.lo.tolist() == params.hi.tolist() == [7.25]
     assert np.all(window.inputs == 0.5)
     assert np.all(window.targets == 0.5)
     # Denormalizing anything from a flat window recovers the constant price.
-    assert denormalize(0.9, params) == 7.25
-    np.testing.assert_array_equal(denormalize(np.array([0.1, 0.5]), params), [7.25, 7.25])
+    assert denormalize(np.array([0.9]), params).tolist() == [7.25]
+    np.testing.assert_array_equal(denormalize(np.array([[0.1], [0.5]]), params), [[7.25], [7.25]])
 
 
 def test_build_window_bounds_checks():
-    prices = np.arange(1.0, 11.0)
+    prices = np.arange(1.0, 11.0)[:, None]
     with pytest.raises(DataError):
         build_window(prices, t=4, n=0)
     with pytest.raises(InsufficientHistoryError):
         build_window(prices, t=3, n=4)
     with pytest.raises(DataError):
         build_window(prices, t=10, n=4)
+
+
+def reference_window(column, t, n):
+    """One stock's scalar window: (inputs, targets, lo, hi), as before windows were arrays."""
+    chunk = column[t - n : t + 1]
+    lo, hi = float(chunk.min()), float(chunk.max())
+    if hi == lo:
+        scaled = np.full(chunk.shape, 0.5)
+    else:
+        scaled = NORM_LO + (NORM_HI - NORM_LO) * (chunk - lo) / (hi - lo)
+    return scaled[:-1], scaled[1:], lo, hi
+
+
+def reference_normalize(price, lo, hi):
+    return 0.5 if hi == lo else NORM_LO + (NORM_HI - NORM_LO) * (price - lo) / (hi - lo)
+
+
+def reference_denormalize(value, lo, hi):
+    return lo if hi == lo else lo + (value - NORM_LO) * (hi - lo) / (NORM_HI - NORM_LO)
+
+
+def test_build_window_equals_the_per_stock_scalar_window_bit_for_bit():
+    # Three stocks, the middle one constant over the window (hi == lo).
+    prices = generate_series(60, seed=12)
+    prices[:, 1] = 7.25
+    window, params = build_window(prices, t=40, n=20)
+    assert window.inputs.shape == window.targets.shape == (3, 20)
+    assert params.lo.shape == params.hi.shape == (3,)
+    day = prices[41]
+    values = np.random.default_rng(12).uniform(-0.8, 2.7, size=(5, 3))
+    for m in range(3):
+        inputs, targets, lo, hi = reference_window(prices[:, m], t=40, n=20)
+        assert np.array_equal(window.inputs[m], inputs)
+        assert np.array_equal(window.targets[m], targets)
+        assert (params.lo[m], params.hi[m]) == (lo, hi)
+        assert normalize(day, params)[m] == reference_normalize(float(day[m]), lo, hi)
+        unscaled = [reference_denormalize(float(v), lo, hi) for v in values[:, m]]
+        assert np.array_equal(denormalize(values, params)[:, m], unscaled)
+    assert np.all(window.inputs[1] == 0.5) and np.all(denormalize(values, params)[:, 1] == 7.25)
 
 
 def test_generate_series_deterministic():

@@ -34,9 +34,14 @@ def forward_one(agent, x):
     return float(forward([agent], [[x]])[0, 0])
 
 
+def one_row(xs, ys):
+    """A one-row window of the pairs (xs[i], ys[i])."""
+    return TrainingWindow(inputs=np.asarray(xs)[None], targets=np.asarray(ys)[None])
+
+
 def error_one(agent, window):
-    """One agent's MSE over one window, through the population scorer."""
-    [error] = evaluate_error([agent], [window])
+    """One agent's MSE over a one-row window, through the population scorer."""
+    [error] = evaluate_error([agent], window)
     return error
 
 
@@ -161,7 +166,7 @@ def test_evaluate_error_matches_loop_oracle():
     agent = init_random(rng)
     xs = rng.uniform(0.1, 0.9, 20)
     ys = rng.uniform(0.1, 0.9, 20)
-    window = TrainingWindow(inputs=xs, targets=ys)
+    window = one_row(xs, ys)
     total = 0.0
     for x, y in zip(xs, ys):
         pred = reference_forward(agent.spec.hidden_units, agent.spec.activation, agent.weights, x)
@@ -172,7 +177,7 @@ def test_evaluate_error_matches_loop_oracle():
 def test_evaluate_error_rejects_empty_window():
     # An empty window cannot be built, so no loss or gradient ever sees one.
     with pytest.raises(DataError, match="at least one"):
-        TrainingWindow(inputs=np.array([]), targets=np.array([]))
+        TrainingWindow(inputs=np.empty((1, 0)), targets=np.empty((1, 0)))
 
 
 def central_difference(agent, window, step=1e-5):
@@ -198,7 +203,7 @@ def test_gradient_matches_central_differences_every_size_and_kind():
     rng = np.random.default_rng(21)
     xs = rng.uniform(0.1, 0.9, 30)
     ys = rng.uniform(0.1, 0.9, 30)
-    window = TrainingWindow(inputs=xs, targets=ys)
+    window = one_row(xs, ys)
     for h in range(HIDDEN_MIN, HIDDEN_MAX + 1):
         for kind in ActivationKind:
             agent = new_agent(AgentSpec(h, kind), rng)
@@ -210,8 +215,8 @@ def test_train_returns_new_agent_and_preserves_architecture():
     agent = init_random(rng)
     original = agent.weights.copy()
     xs = np.linspace(0.1, 0.9, 50)
-    window = TrainingWindow(inputs=xs, targets=xs)
-    [trained] = train([agent], [window], Hyperparams(epochs=20))
+    window = one_row(xs, xs)
+    [trained] = train([agent], window, Hyperparams(epochs=20))
     assert trained is not agent
     assert trained.spec == agent.spec
     assert np.array_equal(agent.weights, original)  # input untouched
@@ -226,14 +231,14 @@ def test_train_reduces_error_on_linear_series():
     # by the output derivative, so their individual 200-epoch drop is smaller).
     rng = np.random.default_rng(17)
     xs = np.linspace(0.1, 0.9, 50)
-    window = TrainingWindow(inputs=xs, targets=xs)
+    window = one_row(xs, xs)
     befores, afters = [], []
     linear_befores, linear_afters = [], []
     for kind in ActivationKind:
         for trial in range(10):
             agent = new_agent(AgentSpec(int(rng.integers(1, 11)), kind), rng)
             before = error_one(agent, window)
-            [trained] = train([agent], [window], Hyperparams(epochs=200, learning_rate=0.05))
+            [trained] = train([agent], window, Hyperparams(epochs=200, learning_rate=0.05))
             assert trained.last_training_error < before
             if kind is ActivationKind.LINEAR:
                 linear_befores.append(before)
@@ -246,9 +251,9 @@ def test_train_reduces_error_on_linear_series():
 
 def test_train_is_bit_reproducible():
     xs = np.linspace(0.1, 0.9, 50)
-    window = TrainingWindow(inputs=xs, targets=xs**2)
-    [first] = train([init_random(np.random.default_rng(8))], [window], Hyperparams(epochs=50))
-    [second] = train([init_random(np.random.default_rng(8))], [window], Hyperparams(epochs=50))
+    window = one_row(xs, xs**2)
+    [first] = train([init_random(np.random.default_rng(8))], window, Hyperparams(epochs=50))
+    [second] = train([init_random(np.random.default_rng(8))], window, Hyperparams(epochs=50))
     assert first.spec == second.spec
     assert first.weights.tobytes() == second.weights.tobytes()
 
@@ -258,7 +263,7 @@ def test_divergent_training_raises_a_named_error():
     # error names the architecture, epochs and learning rate.
     rng = np.random.default_rng(4)
     xs = np.linspace(0.1, 0.9, 50)
-    window = TrainingWindow(inputs=xs, targets=xs)
+    window = one_row(xs, xs)
     for hidden in range(HIDDEN_MIN, HIDDEN_MAX + 1):
         agent = new_agent(AgentSpec(hidden, ActivationKind.LINEAR), rng)
         # Numpy's overflow warnings are silenced inside train; any that
@@ -266,7 +271,7 @@ def test_divergent_training_raises_a_named_error():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergedError) as info:
-                train([agent], [window], Hyperparams(epochs=200, learning_rate=1000.0))
+                train([agent], window, Hyperparams(epochs=200, learning_rate=1000.0))
         message = str(info.value)
         assert f"{hidden}-unit linear" in message
         assert "200 epochs" in message
@@ -275,14 +280,20 @@ def test_divergent_training_raises_a_named_error():
 
 def test_zero_epochs_is_a_config_error():
     agent = make_agent(1, ActivationKind.LINEAR, [0.1, 0.2, 0.3, 0.4])
-    window = TrainingWindow(inputs=np.array([0.5]), targets=np.array([0.5]))
     with pytest.raises(ConfigError):
-        train([agent], [window], Hyperparams(epochs=0))
+        train([agent], one_row([0.5], [0.5]), Hyperparams(epochs=0))
 
 
 def test_misaligned_window_is_rejected():
     with pytest.raises(DataError):
-        TrainingWindow(inputs=np.array([0.1, 0.2]), targets=np.array([0.3]))
+        TrainingWindow(inputs=np.array([[0.1, 0.2]]), targets=np.array([[0.3]]))
+
+
+def test_window_rows_must_be_two_dimensional():
+    # A lone series is a one-row window; a flat array is refused.
+    xs = np.array([0.1, 0.2])
+    with pytest.raises(DataError, match=r"\(rows, n\) arrays, got shapes \(2,\)"):
+        TrainingWindow(inputs=xs, targets=xs)
 
 
 def reference_predict(spec, weights, xs):
@@ -311,42 +322,41 @@ def reference_gradient(spec, weights, xs, ys):
     return np.concatenate([grad_w_in, grad_b_in, grad_w_out, [grad_b_out]])
 
 
-def reference_train(agent, window, hp):
-    """One agent at a time; returns (weights, final MSE)."""
+def reference_train(agent, xs, ys, hp):
+    """One agent at a time on one series; returns (weights, final MSE)."""
     weights = agent.weights.astype(float, copy=True)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hp.epochs):
-            weights -= hp.learning_rate * reference_gradient(
-                agent.spec, weights, window.inputs, window.targets
-            )
-        preds, _ = reference_predict(agent.spec, weights, window.inputs)
-        final_mse = float(np.mean((preds - window.targets) ** 2))
+            weights -= hp.learning_rate * reference_gradient(agent.spec, weights, xs, ys)
+        preds, _ = reference_predict(agent.spec, weights, xs)
+        final_mse = float(np.mean((preds - ys) ** 2))
     return weights, final_mse
 
 
 def mixed_population(rng):
-    """Every hidden count with both activations, interleaved, on three windows."""
+    """Every hidden count with both activations, interleaved over three series.
+
+    Returns the agents and their window: row i is agent i's series.
+    """
     xs = np.linspace(0.1, 0.9, 50)
-    windows = [
-        TrainingWindow(inputs=xs, targets=xs),
-        TrainingWindow(inputs=xs, targets=xs**2),
-        TrainingWindow(inputs=rng.uniform(0.1, 0.9, 50), targets=rng.uniform(0.1, 0.9, 50)),
-    ]
+    series = [(xs, xs), (xs, xs**2), (rng.uniform(0.1, 0.9, 50), rng.uniform(0.1, 0.9, 50))]
     specs = [AgentSpec(h, kind) for h in range(HIDDEN_MIN, HIDDEN_MAX + 1) for kind in ActivationKind]
     specs = [specs[i] for i in rng.permutation(len(specs))] * 2
     agents = [new_agent(spec, rng) for spec in specs]
-    return agents, [windows[i % len(windows)] for i in range(len(agents))]
+    rows = [series[i % len(series)] for i in range(len(agents))]
+    return agents, TrainingWindow(np.array([x for x, _ in rows]), np.array([y for _, y in rows]))
 
 
 def test_stacked_training_equals_the_per_agent_loop_bit_for_bit():
     # Bit-equality holds because each row of a stack goes through the same
     # numpy/BLAS calls as a lone agent; a numpy or BLAS change may break it.
-    agents, windows = mixed_population(np.random.default_rng(31))
+    agents, window = mixed_population(np.random.default_rng(31))
     hp = Hyperparams(epochs=200)
-    trained = train(agents, windows, hp)
+    trained = train(agents, window, hp)
     assert len(trained) == len(agents)
-    for k, (agent, window, got) in enumerate(zip(agents, windows, trained)):
-        weights, final_mse = reference_train(agent, window, hp)
+    rows = zip(agents, window.inputs, window.targets, trained)
+    for k, (agent, xs, ys, got) in enumerate(rows):
+        weights, final_mse = reference_train(agent, xs, ys, hp)
         where = f"agent {k} ({agent.spec}) under numpy {np.__version__}"
         assert got.spec == agent.spec
         assert np.array_equal(got.weights, weights), f"weights differ for {where}"
@@ -354,10 +364,10 @@ def test_stacked_training_equals_the_per_agent_loop_bit_for_bit():
 
 
 def test_mse_gradient_equals_the_per_agent_gradient_bit_for_bit():
-    agents, windows = mixed_population(np.random.default_rng(32))
-    for agent, window in zip(agents, windows):
-        expected = reference_gradient(agent.spec, agent.weights, window.inputs, window.targets)
-        assert np.array_equal(mse_gradient(agent, window), expected), (
+    agents, window = mixed_population(np.random.default_rng(32))
+    for agent, xs, ys in zip(agents, window.inputs, window.targets):
+        expected = reference_gradient(agent.spec, agent.weights, xs, ys)
+        assert np.array_equal(mse_gradient(agent, one_row(xs, ys)), expected), (
             f"{agent.spec} under numpy {np.__version__}"
         )
 
@@ -366,8 +376,8 @@ def test_forward_equals_the_per_agent_forward_pass_bit_for_bit():
     # One input per agent (a day's prediction, inputs spread past the
     # training range) and a whole window per agent (scoring).
     rng = np.random.default_rng(35)
-    agents, windows = mixed_population(rng)
-    for xs in (rng.uniform(-0.8, 2.7, size=(len(agents), 1)), [w.inputs for w in windows]):
+    agents, window = mixed_population(rng)
+    for xs in (rng.uniform(-0.8, 2.7, size=(len(agents), 1)), window.inputs):
         got = forward(agents, xs)
         assert got.shape == np.shape(xs)
         for agent, row, out in zip(agents, xs, got):
@@ -383,40 +393,36 @@ def test_forward_rejects_inputs_of_the_wrong_shape():
 
 
 def test_evaluate_error_equals_the_per_agent_mse_bit_for_bit():
-    agents, windows = mixed_population(np.random.default_rng(37))
-    errors = evaluate_error(agents, windows)
+    agents, window = mixed_population(np.random.default_rng(37))
+    errors = evaluate_error(agents, window)
     assert len(errors) == len(agents)
-    for agent, window, error in zip(agents, windows, errors):
-        preds, _ = reference_predict(agent.spec, agent.weights, window.inputs)
-        assert error == np.mean((preds - window.targets) ** 2), f"{agent.spec}"
+    for agent, xs, ys, error in zip(agents, window.inputs, window.targets, errors):
+        preds, _ = reference_predict(agent.spec, agent.weights, xs)
+        assert error == np.mean((preds - ys) ** 2), f"{agent.spec}"
+
+
+def drop_last_row(window):
+    return TrainingWindow(window.inputs[:-1], window.targets[:-1])
+
+
+NO_ROWS = TrainingWindow(np.empty((0, 50)), np.empty((0, 50)))
 
 
 def test_evaluate_error_shares_the_window_checks_of_train():
-    agents, windows = mixed_population(np.random.default_rng(38))
-    with pytest.raises(DataError, match="40 agents but 39 windows"):
-        evaluate_error(agents, windows[:-1])
-    short = TrainingWindow(inputs=np.array([0.2, 0.4]), targets=np.array([0.4, 0.6]))
-    with pytest.raises(DataError, match=r"lengths \[2, 50\]"):
-        evaluate_error(agents[:2], [windows[0], short])
-    assert evaluate_error([], []) == []
+    agents, window = mixed_population(np.random.default_rng(38))
+    with pytest.raises(DataError, match="40 agents but 39 window rows"):
+        evaluate_error(agents, drop_last_row(window))
+    assert evaluate_error([], NO_ROWS) == []
 
 
 def test_train_rejects_unequal_agent_and_window_counts():
-    agents, windows = mixed_population(np.random.default_rng(33))
-    with pytest.raises(DataError, match="40 agents but 39 windows"):
-        train(agents, windows[:-1], Hyperparams(epochs=1))
-
-
-def test_train_rejects_windows_of_different_lengths():
-    agent = make_agent(1, ActivationKind.LINEAR, [0.1, 0.2, 0.3, 0.4])
-    short = TrainingWindow(inputs=np.array([0.2, 0.4]), targets=np.array([0.4, 0.6]))
-    long = TrainingWindow(inputs=np.array([0.2, 0.4, 0.6]), targets=np.array([0.4, 0.6, 0.8]))
-    with pytest.raises(DataError, match=r"lengths \[2, 3\]"):
-        train([agent, agent], [long, short], Hyperparams(epochs=1))
+    agents, window = mixed_population(np.random.default_rng(33))
+    with pytest.raises(DataError, match="40 agents but 39 window rows"):
+        train(agents, drop_last_row(window), Hyperparams(epochs=1))
 
 
 def test_train_of_no_agents_returns_an_empty_list():
-    assert train([], [], Hyperparams(epochs=1)) == []
+    assert train([], NO_ROWS, Hyperparams(epochs=1)) == []
 
 
 def test_divergence_inside_a_mixed_stack_names_the_first_diverged_agent():
@@ -427,7 +433,6 @@ def test_divergence_inside_a_mixed_stack_names_the_first_diverged_agent():
     # error must name the 3-unit agent, the one the per-agent loop stops at.
     rng = np.random.default_rng(34)
     xs = np.linspace(0.1, 0.9, 50)
-    window = TrainingWindow(inputs=xs, targets=xs)
     logistic, linear = ActivationKind.LOGISTIC, ActivationKind.LINEAR
     specs = [(7, logistic), (5, logistic), (3, linear), (3, logistic), (7, linear)]
     agents = [new_agent(AgentSpec(h, kind), rng) for h, kind in specs]
@@ -435,9 +440,9 @@ def test_divergence_inside_a_mixed_stack_names_the_first_diverged_agent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TrainingDivergedError) as info:
-            train(agents, [window] * len(agents), hp)
+            train(agents, TrainingWindow(np.tile(xs, (5, 1)), np.tile(xs, (5, 1))), hp)
         first = next(
-            agent for agent in agents if not math.isfinite(reference_train(agent, window, hp)[1])
+            agent for agent in agents if not math.isfinite(reference_train(agent, xs, xs, hp)[1])
         )
     assert first.spec == AgentSpec(3, ActivationKind.LINEAR)
     message = str(info.value)

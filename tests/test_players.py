@@ -5,25 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from gamarket.data import NormalizationParams, denormalize
+from gamarket.data import NORM_HI, NORM_LO, NormalizationParams
 from gamarket.errors import ConfigError
 from gamarket.neural import ActivationKind, AgentSpec, forward, init_random, new_agent
 from gamarket.market import decide, desired_quantity
-from gamarket.players import PRICE_FLOOR, Player, committee_predict
+from gamarket.players import PRICE_FLOOR, Player, committee_predict, population
 from test_neural import reference_predict
 
 
 def test_committee_predict_is_mean_then_denormalized():
     rng = np.random.default_rng(11)
     agents = [init_random(rng) for _ in range(8)]
-    xs = [0.35, 0.62]
-    params = [NormalizationParams(10.0, 20.0), NormalizationParams(5.0, 9.0)]
+    xs = np.array([0.35, 0.62])
+    params = NormalizationParams(lo=np.array([10.0, 5.0]), hi=np.array([20.0, 9.0]))
     [got] = committee_predict([Player(agents)], xs, params)
     for m in range(2):
         outs = [float(forward([agent], [[xs[m]]])[0, 0]) for agent in agents[m * 4 : (m + 1) * 4]]
         mean = sum(outs) / len(outs)
-        p = params[m]
-        expected = p.lo + (mean - 0.1) * (p.hi - p.lo) / 0.8
+        lo, hi = params.lo[m], params.hi[m]
+        expected = lo + (mean - 0.1) * (hi - lo) / 0.8
         assert got[m] == pytest.approx(expected, rel=1e-12)
 
 
@@ -33,27 +33,44 @@ def test_committee_predict_floors_negative_prices():
     spec = AgentSpec(hidden_units=1, activation=ActivationKind.LINEAR)
     agent = new_agent(spec, np.random.default_rng(0))
     agent.weights[:] = [0.0, 0.0, 0.0, -50.0]
-    [got] = committee_predict([Player([agent])], [0.5], [NormalizationParams(10.0, 20.0)])
+    params = NormalizationParams(lo=np.array([10.0]), hi=np.array([20.0]))
+    [got] = committee_predict([Player([agent])], np.array([0.5]), params)
     assert got[0] == PRICE_FLOOR
+
+
+def one_to_two(stocks):
+    """Normalization of `stocks` prices whose windows spanned 1 to 2."""
+    return NormalizationParams(lo=np.ones(stocks), hi=np.full(stocks, 2.0))
 
 
 def test_committee_predict_shape_checks():
     rng = np.random.default_rng(1)
     player = Player([init_random(rng)])
     with pytest.raises(ConfigError):
-        committee_predict([player], [0.5, 0.6], [NormalizationParams(1.0, 2.0)] * 2)
+        committee_predict([player], [0.5, 0.6], one_to_two(2))
     empty = Player([])
     with pytest.raises(ConfigError):
-        committee_predict([empty], [0.5], [NormalizationParams(1.0, 2.0)])
+        committee_predict([empty], [0.5], one_to_two(1))
     # 4 and 8 agents on 3 stocks are 12 in all, which would reshape to
     # (2, 3, 2) and pair agents with the wrong stocks.
     short = Player([init_random(rng) for _ in range(4)])
     long = Player([init_random(rng) for _ in range(8)])
     with pytest.raises(ConfigError, match=r"player 0 has 4 agents"):
-        committee_predict([short, long], [0.5, 0.6, 0.7], [NormalizationParams(1.0, 2.0)] * 3)
+        committee_predict([short, long], [0.5, 0.6, 0.7], one_to_two(3))
     pair = Player([init_random(rng), init_random(rng)])
     with pytest.raises(ConfigError, match=r"player 1 has 2 agents"):
-        committee_predict([player, pair], [0.5], [NormalizationParams(1.0, 2.0)])
+        committee_predict([player, pair], [0.5], one_to_two(1))
+
+
+def test_population_maps_each_agent_to_its_stock():
+    rng = np.random.default_rng(3)
+    players = [Player([init_random(rng) for _ in range(6)]) for _ in range(2)]
+    agents, rows = population(players, stocks=3)
+    assert agents == players[0].agents + players[1].agents
+    assert rows.tolist() == [0, 0, 1, 1, 2, 2] * 2
+    # The same per-player length check as committee_predict's.
+    with pytest.raises(ConfigError, match=r"player 1 has 2 agents"):
+        population([players[0], Player(players[1].agents[:2])], stocks=3)
 
 
 def reference_committee_predict(players, xs, params):
@@ -65,7 +82,9 @@ def reference_committee_predict(players, xs, params):
             group = player.agents[m * k : (m + 1) * k]
             outs = [reference_predict(a.spec, a.weights, np.array([xs[m]]))[0][0] for a in group]
             mean = sum(float(out) for out in outs) / len(group)
-            predictions[p, m] = max(float(denormalize(mean, params[m])), PRICE_FLOOR)
+            lo, hi = float(params.lo[m]), float(params.hi[m])
+            price = lo if hi == lo else lo + (mean - NORM_LO) * (hi - lo) / (NORM_HI - NORM_LO)
+            predictions[p, m] = max(price, PRICE_FLOOR)
     return predictions
 
 
@@ -79,10 +98,9 @@ def test_committee_predict_equals_the_per_player_loop_bit_for_bit(k):
     for agent in players[0].agents[:k]:
         agent.spec = AgentSpec(agent.spec.hidden_units, ActivationKind.LINEAR)
         agent.weights[-1] = -50.0
-    xs = [0.35, 1.7, 0.5]
+    xs = np.array([0.35, 1.7, 0.5])
     # The third stock's window was constant (hi == lo).
-    params = [NormalizationParams(10.0, 20.0), NormalizationParams(5.0, 9.0)]
-    params.append(NormalizationParams(3.0, 3.0))
+    params = NormalizationParams(lo=np.array([10.0, 5.0, 3.0]), hi=np.array([20.0, 9.0, 3.0]))
     got = committee_predict(players, xs, params)
     expected = reference_committee_predict(players, xs, params)
     assert got[0, 0] == PRICE_FLOOR
