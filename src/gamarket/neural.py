@@ -12,20 +12,38 @@ A `TrainingWindow` is a pair of aligned `(rows, n)` arrays, n >= 1: `train`
 and `evaluate_error` take one whose row i is agent i's series (a
 simulation takes each agent's stock row of a `(stocks, n)` window).
 
-There is one forward kernel, `_stack_predict`, and each caller hands it
-the whole population: `train` every epoch, `forward` for a day's
-predictions (one input per agent) and `evaluate_error` for a generation's
-scores.  `_stack` sorts the agents by hidden count, so the agents of one
-count h are one slice of rows with one `(rows, 3h+1)` weight array;
-inputs, targets, outputs and errors are `(A, n)` arrays, one row per
-agent, and a boolean row mask picks the logistic output.  The work shaped
-by h runs once per group; every reduction is a batched `@` or a per-row
-sum, which numpy runs as the same BLAS call or loop for each row that a
-lone agent gets, so a stacked agent computes the same bits as it would
-alone.  Grouping by hidden count only, across players, stocks and
-activations, gives at most 10 groups for any population, so the per-group
-Python overhead stays nearly constant and run time stays linear in the
-number of agents (acceptance test A1).
+There is one forward kernel, `_predict`, and one gradient, `_gradients`,
+and each caller hands them the whole population: `train` every epoch,
+`forward` for a day's predictions (one input per agent), `evaluate_error`
+for a generation's scores and `mse_gradient` for one agent.  `_stack`
+sorts the agents by hidden count, so the agents of one count h are one
+`_Group`: a slice of rows with one `(rows, 3h+1)` weight array; inputs,
+targets, outputs and errors are `(A, n)` arrays, one row per agent, and a
+boolean row mask picks the logistic output.  The work shaped by h runs
+once per group; every reduction is a batched `@` or a per-row sum, which
+numpy runs as the same BLAS call or loop for each row that a lone agent
+gets, so a stacked agent computes the same bits as it would alone.
+Grouping by hidden count only, across players, stocks and activations,
+gives at most 10 groups for any population, so the per-group Python
+overhead stays nearly constant and run time stays linear in the number of
+agents (acceptance test A1).
+
+Each call copies every agent's weights, end to end in sorted order, into
+one flat array beside a gradient buffer of the same size; each group views
+its `(rows, 3h+1)` block of both and allocates its `(rows, n, h)` buffers
+once.  Every epoch writes into these with `out=` and updates all weights
+in place with one `grad *= lr; weights -= grad`, so no epoch allocates
+`h`-shaped memory.  The two outer products (inputs times input weights,
+output error times output weights) are `einsum('rn,rh->rnh')`: one
+product per element, the bits of a broadcast multiply, but faster on an
+inner axis of h <= 10.  The hidden-bias gradient sums the `(rows, n, h)`
+back-propagated error over n with `einsum('rnh->rh')`, which adds the n
+terms in sequence, as `sum(axis=1)` does, when h >= 2.  At h = 1 that
+axis is contiguous, numpy sums it pairwise and einsum does not, so h = 1
+keeps `sum(axis=1)`.  The three `@` calls get contiguous operands: BLAS
+`gemv` on a strided view differs in the last bits from the contiguous
+matrix when h <= 3, so padding every group to 10 units, or slicing the
+groups out of one padded buffer, would not be bit-exact.
 """
 
 from __future__ import annotations
@@ -118,7 +136,8 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     # Stable two-sided form (exp never overflows); clipped so the output is
     # strictly inside (0, 1) even when the pre-activation saturates in floats.
     e = np.exp(-np.abs(u))
-    return np.clip(np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), _SIGMOID_LO, _SIGMOID_HI)
+    d = 1.0 + e
+    return np.clip(np.where(u >= 0, 1.0 / d, e / d), _SIGMOID_LO, _SIGMOID_HI)
 
 
 def new_agent(spec: AgentSpec, rng: np.random.Generator, weight_init_scale: float = 0.5) -> Agent:
@@ -145,21 +164,76 @@ def _mse(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.mean((preds - targets) ** 2, axis=-1)
 
 
-def _stack(agents: list[Agent]):
+class _Group:
+    """The agents of one hidden count h: a slice of rows of the sorted population.
+
+    Holds its (rows, 3h+1) blocks of the weights and of the gradient, views
+    of each weight block, and buffers that every epoch writes into: the
+    (rows, n, h) hidden layer and, from the first `backward` on, two more
+    (rows, n, h) arrays and a view of each gradient block.
+    """
+
+    def __init__(self, rows: slice, h: int, weights: np.ndarray, grad: np.ndarray, n: int):
+        self.rows, self.h, self.weights, self.grad = rows, h, weights, grad
+        self.w_in, self.b_h = weights[:, :h], weights[:, None, h : 2 * h]
+        self.w_out, self.b_out = weights[:, 2 * h : 3 * h], weights[:, 3 * h :]
+        self.w_out_col = self.w_out[:, :, None]
+        self.hidden = np.empty((len(weights), n, h))
+        self.back = None
+
+    def predict(self, xs: np.ndarray, u: np.ndarray) -> None:
+        """Fill the hidden buffer and the group's rows of u, the output pre-activation."""
+        hidden, u_rows = self.hidden, u[self.rows]
+        np.einsum("rn,rh->rnh", xs[self.rows], self.w_in, out=hidden)
+        hidden += self.b_h
+        np.tanh(hidden, out=hidden)
+        np.matmul(hidden, self.w_out_col, out=u_rows[:, :, None])
+        u_rows += self.b_out
+
+    def backward(self, xs: np.ndarray, delta: np.ndarray) -> None:
+        """Fill grad from delta = dMSE/du (A, n), after predict on the same weights."""
+        if self.back is None:
+            h, grad = self.h, self.grad
+            self.back, self.tmp = np.empty((2,) + self.hidden.shape)
+            self.g_in, self.g_bh = grad[:, None, :h], grad[:, h : 2 * h]
+            self.g_out, self.g_bout = grad[:, 2 * h : 3 * h, None], grad[:, 3 * h :]
+        hidden, back, tmp, d = self.hidden, self.back, self.tmp, delta[self.rows]
+        np.einsum("rn,rh->rnh", d, self.w_out, out=back)
+        np.multiply(hidden, hidden, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        back *= tmp
+        np.matmul(xs[self.rows, None, :], back, out=self.g_in)
+        if self.h == 1:  # a contiguous axis: numpy sums it pairwise, einsum would not
+            back.sum(axis=1, out=self.g_bh)
+        else:
+            np.einsum("rnh->rh", back, out=self.g_bh)
+        np.matmul(hidden.transpose(0, 2, 1), d[:, :, None], out=self.g_out)
+        d.sum(axis=1, keepdims=True, out=self.g_bout)
+
+
+def _stack(agents: list[Agent], n: int):
     """Sort the agents by hidden count and stack their weights, one row each.
 
-    Returns (order, groups, logistic): row r holds agents[order[r]], logistic
-    is the (A,) row mask of logistic outputs, and each group is (rows, h,
-    weights), the slice of rows with h hidden units and their (rows, 3h+1) weights.
+    Returns (order, weights, grad, groups, logistic): row r holds
+    agents[order[r]]; weights holds every agent's weights end to end in
+    that order, grad is a buffer of the same size, and groups holds one
+    _Group per hidden count, viewing its block of both, with buffers for
+    windows of n pairs; logistic is the (A,) row mask of logistic outputs.
     """
     order = sorted(range(len(agents)), key=lambda i: agents[i].spec.hidden_units)
-    groups, start = [], 0
+    sorted_weights = [agents[i].weights for i in order]
+    weights = np.concatenate(sorted_weights, dtype=float) if agents else np.empty(0)
+    grad = np.empty_like(weights)
+    groups, start, offset = [], 0, 0
     for h, run in itertools.groupby(agents[i].spec.hidden_units for i in order):
-        rows = slice(start, start + len(list(run)))
-        groups.append((rows, h, np.array([agents[i].weights for i in order[rows]], dtype=float)))
-        start = rows.stop
-    logistic = np.array([agents[i].spec.activation is ActivationKind.LOGISTIC for i in order])
-    return order, groups, logistic
+        count = len(list(run))
+        shape, block = (count, 3 * h + 1), slice(offset, offset + count * (3 * h + 1))
+        rows = slice(start, start + count)
+        groups.append(_Group(rows, h, weights[block].reshape(shape), grad[block].reshape(shape), n))
+        start, offset = rows.stop, block.stop
+    kind = ActivationKind.LOGISTIC  # looked up once: enum member access is slow
+    logistic = np.array([agents[i].spec.activation is kind for i in order])
+    return order, weights, grad, groups, logistic
 
 
 def _check_rows(agents: list[Agent], window: TrainingWindow, caller: str) -> None:
@@ -172,9 +246,9 @@ def forward(agents: list[Agent], xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or len(xs) != len(agents) or not np.isfinite(xs).all():
         raise ValueError(f"forward needs finite ({len(agents)}, n) inputs, got {xs!r}")
-    order, groups, logistic = _stack(agents)
+    order, _, _, groups, logistic = _stack(agents, xs.shape[1])
     preds = np.empty_like(xs)
-    preds[order] = _stack_predict(groups, xs[order], logistic)[0]
+    preds[order] = _predict(groups, xs[order], logistic)
     return preds
 
 
@@ -187,38 +261,27 @@ def evaluate_error(agents: list[Agent], window: TrainingWindow) -> list[float]:
 def mse_gradient(agent: Agent, window: TrainingWindow) -> np.ndarray:
     """Gradient of a one-row window's MSE for every weight, laid out as Agent.weights."""
     _check_rows([agent], window, "mse_gradient")
-    _, groups, logistic = _stack([agent])
-    return _gradient(groups, window.inputs, window.targets, logistic)[0][0]
+    _, _, grad, groups, logistic = _stack([agent], window.inputs.shape[1])
+    _gradients(groups, window.inputs, window.targets, logistic)
+    return grad
 
 
-def _stack_predict(groups, xs: np.ndarray, logistic: np.ndarray):
-    """Forward pass; returns (predictions (A, n), each group's hidden (rows, n, h))."""
+def _predict(groups: list[_Group], xs: np.ndarray, logistic: np.ndarray) -> np.ndarray:
+    """Predictions (A, n) of the sorted population; leaves each group's hidden buffer filled."""
     u = np.empty_like(xs)
-    hiddens = []
-    for rows, h, w in groups:
-        hidden = np.tanh(xs[rows, :, None] * w[:, None, :h] + w[:, None, h : 2 * h])
-        u[rows] = (hidden @ w[:, 2 * h : 3 * h, None])[:, :, 0] + w[:, 3 * h :]
-        hiddens.append(hidden)
-    return np.where(logistic[:, None], _sigmoid(u), u), hiddens
+    for group in groups:
+        group.predict(xs, u)
+    return np.where(logistic[:, None], _sigmoid(u), u)
 
 
-def _gradient(groups, xs: np.ndarray, ys: np.ndarray, logistic: np.ndarray) -> list[np.ndarray]:
-    """Gradient of each row's MSE: one (rows, 3h+1) array per group, flat layout."""
-    preds, hiddens = _stack_predict(groups, xs, logistic)
+def _gradients(groups: list[_Group], xs: np.ndarray, ys: np.ndarray, logistic: np.ndarray):
+    """Fill every group's grad with the gradient of each row's MSE."""
+    preds = _predict(groups, xs, logistic)
     delta = (2.0 / xs.shape[1]) * (preds - ys)
     delta = np.where(logistic[:, None], delta * preds * (1.0 - preds), delta)
     # delta is dMSE/du for the output pre-activation u of each sample.
-    grad_b_out = delta.sum(axis=1, keepdims=True)
-    grads = []
-    for (rows, h, w), hidden in zip(groups, hiddens):
-        d = delta[rows]
-        back = d[:, :, None] * w[:, None, 2 * h : 3 * h] * (1.0 - hidden**2)  # (rows, n, h)
-        grad_w_in = (xs[rows, None, :] @ back)[:, 0, :]
-        grad_w_out = (hidden.transpose(0, 2, 1) @ d[:, :, None])[:, :, 0]
-        grads.append(
-            np.concatenate([grad_w_in, back.sum(axis=1), grad_w_out, grad_b_out[rows]], axis=1)
-        )
-    return grads
+    for group in groups:
+        group.backward(xs, delta)
 
 
 def train(agents: list[Agent], window: TrainingWindow, hp: Hyperparams) -> list[Agent]:
@@ -233,15 +296,16 @@ def train(agents: list[Agent], window: TrainingWindow, hp: Hyperparams) -> list[
     _check_rows(agents, window, "train")
     if not agents:
         return []
-    order, groups, logistic = _stack(agents)
+    order, weights, grad, groups, logistic = _stack(agents, window.inputs.shape[1])
     xs, ys = window.inputs[order], window.targets[order]
     # A diverging row overflows; the check below reports it instead of numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hp.epochs):
-            for (_, _, weights), grad in zip(groups, _gradient(groups, xs, ys, logistic)):
-                weights -= hp.learning_rate * grad
-        final_mse = _mse(_stack_predict(groups, xs, logistic)[0], ys).tolist()
-    rows = [row for _, _, weights in groups for row in weights]
+            _gradients(groups, xs, ys, logistic)
+            grad *= hp.learning_rate
+            weights -= grad
+        final_mse = _mse(_predict(groups, xs, logistic), ys).tolist()
+    rows = [row for group in groups for row in group.weights]
     trained = [Agent(a.spec, rows[r], final_mse[r]) for a, r in zip(agents, np.argsort(order))]
     for agent in trained:
         if not math.isfinite(agent.last_training_error):

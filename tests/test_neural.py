@@ -347,11 +347,9 @@ def mixed_population(rng):
     return agents, TrainingWindow(np.array([x for x, _ in rows]), np.array([y for _, y in rows]))
 
 
-def test_stacked_training_equals_the_per_agent_loop_bit_for_bit():
+def assert_trains_like_the_per_agent_loop(agents, window, hp):
     # Bit-equality holds because each row of a stack goes through the same
     # numpy/BLAS calls as a lone agent; a numpy or BLAS change may break it.
-    agents, window = mixed_population(np.random.default_rng(31))
-    hp = Hyperparams(epochs=200)
     trained = train(agents, window, hp)
     assert len(trained) == len(agents)
     rows = zip(agents, window.inputs, window.targets, trained)
@@ -361,6 +359,79 @@ def test_stacked_training_equals_the_per_agent_loop_bit_for_bit():
         assert got.spec == agent.spec
         assert np.array_equal(got.weights, weights), f"weights differ for {where}"
         assert got.last_training_error == final_mse, f"final MSE differs for {where}"
+
+
+def test_stacked_training_equals_the_per_agent_loop_bit_for_bit():
+    agents, window = mixed_population(np.random.default_rng(31))
+    assert_trains_like_the_per_agent_loop(agents, window, Hyperparams(epochs=200))
+
+
+def random_window(rng, rows, n):
+    return TrainingWindow(rng.uniform(0.1, 0.9, (rows, n)), rng.uniform(0.1, 0.9, (rows, n)))
+
+
+LINEAR, LOGISTIC = ActivationKind.LINEAR, ActivationKind.LOGISTIC
+ONE_ROW_GROUPS = [(4, LINEAR), (7, LOGISTIC), (4, LOGISTIC), (1, LINEAR)]
+
+
+@pytest.mark.parametrize(
+    ("specs", "n", "epochs"),
+    [
+        pytest.param(None, 1, 200, id="one-pair window"),
+        pytest.param(None, 2, 200, id="two-pair window"),
+        pytest.param(ONE_ROW_GROUPS, 50, 200, id="one-row groups"),
+        pytest.param([(1, kind) for kind in ActivationKind] * 3, 50, 200, id="only h=1"),
+        pytest.param(None, 50, 1, id="one epoch"),
+    ],
+)
+def test_training_special_shapes_equal_the_per_agent_loop_bit_for_bit(specs, n, epochs):
+    # The shapes the stacked kernel treats apart: windows of one or two
+    # pairs, groups of a single row, h = 1 (whose hidden-bias gradient is a
+    # pairwise `sum`, not einsum) and a single epoch.  None is every spec.
+    rng = np.random.default_rng(39)
+    if specs is None:
+        agents, _ = mixed_population(rng)
+    else:
+        agents = [new_agent(AgentSpec(h, kind), rng) for h, kind in specs]
+    window = random_window(rng, len(agents), n)
+    assert_trains_like_the_per_agent_loop(agents, window, Hyperparams(epochs=epochs))
+
+
+def test_einsum_adds_over_n_in_the_order_of_sum_axis_1():
+    # The hidden-bias gradient sums a (rows, n, h) array over n with einsum
+    # for h >= 2 and must equal sum(axis=1) bit for bit.  Magnitudes spread
+    # over 16 decades make any other order of additions show.
+    rng = np.random.default_rng(41)
+    for h in range(2, HIDDEN_MAX + 1):
+        for n in (1, 2, 3, 8, 50):
+            b = rng.normal(size=(3, n, h)) * 10.0 ** rng.uniform(-8, 8, size=(3, n, h))
+            assert np.array_equal(np.einsum("rnh->rh", b), b.sum(axis=1)), (
+                f"einsum('rnh->rh') no longer adds in the order of sum(axis=1) "
+                f"at h={h}, n={n} under numpy {np.__version__}"
+            )
+
+
+def test_training_again_leaves_earlier_results_untouched():
+    # train updates its weight stacks in place.  The stacks are copies, so
+    # neither the agents passed in nor an earlier result may change, in
+    # groups of one row or of many.
+    rng = np.random.default_rng(40)
+    hp = Hyperparams(epochs=20)
+    for agents in (
+        mixed_population(rng)[0],
+        [new_agent(AgentSpec(h, kind), rng) for h, kind in ONE_ROW_GROUPS],
+    ):
+        window = random_window(rng, len(agents), 50)
+        first = train(agents, window, hp)
+        second = train(agents, window, hp)
+        for a, b in zip(first, second):
+            assert np.array_equal(a.weights, b.weights)
+            assert a.last_training_error == b.last_training_error
+        kept = [agent.weights.copy() for agent in first]
+        again = train(first, window, hp)
+        for agent, weights, retrained in zip(first, kept, again):
+            assert np.array_equal(agent.weights, weights)
+            assert not np.array_equal(retrained.weights, weights)
 
 
 def test_mse_gradient_equals_the_per_agent_gradient_bit_for_bit():
@@ -406,6 +477,10 @@ def drop_last_row(window):
 
 
 NO_ROWS = TrainingWindow(np.empty((0, 50)), np.empty((0, 50)))
+
+
+def test_forward_of_no_agents_is_an_empty_array():
+    assert forward([], np.empty((0, 1))).shape == (0, 1)
 
 
 def test_evaluate_error_shares_the_window_checks_of_train():
