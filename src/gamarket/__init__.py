@@ -15,16 +15,14 @@ from .errors import (
     TradeRejectedError,
     TrainingDivergedError,
 )
-from .neural import ActivationKind, Agent, AgentSpec, Hyperparams, TrainingWindow
+from .neural import Agent, Hyperparams, TrainingWindow
 from .players import Player
 from .simulation import RunOutput, run_simulation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationKind",
     "Agent",
-    "AgentSpec",
     "ConfigError",
     "ConservationError",
     "DataError",

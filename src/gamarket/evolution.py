@@ -1,6 +1,7 @@
 """Architecture evolution for a player's agents, one flat stock-major list.
 
-Every agent's architecture is a 9-bit chromosome held as a plain int,
+An agent's architecture is two plain fields, `hidden` and `logistic`;
+only this module encodes them, as a 9-bit chromosome held as a plain int,
 `gray(h) << 1 | gene`: the hidden-unit count h Gray-coded into the high
 8 bits (bit 8 down to bit 1) and the activation gene in bit 0 (0 = linear,
 1 = logistic).  Generations are produced by fitness-proportional (roulette)
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .neural import HIDDEN_MAX, HIDDEN_MIN, ActivationKind, AgentSpec, new_agent
+from .neural import HIDDEN_MAX, HIDDEN_MIN, new_agent
 from .players import Player
 from .rng import RandomStreams
 
@@ -28,17 +29,16 @@ def gray(value: int) -> int:
     return value ^ (value >> 1)
 
 
-def encode(spec: AgentSpec) -> int:
-    return gray(spec.hidden_units) << 1 | (spec.activation is ActivationKind.LOGISTIC)
+def encode(hidden: int, logistic: bool) -> int:
+    return gray(hidden) << 1 | int(logistic)
 
 
-def decode(chromosome: int) -> AgentSpec:
-    """Invert `encode`, clamping the hidden count into [HIDDEN_MIN, HIDDEN_MAX]."""
+def decode(chromosome: int) -> tuple[int, bool]:
+    """Invert `encode` to (hidden, logistic), clamping hidden into [HIDDEN_MIN, HIDDEN_MAX]."""
     hidden = chromosome >> 1
     for shift in (1, 2, 4):  # prefix XOR undoes the Gray code of an 8-bit value
         hidden ^= hidden >> shift
-    kind = ActivationKind.LOGISTIC if chromosome & 1 else ActivationKind.LINEAR
-    return AgentSpec(hidden_units=min(max(hidden, HIDDEN_MIN), HIDDEN_MAX), activation=kind)
+    return min(max(hidden, HIDDEN_MIN), HIDDEN_MAX), bool(chromosome & 1)
 
 
 def crossover_one_point(a: int, b: int, cut: int) -> tuple[int, int]:
@@ -109,10 +109,11 @@ def evolve_generation(
     errors[i] is the validation MSE of `player.agents[i]`.  Selection draws
     a same-size mating pool by roulette, pool neighbours are crossed with
     probability p_cross at a uniform interior cut, every chromosome faces
-    single-bit mutation, and the i-th decoded spec becomes agent i of the
-    next list (its slot, not its parent, fixes which stock it predicts).
-    An agent whose decoded spec matches its selected parent keeps that
-    parent's weights; any changed architecture gets fresh random weights.
+    single-bit mutation, and the i-th decoded (hidden, logistic) pair
+    becomes agent i of the next list (its slot, not its parent, fixes which
+    stock it predicts).  An agent whose decoded pair equals its selected
+    parent's keeps that parent's weights; any changed architecture gets
+    fresh random weights.
     """
     params.validate()
     agents = player.agents
@@ -123,7 +124,7 @@ def evolve_generation(
         raise ConfigError(f"evolution needs at least 2 agents, got {n}")
 
     parents = roulette_select(error_fitness(errors), n, streams.ga)
-    chromosomes = [encode(agents[p].spec) for p in parents]
+    chromosomes = [encode(agents[p].hidden, agents[p].logistic) for p in parents]
     for j in range(0, n - 1, 2):
         if streams.ga.random() < params.p_cross:
             cut = int(streams.ga.integers(1, CHROMOSOME_BITS))
@@ -133,10 +134,10 @@ def evolve_generation(
 
     next_agents = []
     for parent_index, chromosome in zip(parents, chromosomes):
-        spec = decode(mutate_bit(chromosome, params.p_mut, streams.mutation))
+        hidden, logistic = decode(mutate_bit(chromosome, params.p_mut, streams.mutation))
         parent = agents[parent_index]
-        if spec == parent.spec:
+        if (hidden, logistic) == (parent.hidden, parent.logistic):
             next_agents.append(replace(parent, weights=parent.weights.copy()))
         else:
-            next_agents.append(new_agent(spec, streams.init, weight_init_scale))
+            next_agents.append(new_agent(hidden, logistic, streams.init, weight_init_scale))
     return Player(next_agents)

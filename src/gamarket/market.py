@@ -118,8 +118,9 @@ def decide(predictions, prices, supply) -> tuple[np.ndarray, np.ndarray, np.ndar
     resolves to a buy; ties inside argmax/argmin resolve to the lowest
     stock index.  Returns (sells, stock, delta), one entry per player.
     """
-    deltas = (predictions - prices) / prices
-    factors = deltas * np.asarray(supply)
+    with np.errstate(over="ignore"):  # subnormal prices overflow to inf; sizing caps it
+        deltas = (predictions - prices) / prices
+        factors = deltas * np.asarray(supply)
     rows = np.arange(len(factors))
     imax, imin = factors.argmax(axis=1), factors.argmin(axis=1)
     sells = np.abs(factors[rows, imax]) < np.abs(factors[rows, imin])
@@ -144,14 +145,18 @@ def desired_quantity(
         raise ValueError(f"announced price must be > 0, got {announced_price}")
     if market_volume < 0:
         raise ValueError(f"market volume must be >= 0, got {market_volume}")
-    want = math.floor(abs(delta_p) * market_volume)
+    # |delta_p| > 1 would want more than the volume: an overflowed (inf)
+    # relative change of a subnormal price wants the whole volume, not a crash.
+    want = math.floor(min(abs(delta_p), 1.0) * market_volume)
     if sells:
         return max(min(want, SELL_CAP_NUM * holding // SELL_CAP_DEN), 0)
-    affordable = int(cash // announced_price)
-    # Float division can round up across an integer boundary; back off.
+    # Float division can round up across an integer boundary; back off.  The
+    # start is at most the volume (< 2**63), so the back-off stays short even
+    # when cash // price is a thousand-bit integer.
+    affordable = int(min(cash // announced_price, want, market_volume))
     while affordable > 0 and affordable * announced_price > cash:
         affordable -= 1
-    return max(min(want, affordable, market_volume), 0)
+    return max(affordable, 0)
 
 
 def run_clearing(

@@ -1,6 +1,7 @@
 """Analysis outputs: species complexity, committee sizes, net-worth tracking.
 
-"Species" here means the output activation of an agent.  Complexity is
+"Species" here means the output activation of an agent, "linear" or
+"logistic", the names `complexity.csv` writes.  Complexity is
 reported per species as the population standard deviation of hidden-unit
 counts; the components are never summed into a single scalar because the
 per-species spread is the quantity of interest.
@@ -13,20 +14,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .market import Portfolios
-from .neural import ActivationKind
 from .players import Player
 
 
-def complexity(agents) -> dict[ActivationKind, float]:
+def complexity(agents) -> dict[str, float]:
     """Per-species population standard deviation of hidden-unit counts.
 
     Uses the population estimator (divide by the species count).  Species
     appear in the order their first agent does; empty species are absent
     from the result, not reported as zero.
     """
-    counts: dict[ActivationKind, list[int]] = {}
+    counts: dict[str, list[int]] = {}
     for agent in agents:
-        counts.setdefault(agent.spec.activation, []).append(agent.spec.hidden_units)
+        counts.setdefault("logistic" if agent.logistic else "linear", []).append(agent.hidden)
     if not counts:
         raise ValueError("complexity needs at least one agent")
     return {kind: float(np.std(hs)) for kind, hs in counts.items()}
@@ -80,7 +80,7 @@ def record_networth(metrics: RunMetrics, book: Portfolios, prices, day: int) -> 
 def record_generation(metrics: RunMetrics, generation: int, players: list[Player]) -> None:
     """Snapshot architecture statistics for the whole population."""
     for pid, player in enumerate(players):
-        mean = float(np.mean([agent.spec.hidden_units for agent in player.agents]))
+        mean = float(np.mean([agent.hidden for agent in player.agents]))
         metrics.hidden_rows.append((generation, pid, mean))
     for kind, sigma in complexity(a for player in players for a in player.agents).items():
-        metrics.complexity_rows.append((generation, kind.value, sigma))
+        metrics.complexity_rows.append((generation, kind, sigma))

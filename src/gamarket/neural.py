@@ -2,7 +2,9 @@
 
 Each agent maps one normalized price to one normalized next-price estimate.
 The hidden layer uses tanh units; the output unit is either linear or
-logistic.  Weights are stored flat in a fixed layout:
+logistic.  An `Agent` carries this architecture as two plain fields,
+`hidden` (1 to 10 units) and `logistic`.  Weights are stored flat in a
+fixed layout:
 
     [input->hidden (h), hidden biases (h), hidden->output (h), output bias]
 
@@ -19,7 +21,8 @@ for a generation's scores and `mse_gradient` for one agent.  `_stack`
 sorts the agents by hidden count, so the agents of one count h are one
 `_Group`: a slice of rows with one `(rows, 3h+1)` weight array; inputs,
 targets, outputs and errors are `(A, n)` arrays, one row per agent, and a
-boolean row mask picks the logistic output.  The work shaped by h runs
+boolean row mask picks the logistic rows, the only ones that go through
+the sigmoid and its derivative.  The work shaped by h runs
 once per group; every reduction is a batched `@` or a per-row sum, which
 numpy runs as the same BLAS call or loop for each row that a lone agent
 gets, so a stacked agent computes the same bits as it would alone.
@@ -51,7 +54,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -65,39 +67,16 @@ _SIGMOID_LO = float(np.finfo(float).tiny)
 _SIGMOID_HI = float(np.nextafter(1.0, 0.0))
 
 
-class ActivationKind(Enum):
-    LINEAR = "linear"
-    LOGISTIC = "logistic"
-
-
-@dataclass(frozen=True)
-class AgentSpec:
-    """Architecture of one agent: hidden-unit count plus output activation."""
-
-    hidden_units: int
-    activation: ActivationKind
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.hidden_units, int):
-            raise ConfigError(f"hidden_units must be an int, got {self.hidden_units!r}")
-        if not HIDDEN_MIN <= self.hidden_units <= HIDDEN_MAX:
-            raise ConfigError(
-                f"hidden_units must lie in [{HIDDEN_MIN}, {HIDDEN_MAX}], got {self.hidden_units}"
-            )
-
-    def weight_count(self) -> int:
-        return 3 * self.hidden_units + 1
-
-
 @dataclass
 class Agent:
-    """A weight vector attached to an architecture spec.
+    """One network: its hidden-unit count, whether its output is logistic, its weights.
 
     last_training_error is None until the agent has been trained once,
     afterwards it holds the final MSE on the most recent training window.
     """
 
-    spec: AgentSpec
+    hidden: int
+    logistic: bool
     weights: np.ndarray
     last_training_error: float | None = None
 
@@ -140,12 +119,16 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return np.clip(np.where(u >= 0, 1.0 / d, e / d), _SIGMOID_LO, _SIGMOID_HI)
 
 
-def new_agent(spec: AgentSpec, rng: np.random.Generator, weight_init_scale: float = 0.5) -> Agent:
+def new_agent(
+    hidden: int, logistic: bool, rng: np.random.Generator, weight_init_scale: float = 0.5
+) -> Agent:
     """Create an agent with the given architecture and fresh uniform weights."""
+    if not HIDDEN_MIN <= hidden <= HIDDEN_MAX:
+        raise ConfigError(f"hidden units must lie in [{HIDDEN_MIN}, {HIDDEN_MAX}], got {hidden}")
     if not weight_init_scale > 0:
         raise ConfigError(f"weight_init_scale must be > 0, got {weight_init_scale}")
-    weights = rng.uniform(-weight_init_scale, weight_init_scale, spec.weight_count())
-    return Agent(spec=spec, weights=weights)
+    weights = rng.uniform(-weight_init_scale, weight_init_scale, 3 * hidden + 1)
+    return Agent(hidden, logistic, weights)
 
 
 def init_random(rng: np.random.Generator, weight_init_scale: float = 0.5) -> Agent:
@@ -155,8 +138,7 @@ def init_random(rng: np.random.Generator, weight_init_scale: float = 0.5) -> Age
     a fair coin between linear and logistic.
     """
     hidden = int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1))
-    kind = ActivationKind.LINEAR if rng.integers(2) == 0 else ActivationKind.LOGISTIC
-    return new_agent(AgentSpec(hidden, kind), rng, weight_init_scale)
+    return new_agent(hidden, bool(rng.integers(2) == 1), rng, weight_init_scale)
 
 
 def _mse(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -220,19 +202,18 @@ def _stack(agents: list[Agent], n: int):
     _Group per hidden count, viewing its block of both, with buffers for
     windows of n pairs; logistic is the (A,) row mask of logistic outputs.
     """
-    order = sorted(range(len(agents)), key=lambda i: agents[i].spec.hidden_units)
+    order = sorted(range(len(agents)), key=lambda i: agents[i].hidden)
     sorted_weights = [agents[i].weights for i in order]
     weights = np.concatenate(sorted_weights, dtype=float) if agents else np.empty(0)
     grad = np.empty_like(weights)
     groups, start, offset = [], 0, 0
-    for h, run in itertools.groupby(agents[i].spec.hidden_units for i in order):
+    for h, run in itertools.groupby(agents[i].hidden for i in order):
         count = len(list(run))
         shape, block = (count, 3 * h + 1), slice(offset, offset + count * (3 * h + 1))
         rows = slice(start, start + count)
         groups.append(_Group(rows, h, weights[block].reshape(shape), grad[block].reshape(shape), n))
         start, offset = rows.stop, block.stop
-    kind = ActivationKind.LOGISTIC  # looked up once: enum member access is slow
-    logistic = np.array([agents[i].spec.activation is kind for i in order])
+    logistic = np.array([agents[i].logistic for i in order], dtype=bool)
     return order, weights, grad, groups, logistic
 
 
@@ -271,14 +252,16 @@ def _predict(groups: list[_Group], xs: np.ndarray, logistic: np.ndarray) -> np.n
     u = np.empty_like(xs)
     for group in groups:
         group.predict(xs, u)
-    return np.where(logistic[:, None], _sigmoid(u), u)
+    u[logistic] = _sigmoid(u[logistic])
+    return u
 
 
 def _gradients(groups: list[_Group], xs: np.ndarray, ys: np.ndarray, logistic: np.ndarray):
     """Fill every group's grad with the gradient of each row's MSE."""
     preds = _predict(groups, xs, logistic)
     delta = (2.0 / xs.shape[1]) * (preds - ys)
-    delta = np.where(logistic[:, None], delta * preds * (1.0 - preds), delta)
+    p = preds[logistic]
+    delta[logistic] = delta[logistic] * p * (1.0 - p)
     # delta is dMSE/du for the output pre-activation u of each sample.
     for group in groups:
         group.backward(xs, delta)
@@ -306,12 +289,14 @@ def train(agents: list[Agent], window: TrainingWindow, hp: Hyperparams) -> list[
             weights -= grad
         final_mse = _mse(_predict(groups, xs, logistic), ys).tolist()
     rows = [row for group in groups for row in group.weights]
-    trained = [Agent(a.spec, rows[r], final_mse[r]) for a, r in zip(agents, np.argsort(order))]
+    inverse = np.argsort(order)
+    trained = [Agent(a.hidden, a.logistic, rows[r], final_mse[r]) for a, r in zip(agents, inverse)]
     for agent in trained:
         if not math.isfinite(agent.last_training_error):
+            kind = "logistic" if agent.logistic else "linear"
             raise TrainingDivergedError(
-                f"training diverged for {agent.spec.hidden_units}-unit "
-                f"{agent.spec.activation.value} agent: final MSE {agent.last_training_error} "
-                f"after {hp.epochs} epochs at learning rate {hp.learning_rate}"
+                f"training diverged for {agent.hidden}-unit {kind} agent: final MSE "
+                f"{agent.last_training_error} after {hp.epochs} epochs at learning rate "
+                f"{hp.learning_rate}"
             )
     return trained

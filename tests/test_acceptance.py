@@ -40,8 +40,7 @@ from gamarket.market import Portfolios, apply_trade
 from gamarket.neural import (
     HIDDEN_MAX,
     HIDDEN_MIN,
-    ActivationKind,
-    AgentSpec,
+    Agent,
     Hyperparams,
     TrainingWindow,
     evaluate_error,
@@ -151,8 +150,8 @@ def test_a2_conservation_over_a_long_seeded_run(price_file):
 def test_a3_genetic_operator_statistics():
     # Gray round trip over the legal architecture range.
     for h in range(HIDDEN_MIN, HIDDEN_MAX + 1):
-        for kind in ActivationKind:
-            assert decode(encode(AgentSpec(h, kind))) == AgentSpec(h, kind)
+        for logistic in (False, True):
+            assert decode(encode(h, logistic)) == (h, logistic)
     # Adjacency: consecutive codes differ in exactly one bit, exhaustively.
     for value in range(255):
         diff = (gray(value) ^ gray(value + 1)).bit_count()
@@ -191,23 +190,18 @@ def _central_difference(agent, window, step=1e-5):
         down = agent.weights.copy()
         up[i] += step
         down[i] -= step
-        [e_up] = evaluate_error([type(agent)(spec=agent.spec, weights=up)], window)
-        [e_down] = evaluate_error([type(agent)(spec=agent.spec, weights=down)], window)
+        [e_up] = evaluate_error([Agent(agent.hidden, agent.logistic, up)], window)
+        [e_down] = evaluate_error([Agent(agent.hidden, agent.logistic, down)], window)
         grad[i] = (e_up - e_down) / (2 * step)
     return grad
 
 
 def test_a4_gradients_match_finite_differences_and_training_learns():
     rng = np.random.default_rng(909)
-    specs = [
-        AgentSpec(hidden_units=h, activation=kind)
-        for h in range(HIDDEN_MIN, HIDDEN_MAX + 1)
-        for kind in ActivationKind
-    ]
+    specs = [(h, logistic) for h in range(HIDDEN_MIN, HIDDEN_MAX + 1) for logistic in (False, True)]
     worst = 0.0
     for i in range(100):
-        spec = specs[i % len(specs)]
-        agent = new_agent(spec, rng)
+        agent = new_agent(*specs[i % len(specs)], rng)
         inputs = rng.uniform(0.05, 0.95, size=30)
         targets = rng.uniform(0.1, 0.9, size=30)
         window = TrainingWindow(inputs=inputs[None], targets=targets[None])
@@ -223,7 +217,7 @@ def test_a4_gradients_match_finite_differences_and_training_learns():
     befores = []
     afters = []
     for i in range(100):
-        agent = new_agent(specs[i % len(specs)], rng)
+        agent = new_agent(*specs[i % len(specs)], rng)
         befores.extend(evaluate_error([agent], ramp))
         [trained] = train([agent], ramp, Hyperparams(epochs=200, learning_rate=0.05))
         afters.append(trained.last_training_error)
@@ -255,7 +249,7 @@ def test_a5_selection_pressure_reduces_population_error(price_file):
     first, last = rows[0][1], rows[-1][1]
     for player in output.players:
         for agent in player.agents:
-            assert HIDDEN_MIN <= agent.spec.hidden_units <= HIDDEN_MAX
+            assert HIDDEN_MIN <= agent.hidden <= HIDDEN_MAX
     _report(
         "A5 selection pressure",
         output.generations == 10 and last <= first,

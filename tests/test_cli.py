@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from gamarket import errors
 from gamarket.bench import scaling_benchmark
 from gamarket.cli import main
 from gamarket.config import SimulationConfig, parse_config, resolved_text
@@ -213,6 +214,33 @@ def test_run_reports_a_non_finite_price_with_its_line(tmp_path, cli_process):
     assert result.stderr.startswith(f"DataError: {data}:15: price inf for SP500")
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-322])
+def test_run_on_tiny_prices_ends_without_hang_or_traceback(
+    scale, tmp_path, monkeypatch, cli_process, workloads
+):
+    # perfbench's crowd prices scaled down: every price is finite and > 0,
+    # so the file loads.  At 1e-300 order sizing once counted down a
+    # thousand-bit share count; at 1e-322 (subnormal) the relative price
+    # change overflowed into a raw OverflowError.
+    monkeypatch.chdir(tmp_path)
+    crowd = workloads.WORKLOADS["crowd"]
+    prices = workloads.make_inputs(crowd, 0, ".") * scale
+    rows = [",".join([str(day), *map(repr, row.tolist())]) for day, row in enumerate(prices)]
+    with open(workloads.PRICES_CSV, "w") as handle:
+        handle.write("\n".join(["day," + ",".join(workloads.STOCKS), *rows]) + "\n")
+    with open(workloads.RUN_CFG, "w") as handle:
+        handle.write(workloads.config_text(crowd, 0, days=30))
+    result = cli_process("run", "--config", workloads.RUN_CFG, timeout=30)
+    assert "Traceback" not in result.stderr
+    if result.returncode == 0:
+        assert result.stderr == ""
+    else:
+        assert result.returncode == 1
+        [line] = result.stderr.splitlines()
+        error = getattr(errors, line.split(":")[0], None)
+        assert isinstance(error, type) and issubclass(error, errors.SimulationError), line
 
 
 def test_scaling_benchmark_skips_infeasible_points():

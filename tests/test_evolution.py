@@ -16,7 +16,7 @@ from gamarket.evolution import (
     mutate_bit,
     roulette_select,
 )
-from gamarket.neural import HIDDEN_MAX, HIDDEN_MIN, ActivationKind, AgentSpec, new_agent
+from gamarket.neural import HIDDEN_MAX, HIDDEN_MIN, new_agent
 from gamarket.players import Player
 from gamarket.rng import make_streams
 
@@ -25,7 +25,7 @@ def test_gray_round_trip_all_byte_values():
     # decode inverts the Gray block of every byte, then clamps it.
     for value in range(256):
         hidden = min(max(value, HIDDEN_MIN), HIDDEN_MAX)
-        assert decode(gray(value) << 1).hidden_units == hidden
+        assert decode(gray(value) << 1) == (hidden, False)
 
 
 def test_gray_adjacent_values_differ_in_one_bit():
@@ -38,20 +38,19 @@ def test_gray_frozen_examples():
     # 5 -> binary 00000101 -> gray 00000111.
     assert gray(5) == 0b00000111
     # 10 -> binary 00001010 -> gray 00001111; the gene sits below it.
-    assert encode(AgentSpec(10, ActivationKind.LINEAR)) == 0b00001111_0
-    assert encode(AgentSpec(10, ActivationKind.LOGISTIC)) == 0b00001111_1
-    assert decode(0b00000111_1) == AgentSpec(5, ActivationKind.LOGISTIC)
+    assert encode(10, False) == 0b00001111_0
+    assert encode(10, True) == 0b00001111_1
+    assert decode(0b00000111_1) == (5, True)
     # All-ones decodes to 170 and clamps to the architecture ceiling.
-    assert decode(0b11111111_0).hidden_units == HIDDEN_MAX
+    assert decode(0b11111111_0) == (HIDDEN_MAX, False)
     # All-zeros decodes to 0 and clamps to the floor.
-    assert decode(0) == AgentSpec(HIDDEN_MIN, ActivationKind.LINEAR)
+    assert decode(0) == (HIDDEN_MIN, False)
 
 
 def test_chromosome_spec_round_trip():
     for h in range(HIDDEN_MIN, HIDDEN_MAX + 1):
-        for kind in ActivationKind:
-            spec = AgentSpec(hidden_units=h, activation=kind)
-            assert decode(encode(spec)) == spec
+        for logistic in (False, True):
+            assert decode(encode(h, logistic)) == (h, logistic)
 
 
 def test_crossover_frozen_example():
@@ -165,8 +164,7 @@ def _mixed_player(seed=0, stocks=2, per_stock=4):
     agents = []
     for _ in range(stocks * per_stock):
         h = int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1))
-        kind = ActivationKind.LINEAR if rng.integers(2) == 0 else ActivationKind.LOGISTIC
-        agents.append(new_agent(AgentSpec(h, kind), rng))
+        agents.append(new_agent(h, bool(rng.integers(2) == 1), rng))
     return Player(agents)
 
 
@@ -177,8 +175,8 @@ def test_evolve_generation_shape_and_legality():
     child = evolve_generation(player, errors, GAParams(), make_streams(99))
     assert len(child.agents) == len(player.agents)
     for agent in child.agents:
-        assert HIDDEN_MIN <= agent.spec.hidden_units <= HIDDEN_MAX
-        assert len(agent.weights) == agent.spec.weight_count()
+        assert HIDDEN_MIN <= agent.hidden <= HIDDEN_MAX
+        assert len(agent.weights) == 3 * agent.hidden + 1
 
 
 def test_evolve_generation_keeps_parent_weights_when_spec_survives():
@@ -189,9 +187,9 @@ def test_evolve_generation_keeps_parent_weights_when_spec_survives():
     params = GAParams(p_cross=1e-12, p_mut=0.0)
     child = evolve_generation(player, errors, params, make_streams(5))
     parents = player.agents
-    by_key = {(a.spec, a.weights.tobytes()) for a in parents}
+    by_key = {(a.hidden, a.logistic, a.weights.tobytes()) for a in parents}
     for agent in child.agents:
-        assert (agent.spec, agent.weights.tobytes()) in by_key
+        assert (agent.hidden, agent.logistic, agent.weights.tobytes()) in by_key
         # Copies, not aliases: mutating a child cannot corrupt the parent.
         assert all(agent.weights is not p.weights for p in parents)
 
@@ -200,14 +198,14 @@ def test_evolve_generation_concentrates_on_fit_parent():
     # One agent vastly fitter than the rest should dominate the mating pool.
     player = _mixed_player(seed=8, stocks=1, per_stock=8)
     errors = [1e-9] + [10.0] * 7
-    star_spec = player.agents[0].spec
+    star = player.agents[0]
     hits = 0
     trials = 200
     for seed in range(trials):
         child = evolve_generation(
             player, errors, GAParams(p_cross=1e-12, p_mut=0.0), make_streams(seed)
         )
-        hits += sum(agent.spec == star_spec for agent in child.agents)
+        hits += sum((a.hidden, a.logistic) == (star.hidden, star.logistic) for a in child.agents)
     assert hits / (trials * 8) > 0.99
 
 
@@ -218,7 +216,7 @@ def test_evolve_generation_is_deterministic_per_seed():
     a = evolve_generation(player, errors, GAParams(), make_streams(123))
     b = evolve_generation(_mixed_player(seed=21), errors, GAParams(), make_streams(123))
     for x, y in zip(a.agents, b.agents):
-        assert x.spec == y.spec
+        assert (x.hidden, x.logistic) == (y.hidden, y.logistic)
         assert x.weights.tobytes() == y.weights.tobytes()
 
 
@@ -232,7 +230,7 @@ def test_evolve_generation_validation():
         evolve_generation(player, [-0.1] + [0.1] * (n - 1), GAParams(), streams)
     with pytest.raises(ValueError):
         evolve_generation(player, [float("nan")] + [0.1] * (n - 1), GAParams(), streams)
-    single = Player([new_agent(AgentSpec(2, ActivationKind.LINEAR), np.random.default_rng(0))])
+    single = Player([new_agent(2, False, np.random.default_rng(0))])
     with pytest.raises(ConfigError):
         evolve_generation(single, [0.1], GAParams(), streams)
 
@@ -245,10 +243,9 @@ def test_evolve_generation_pins_the_draw_order():
     errors = [0.05, 0.3, 0.01, 0.2, 0.12, 0.07, 0.4, 0.02]
     streams = make_streams(123)
     child = evolve_generation(player, errors, GAParams(p_cross=0.9, p_mut=0.5), streams)
-    L, G = ActivationKind.LINEAR, ActivationKind.LOGISTIC
-    assert [a.spec for a in child.agents] == [
-        AgentSpec(h, kind)
-        for h, kind in [(10, L), (6, L), (4, G), (5, L), (6, L), (5, L), (9, G), (3, L)]
+    L, G = False, True
+    assert [(a.hidden, a.logistic) for a in child.agents] == [
+        (10, L), (6, L), (4, G), (5, L), (6, L), (5, L), (9, G), (3, L)
     ]
     parent_weights = {a.weights.tobytes() for a in player.agents}
     kept = [a.weights.tobytes() in parent_weights for a in child.agents]

@@ -14,17 +14,17 @@ from gamarket.metrics import (
     record_networth,
 )
 from gamarket.market import Portfolios
-from gamarket.neural import ActivationKind, AgentSpec, new_agent
+from gamarket.neural import new_agent
 from gamarket.players import Player
 
 
 def _agent(hidden, kind):
-    return new_agent(AgentSpec(hidden, kind), np.random.default_rng(hidden))
+    return new_agent(hidden, kind == "logistic", np.random.default_rng(hidden))
 
 
 def test_complexity_matches_two_pass_oracle():
     # Population standard deviation computed longhand per species.
-    counts = {ActivationKind.LINEAR: [2, 7, 4, 4], ActivationKind.LOGISTIC: [1, 9]}
+    counts = {"linear": [2, 7, 4, 4], "logistic": [1, 9]}
     agents = [_agent(h, kind) for kind, hs in counts.items() for h in hs]
     got = complexity(agents)
     for kind, hs in counts.items():
@@ -34,19 +34,19 @@ def test_complexity_matches_two_pass_oracle():
 
 
 def test_complexity_omits_empty_species():
-    agents = [_agent(3, ActivationKind.LINEAR), _agent(6, ActivationKind.LINEAR)]
+    agents = [_agent(3, "linear"), _agent(6, "linear")]
     got = complexity(agents)
-    assert set(got) == {ActivationKind.LINEAR}
-    assert got[ActivationKind.LINEAR] == pytest.approx(1.5)
+    assert set(got) == {"linear"}
+    assert got["linear"] == pytest.approx(1.5)
     with pytest.raises(ValueError):
         complexity([])
 
 
 def test_complexity_lists_species_in_first_occurrence_order():
     # complexity.csv writes one row per species in this order.
-    agents = [_agent(4, ActivationKind.LOGISTIC), _agent(2, ActivationKind.LINEAR)]
-    assert list(complexity(agents)) == [ActivationKind.LOGISTIC, ActivationKind.LINEAR]
-    assert list(complexity(agents[::-1])) == [ActivationKind.LINEAR, ActivationKind.LOGISTIC]
+    agents = [_agent(4, "logistic"), _agent(2, "linear")]
+    assert list(complexity(agents)) == ["logistic", "linear"]
+    assert list(complexity(agents[::-1])) == ["linear", "logistic"]
 
 
 def test_linear_fit_recovers_exact_line():
@@ -90,8 +90,8 @@ def test_record_networth_rows():
 def test_record_generation_rows():
     metrics = RunMetrics()
     players = [
-        Player([_agent(2, ActivationKind.LINEAR), _agent(4, ActivationKind.LINEAR)]),
-        Player([_agent(6, ActivationKind.LOGISTIC), _agent(6, ActivationKind.LOGISTIC)]),
+        Player([_agent(2, "linear"), _agent(4, "linear")]),
+        Player([_agent(6, "logistic"), _agent(6, "logistic")]),
     ]
     record_generation(metrics, generation=3, players=players)
     assert metrics.hidden_rows == [(3, 0, 3.0), (3, 1, 6.0)]

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gamarket.data import NORM_HI, NORM_LO, NormalizationParams
 from gamarket.errors import ConfigError
-from gamarket.neural import ActivationKind, AgentSpec, forward, init_random, new_agent
+from gamarket.neural import forward, init_random, new_agent
 from gamarket.market import decide, desired_quantity
 from gamarket.players import PRICE_FLOOR, Player, committee_predict, population
 from test_neural import reference_predict
@@ -30,8 +32,7 @@ def test_committee_predict_is_mean_then_denormalized():
 def test_committee_predict_floors_negative_prices():
     # A linear agent rigged to output a large negative value would denormalize
     # below zero; the prediction is floored instead.
-    spec = AgentSpec(hidden_units=1, activation=ActivationKind.LINEAR)
-    agent = new_agent(spec, np.random.default_rng(0))
+    agent = new_agent(1, False, np.random.default_rng(0))
     agent.weights[:] = [0.0, 0.0, 0.0, -50.0]
     params = NormalizationParams(lo=np.array([10.0]), hi=np.array([20.0]))
     [got] = committee_predict([Player([agent])], np.array([0.5]), params)
@@ -80,7 +81,7 @@ def reference_committee_predict(players, xs, params):
         k = len(player.agents) // len(xs)
         for m in range(len(xs)):
             group = player.agents[m * k : (m + 1) * k]
-            outs = [reference_predict(a.spec, a.weights, np.array([xs[m]]))[0][0] for a in group]
+            outs = [reference_predict(a, a.weights, np.array([xs[m]]))[0][0] for a in group]
             mean = sum(float(out) for out in outs) / len(group)
             lo, hi = float(params.lo[m]), float(params.hi[m])
             price = lo if hi == lo else lo + (mean - NORM_LO) * (hi - lo) / (NORM_HI - NORM_LO)
@@ -96,7 +97,7 @@ def test_committee_predict_equals_the_per_player_loop_bit_for_bit(k):
     players = [Player([init_random(rng) for _ in range(3 * k)]) for _ in range(5)]
     # Player 0's first committee is rigged far negative: that cell is floored.
     for agent in players[0].agents[:k]:
-        agent.spec = AgentSpec(agent.spec.hidden_units, ActivationKind.LINEAR)
+        agent.logistic = False
         agent.weights[-1] = -50.0
     xs = np.array([0.35, 1.7, 0.5])
     # The third stock's window was constant (hi == lo).
@@ -194,6 +195,53 @@ def test_desired_quantity_validation():
         desired_quantity(False, 0.1, announced_price=0.0, market_volume=10, cash=1000.0, holding=0)
     with pytest.raises(ValueError):
         desired_quantity(False, 0.1, announced_price=1.0, market_volume=-1, cash=1000.0, holding=0)
+
+
+def reference_desired_quantity(sells, delta_p, announced_price, market_volume, cash, holding):
+    """The sizing whose back-off started from every share `cash` affords."""
+    want = math.floor(abs(delta_p) * market_volume)
+    if sells:
+        return max(min(want, 2 * holding // 5), 0)
+    affordable = int(cash // announced_price)
+    while affordable > 0 and affordable * announced_price > cash:
+        affordable -= 1
+    return max(min(want, affordable, market_volume), 0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    sells=st.booleans(),
+    delta_p=st.floats(-1.0, 1e3, exclude_min=True),
+    announced_price=st.floats(1e-3, 1e6),
+    market_volume=st.integers(0, 10**7),
+    cash=st.floats(0.0, 1e9),
+    holding=st.integers(0, 10**7),
+)
+def test_desired_quantity_equals_the_unbounded_back_off(
+    sells, delta_p, announced_price, market_volume, cash, holding
+):
+    # A prediction is > 0, so a relative change is > -1; a sell's is also
+    # < 0, since decide sells only when the lowest factor outweighs the
+    # highest.  Normal-range prices and cash keep the reference loop short.
+    assume(not sells or delta_p <= 0)
+    args = (sells, delta_p, announced_price, market_volume, cash, holding)
+    assert desired_quantity(*args) == reference_desired_quantity(*args)
+
+
+def test_desired_quantity_returns_at_once_on_a_thousand_bit_share_count(python_process):
+    # cash // price is a 1,010-bit integer here, and taking one share off
+    # it does not change the float product: a back-off from it never ends.
+    result = python_process(
+        "from gamarket.market import desired_quantity\n"
+        "print(desired_quantity(False, 0.01, 9.136280215049445e-298, 20000, 6692891.674401907, 0))",
+        timeout=10,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "200\n", "")
+
+
+def test_desired_quantity_caps_an_overflowed_change_at_the_volume():
+    # A subnormal price makes the relative change overflow to inf.
+    assert desired_quantity(False, math.inf, 5e-323, 2000, 4e6, 0) == 2000
 
 
 def test_player_agent_iteration():

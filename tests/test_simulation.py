@@ -63,7 +63,7 @@ def _fingerprint(output):
     return (
         [(t.day, t.round, t.buyer, t.seller, t.stock, t.quantity, t.price) for t in output.trades],
         (output.portfolios.cash.tolist(), output.portfolios.holdings.tolist()),
-        [(a.spec, a.weights.tobytes()) for p in output.players for a in p.agents],
+        [(a.hidden, a.logistic, a.weights.tobytes()) for p in output.players for a in p.agents],
         output.metrics.networth_rows,
         output.metrics.hidden_rows,
         output.metrics.complexity_rows,
