@@ -16,7 +16,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .neural import Agent, Hyperparams, TrainingWindow
-from .players import Player
+from .players import Population
 from .simulation import RunOutput, run_simulation
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __all__ = [
     "DataError",
     "Hyperparams",
     "InsufficientHistoryError",
-    "Player",
+    "Population",
     "RunOutput",
     "SimulationConfig",
     "SimulationError",

@@ -1,4 +1,4 @@
-"""Architecture evolution for a player's agents, one flat stock-major list.
+"""Architecture evolution for every player's agents, one player after another.
 
 An agent's architecture is two plain fields, `hidden` and `logistic`;
 only this module encodes them, as a 9-bit chromosome held as a plain int,
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .neural import HIDDEN_MAX, HIDDEN_MIN, new_agent
-from .players import Player
+from .players import Population
 from .rng import RandomStreams
 
 CHROMOSOME_BITS = 9  # 8 Gray-coded hidden-count bits, then the activation gene
@@ -98,46 +98,48 @@ class GAParams:
 
 
 def evolve_generation(
-    player: Player,
+    population: Population,
     errors: list[float],
     params: GAParams,
     streams: RandomStreams,
     weight_init_scale: float = 0.5,
-) -> Player:
-    """Produce the next generation of one player's agents.
+) -> Population:
+    """Produce the next generation of every player's agents, player by player.
 
-    errors[i] is the validation MSE of `player.agents[i]`.  Selection draws
-    a same-size mating pool by roulette, pool neighbours are crossed with
-    probability p_cross at a uniform interior cut, every chromosome faces
-    single-bit mutation, and the i-th decoded (hidden, logistic) pair
-    becomes agent i of the next list (its slot, not its parent, fixes which
-    stock it predicts).  An agent whose decoded pair equals its selected
-    parent's keeps that parent's weights; any changed architecture gets
-    fresh random weights.
+    errors[i] is the validation MSE of `population.agents[i]`.  Each player
+    evolves on its own agents, in player order, so every stream sees the
+    draws of one player after another.  Selection draws a same-size mating
+    pool by roulette, pool neighbours are crossed with probability p_cross
+    at a uniform interior cut, every chromosome faces single-bit mutation,
+    and the i-th decoded (hidden, logistic) pair becomes the player's agent
+    i of the next list (its slot, not its parent, fixes which stock it
+    predicts).  An agent whose decoded pair equals its selected parent's
+    keeps that parent's weights; any changed architecture gets fresh random
+    weights.
     """
     params.validate()
-    agents = player.agents
-    n = len(agents)
-    if n != len(errors):
-        raise ConfigError(f"got {len(errors)} errors for {n} agents")
+    if len(population.agents) != len(errors):
+        raise ConfigError(f"got {len(errors)} errors for {len(population.agents)} agents")
+    n = population.stocks * population.k  # agents per player
     if n < 2:
-        raise ConfigError(f"evolution needs at least 2 agents, got {n}")
-
-    parents = roulette_select(error_fitness(errors), n, streams.ga)
-    chromosomes = [encode(agents[p].hidden, agents[p].logistic) for p in parents]
-    for j in range(0, n - 1, 2):
-        if streams.ga.random() < params.p_cross:
-            cut = int(streams.ga.integers(1, CHROMOSOME_BITS))
-            chromosomes[j], chromosomes[j + 1] = crossover_one_point(
-                chromosomes[j], chromosomes[j + 1], cut
-            )
-
+        raise ConfigError(f"evolution needs at least 2 agents per player, got {n}")
     next_agents = []
-    for parent_index, chromosome in zip(parents, chromosomes):
-        hidden, logistic = decode(mutate_bit(chromosome, params.p_mut, streams.mutation))
-        parent = agents[parent_index]
-        if (hidden, logistic) == (parent.hidden, parent.logistic):
-            next_agents.append(replace(parent, weights=parent.weights.copy()))
-        else:
-            next_agents.append(new_agent(hidden, logistic, streams.init, weight_init_scale))
-    return Player(next_agents)
+    for pid in range(population.players):
+        part = population.player(pid)
+        agents = population.agents[part]
+        parents = roulette_select(error_fitness(errors[part]), n, streams.ga)
+        chromosomes = [encode(agents[p].hidden, agents[p].logistic) for p in parents]
+        for j in range(0, n - 1, 2):
+            if streams.ga.random() < params.p_cross:
+                cut = int(streams.ga.integers(1, CHROMOSOME_BITS))
+                chromosomes[j], chromosomes[j + 1] = crossover_one_point(
+                    chromosomes[j], chromosomes[j + 1], cut
+                )
+        for parent_index, chromosome in zip(parents, chromosomes):
+            hidden, logistic = decode(mutate_bit(chromosome, params.p_mut, streams.mutation))
+            parent = agents[parent_index]
+            if (hidden, logistic) == (parent.hidden, parent.logistic):
+                next_agents.append(replace(parent, weights=parent.weights.copy()))
+            else:
+                next_agents.append(new_agent(hidden, logistic, streams.init, weight_init_scale))
+    return Population(next_agents, population.players, population.stocks)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .market import Portfolios
-from .players import Player
+from .players import Population
 
 
 def complexity(agents) -> dict[str, float]:
@@ -77,10 +77,10 @@ def record_networth(metrics: RunMetrics, book: Portfolios, prices, day: int) -> 
     metrics.networth_rows.extend((day, pid, worth) for pid, worth in enumerate(worths))
 
 
-def record_generation(metrics: RunMetrics, generation: int, players: list[Player]) -> None:
+def record_generation(metrics: RunMetrics, generation: int, population: Population) -> None:
     """Snapshot architecture statistics for the whole population."""
-    for pid, player in enumerate(players):
-        mean = float(np.mean([agent.hidden for agent in player.agents]))
-        metrics.hidden_rows.append((generation, pid, mean))
-    for kind, sigma in complexity(a for player in players for a in player.agents).items():
+    for pid in range(population.players):
+        hidden = [agent.hidden for agent in population.agents[population.player(pid)]]
+        metrics.hidden_rows.append((generation, pid, float(np.mean(hidden))))
+    for kind, sigma in complexity(population.agents).items():
         metrics.complexity_rows.append((generation, kind, sigma))

@@ -226,7 +226,10 @@ def forward(agents: list[Agent], xs) -> np.ndarray:
     """Outputs (A, n) in list order: row i of the (A, n) inputs goes through agents[i]."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or len(xs) != len(agents) or not np.isfinite(xs).all():
-        raise ValueError(f"forward needs finite ({len(agents)}, n) inputs, got {xs!r}")
+        raise ValueError(
+            f"forward needs finite ({len(agents)}, n) inputs, got shape {xs.shape} "
+            f"with {xs.size - np.isfinite(xs).sum()} non-finite values"
+        )
     order, _, _, groups, logistic = _stack(agents, xs.shape[1])
     preds = np.empty_like(xs)
     preds[order] = _predict(groups, xs[order], logistic)

@@ -247,9 +247,8 @@ def test_a5_selection_pressure_reduces_population_error(price_file):
     rows = output.metrics.generation_error_rows
     assert [g for g, _ in rows] == list(range(11))
     first, last = rows[0][1], rows[-1][1]
-    for player in output.players:
-        for agent in player.agents:
-            assert HIDDEN_MIN <= agent.hidden <= HIDDEN_MAX
+    for agent in output.population.agents:
+        assert HIDDEN_MIN <= agent.hidden <= HIDDEN_MAX
     _report(
         "A5 selection pressure",
         output.generations == 10 and last <= first,

@@ -3,7 +3,8 @@
 perfbench wraps gamarket functions by their module attribute names (see
 `perfbench/spans.py`).  A renamed or no longer called function silently
 drops a per-layer metric, so this runs one traced A7-sized run and checks
-that every per-layer metric `BENCHMARK.json` declares is present and > 0.
+that every per-layer metric `BENCHMARK.json` declares is present and > 0,
+and that the kept-agent counters read their recorded values.
 """
 
 import importlib.util
@@ -51,6 +52,9 @@ def test_traced_run_reports_every_declared_per_layer_metric(tmp_path):
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["absent"] == []
     assert result["broken"] == []
+    # Recorded on this config; evolve_generation's result feeds these counters.
+    assert result["counters"]["evolution.kept_agents"] == 57
+    assert result["counters"]["evolution.agents"] == 72
     metrics = _load_spans().layer_metrics(result, result["absent"])
     with open(os.path.join(REPO, "BENCHMARK.json")) as handle:
         declared = [m["name"] for m in json.load(handle)["per_layer"]]

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from gamarket import errors
@@ -9,8 +10,10 @@ from gamarket.bench import scaling_benchmark
 from gamarket.cli import main
 from gamarket.config import SimulationConfig, parse_config, resolved_text
 from gamarket.errors import ConfigError
-from gamarket.market import Trade
+from gamarket.market import Portfolios, Trade
 from gamarket.metrics import RunMetrics
+from gamarket.neural import init_random
+from gamarket.players import Population
 from gamarket.reports import emit_reports
 from gamarket.simulation import RunOutput
 
@@ -112,7 +115,10 @@ def test_emit_reports_writes_exact_bytes(tmp_path):
         generation_error_rows=[(0, 1 / 3), (1, 2.0)],
     )
     trade = Trade(day=1, round=2, buyer=1, seller=0, stock=1, quantity=3, price=0.1)
-    output = RunOutput(config=config, metrics=metrics, trades=[trade])
+    # The report writes no population or portfolio state; both are only well formed.
+    population = Population([init_random(np.random.default_rng(0)) for _ in range(4)], 2, 2)
+    book = Portfolios.endow(2, config.total_supply, config.initial_cash)
+    output = RunOutput(config, metrics, [trade], population, 1, book)
     emit_reports(output, tmp_path)
     assert _snapshot(tmp_path) == {
         "complexity.csv": b"generation,species,stddev_hidden_units\n"
@@ -213,6 +219,27 @@ def test_run_reports_a_non_finite_price_with_its_line(tmp_path, cli_process):
     assert result.returncode == 1
     assert result.stderr.startswith(f"DataError: {data}:15: price inf for SP500")
     assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+def test_run_reports_a_price_that_overflows_normalization(tmp_path, cli_process):
+    # DJIA's window spans one ulp of 1.0, so 1e300 on day 51 normalizes to inf.
+    djia = [1.0 if day % 2 == 0 else 1.0000000000000002 for day in range(51)] + [1e300] * 4
+    rows = [f"{day},{price!r},2050.0,1220.0" for day, price in enumerate(djia)]
+    data = tmp_path / "prices.csv"
+    data.write_text("\n".join(["day,DJIA,NASDAQ,SP500", *rows]) + "\n")
+    out = tmp_path / "out"
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        f"seed = 1\ninput_path = {data}\nwindow = 50\ndays = 5\noutput_dir = {out}\n"
+    )
+    result = cli_process("run", "--config", str(config_path))
+    assert result.returncode == 1
+    [line] = result.stderr.splitlines()
+    assert line == (
+        "DataError: day 51: DJIA price 1e+300 does not normalize to a finite value "
+        "against its window's [1.0, 1.0000000000000002]"
+    )
     assert not out.exists()
 
 

@@ -17,7 +17,7 @@ from gamarket.evolution import (
     roulette_select,
 )
 from gamarket.neural import HIDDEN_MAX, HIDDEN_MIN, new_agent
-from gamarket.players import Player
+from gamarket.players import Population
 from gamarket.rng import make_streams
 
 
@@ -160,12 +160,13 @@ def test_ga_params_validation():
 
 
 def _mixed_player(seed=0, stocks=2, per_stock=4):
+    """A one-player population of random architectures."""
     rng = np.random.default_rng(seed)
     agents = []
     for _ in range(stocks * per_stock):
         h = int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1))
         agents.append(new_agent(h, bool(rng.integers(2) == 1), rng))
-    return Player(agents)
+    return Population(agents, players=1, stocks=stocks)
 
 
 def test_evolve_generation_shape_and_legality():
@@ -230,7 +231,7 @@ def test_evolve_generation_validation():
         evolve_generation(player, [-0.1] + [0.1] * (n - 1), GAParams(), streams)
     with pytest.raises(ValueError):
         evolve_generation(player, [float("nan")] + [0.1] * (n - 1), GAParams(), streams)
-    single = Player([new_agent(2, False, np.random.default_rng(0))])
+    single = Population([new_agent(2, False, np.random.default_rng(0))], players=1, stocks=1)
     with pytest.raises(ConfigError):
         evolve_generation(single, [0.1], GAParams(), streams)
 
@@ -253,3 +254,24 @@ def test_evolve_generation_pins_the_draw_order():
     assert streams.ga.random() == 0.557870569619728
     assert streams.mutation.random() == 0.6298292058975088
     assert streams.init.random() == 0.4261701960319463
+
+
+def _key(agent):
+    return agent.hidden, agent.logistic, agent.weights.tobytes()
+
+
+def test_evolving_every_player_in_one_call_equals_one_call_per_player():
+    players = [_mixed_player(seed=30 + p).agents for p in range(3)]
+    errors = np.random.default_rng(4).uniform(0.01, 0.5, 3 * 8).tolist()
+    params = GAParams(p_cross=0.9, p_mut=0.5)
+    together_streams, alone_streams = make_streams(77), make_streams(77)
+    population = Population([a for agents in players for a in agents], players=3, stocks=2)
+    together = evolve_generation(population, errors, params, together_streams)
+    alone = []
+    for p, agents in enumerate(players):
+        one = Population(agents, players=1, stocks=2)
+        alone += evolve_generation(one, errors[p * 8 : (p + 1) * 8], params, alone_streams).agents
+    assert (together.players, together.stocks, together.k) == (3, 2, 4)
+    assert [_key(a) for a in together.agents] == [_key(a) for a in alone]
+    for name in ("ga", "mutation", "init"):
+        assert getattr(together_streams, name).random() == getattr(alone_streams, name).random()

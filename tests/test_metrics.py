@@ -15,7 +15,7 @@ from gamarket.metrics import (
 )
 from gamarket.market import Portfolios
 from gamarket.neural import new_agent
-from gamarket.players import Player
+from gamarket.players import Population
 
 
 def _agent(hidden, kind):
@@ -89,11 +89,10 @@ def test_record_networth_rows():
 
 def test_record_generation_rows():
     metrics = RunMetrics()
-    players = [
-        Player([_agent(2, "linear"), _agent(4, "linear")]),
-        Player([_agent(6, "logistic"), _agent(6, "logistic")]),
+    agents = [
+        _agent(2, "linear"), _agent(4, "linear"), _agent(6, "logistic"), _agent(6, "logistic")
     ]
-    record_generation(metrics, generation=3, players=players)
+    record_generation(metrics, generation=3, population=Population(agents, players=2, stocks=1))
     assert metrics.hidden_rows == [(3, 0, 3.0), (3, 1, 6.0)]
     by_species = dict(
         (kind, sigma) for gen, kind, sigma in metrics.complexity_rows if gen == 3

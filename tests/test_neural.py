@@ -97,6 +97,11 @@ def test_forward_rejects_non_finite_input():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             forward([agent], [[bad]])
+    # The message gives the shape and the count, not the whole array.
+    xs = np.full((1, 1000), 0.5)
+    xs[0, [3, 500]] = math.inf
+    with pytest.raises(ValueError, match=r"got shape \(1, 1000\) with 2 non-finite values$"):
+        forward([agent], xs)
 
 
 def test_logistic_output_strictly_inside_unit_interval():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from gamarket.data import NORM_HI, NORM_LO, NormalizationParams
 from gamarket.errors import ConfigError
-from gamarket.neural import forward, init_random, new_agent
+from gamarket.neural import TrainingWindow, forward, init_random, new_agent
 from gamarket.market import decide, desired_quantity
-from gamarket.players import PRICE_FLOOR, Player, committee_predict, population
+from gamarket.players import PRICE_FLOOR, Population, committee_predict
 from test_neural import reference_predict
 
 
@@ -20,7 +20,7 @@ def test_committee_predict_is_mean_then_denormalized():
     agents = [init_random(rng) for _ in range(8)]
     xs = np.array([0.35, 0.62])
     params = NormalizationParams(lo=np.array([10.0, 5.0]), hi=np.array([20.0, 9.0]))
-    [got] = committee_predict([Player(agents)], xs, params)
+    [got] = committee_predict(Population(agents, players=1, stocks=2), xs, params)
     for m in range(2):
         outs = [float(forward([agent], [[xs[m]]])[0, 0]) for agent in agents[m * 4 : (m + 1) * 4]]
         mean = sum(outs) / len(outs)
@@ -35,7 +35,7 @@ def test_committee_predict_floors_negative_prices():
     agent = new_agent(1, False, np.random.default_rng(0))
     agent.weights[:] = [0.0, 0.0, 0.0, -50.0]
     params = NormalizationParams(lo=np.array([10.0]), hi=np.array([20.0]))
-    [got] = committee_predict([Player([agent])], np.array([0.5]), params)
+    [got] = committee_predict(Population([agent], players=1, stocks=1), np.array([0.5]), params)
     assert got[0] == PRICE_FLOOR
 
 
@@ -45,42 +45,41 @@ def one_to_two(stocks):
 
 
 def test_committee_predict_shape_checks():
+    # The layout committee_predict reshapes by is checked once, when the
+    # Population is built: every player needs the same k >= 1 agents per stock.
     rng = np.random.default_rng(1)
-    player = Player([init_random(rng)])
     with pytest.raises(ConfigError):
-        committee_predict([player], [0.5, 0.6], one_to_two(2))
-    empty = Player([])
+        Population([init_random(rng)], players=1, stocks=2)
     with pytest.raises(ConfigError):
-        committee_predict([empty], [0.5], one_to_two(1))
-    # 4 and 8 agents on 3 stocks are 12 in all, which would reshape to
-    # (2, 3, 2) and pair agents with the wrong stocks.
-    short = Player([init_random(rng) for _ in range(4)])
-    long = Player([init_random(rng) for _ in range(8)])
-    with pytest.raises(ConfigError, match=r"player 0 has 4 agents"):
-        committee_predict([short, long], [0.5, 0.6, 0.7], one_to_two(3))
-    pair = Player([init_random(rng), init_random(rng)])
-    with pytest.raises(ConfigError, match=r"player 1 has 2 agents"):
-        committee_predict([player, pair], [0.5], one_to_two(1))
+        Population([], players=1, stocks=1)
+    with pytest.raises(ConfigError, match=r"3 agents cannot be 2 players"):
+        Population([init_random(rng) for _ in range(3)], players=2, stocks=1)
+    with pytest.raises(ConfigError, match=r"each of the 3 prices"):
+        Population([init_random(rng) for _ in range(8)], players=2, stocks=3)
+    population = Population([init_random(rng) for _ in range(12)], players=2, stocks=3)
+    assert committee_predict(population, np.array([0.5, 0.6, 0.7]), one_to_two(3)).shape == (2, 3)
 
 
 def test_population_maps_each_agent_to_its_stock():
     rng = np.random.default_rng(3)
-    players = [Player([init_random(rng) for _ in range(6)]) for _ in range(2)]
-    agents, rows = population(players, stocks=3)
-    assert agents == players[0].agents + players[1].agents
-    assert rows.tolist() == [0, 0, 1, 1, 2, 2] * 2
-    # The same per-player length check as committee_predict's.
-    with pytest.raises(ConfigError, match=r"player 1 has 2 agents"):
-        population([players[0], Player(players[1].agents[:2])], stocks=3)
+    agents = [init_random(rng) for _ in range(12)]
+    population = Population(agents, players=2, stocks=3)
+    assert population.k == 2
+    assert population.rows.tolist() == [0, 0, 1, 1, 2, 2] * 2
+    assert population.agents[population.player(1)] == agents[6:]
+    window = TrainingWindow(np.arange(6.0).reshape(3, 2), np.arange(6.0, 12.0).reshape(3, 2))
+    rows = population.windows(window)
+    assert rows.inputs.tolist() == [window.inputs[m].tolist() for m in population.rows]
+    assert rows.targets.tolist() == [window.targets[m].tolist() for m in population.rows]
 
 
 def reference_committee_predict(players, xs, params):
-    """The per-player loop that the population prediction replaced."""
+    """The per-player loop that the population prediction replaced (one agent list per player)."""
     predictions = np.empty((len(players), len(xs)))
     for p, player in enumerate(players):
-        k = len(player.agents) // len(xs)
+        k = len(player) // len(xs)
         for m in range(len(xs)):
-            group = player.agents[m * k : (m + 1) * k]
+            group = player[m * k : (m + 1) * k]
             outs = [reference_predict(a, a.weights, np.array([xs[m]]))[0][0] for a in group]
             mean = sum(float(out) for out in outs) / len(group)
             lo, hi = float(params.lo[m]), float(params.hi[m])
@@ -94,15 +93,16 @@ def test_committee_predict_equals_the_per_player_loop_bit_for_bit(k):
     # Committee means add members in committee order; numpy's sum or mean
     # along an axis adds in another order from k = 8 up, so these pin it.
     rng = np.random.default_rng(40 + k)
-    players = [Player([init_random(rng) for _ in range(3 * k)]) for _ in range(5)]
+    players = [[init_random(rng) for _ in range(3 * k)] for _ in range(5)]
     # Player 0's first committee is rigged far negative: that cell is floored.
-    for agent in players[0].agents[:k]:
+    for agent in players[0][:k]:
         agent.logistic = False
         agent.weights[-1] = -50.0
     xs = np.array([0.35, 1.7, 0.5])
     # The third stock's window was constant (hi == lo).
     params = NormalizationParams(lo=np.array([10.0, 5.0, 3.0]), hi=np.array([20.0, 9.0, 3.0]))
-    got = committee_predict(players, xs, params)
+    population = Population([a for player in players for a in player], players=5, stocks=3)
+    got = committee_predict(population, xs, params)
     expected = reference_committee_predict(players, xs, params)
     assert got[0, 0] == PRICE_FLOOR
     assert np.all(got[:, 2] == 3.0)
@@ -244,8 +244,8 @@ def test_desired_quantity_caps_an_overflowed_change_at_the_volume():
     assert desired_quantity(False, math.inf, 5e-323, 2000, 4e6, 0) == 2000
 
 
-def test_player_agent_iteration():
+def test_population_agent_iteration():
     rng = np.random.default_rng(2)
     agents = [init_random(rng) for _ in range(6)]
-    player = Player(agents)
-    assert list(player.iter_agents()) == agents
+    population = Population(agents, players=2, stocks=3)
+    assert list(population.iter_agents()) == agents

@@ -63,7 +63,7 @@ def _fingerprint(output):
     return (
         [(t.day, t.round, t.buyer, t.seller, t.stock, t.quantity, t.price) for t in output.trades],
         (output.portfolios.cash.tolist(), output.portfolios.holdings.tolist()),
-        [(a.hidden, a.logistic, a.weights.tobytes()) for p in output.players for a in p.agents],
+        [(a.hidden, a.logistic, a.weights.tobytes()) for a in output.population.agents],
         output.metrics.networth_rows,
         output.metrics.hidden_rows,
         output.metrics.complexity_rows,
@@ -100,9 +100,8 @@ def test_zero_days_trains_but_never_trades(tmp_path):
     assert output.metrics.generation_error_rows == []
     # The initial population is still trained and recorded.
     assert len(output.metrics.hidden_rows) == config.players
-    for player in output.players:
-        for agent in player.agents:
-            assert agent.last_training_error is not None
+    for agent in output.population.agents:
+        assert agent.last_training_error is not None
 
 
 def test_evolution_cadence_counts_events(tmp_path):
