@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import Portfolios
 from .players import Population
 
 
@@ -71,16 +70,16 @@ class RunMetrics:
     generation_error_rows: list[tuple[int, float]] = field(default_factory=list)
 
 
-def record_networth(metrics: RunMetrics, book: Portfolios, prices, day: int) -> None:
-    """Append one (day, player, net worth) row per player."""
-    worths = book.net_worth(prices).tolist()
-    metrics.networth_rows.extend((day, pid, worth) for pid, worth in enumerate(worths))
+def record_networth(metrics: RunMetrics, worths: np.ndarray, day: int) -> None:
+    """Append one (day, player, net worth) row per player from the (players,) worths."""
+    metrics.networth_rows.extend((day, pid, worth) for pid, worth in enumerate(worths.tolist()))
 
 
 def record_generation(metrics: RunMetrics, generation: int, population: Population) -> None:
     """Snapshot architecture statistics for the whole population."""
-    for pid in range(population.players):
-        hidden = [agent.hidden for agent in population.agents[population.player(pid)]]
-        metrics.hidden_rows.append((generation, pid, float(np.mean(hidden))))
+    # Sums of small ints are exact in float64, so these are the per-player np.mean.
+    hidden, _ = population.architectures()
+    means = hidden.reshape(population.players, -1).mean(axis=1).tolist()
+    metrics.hidden_rows.extend((generation, pid, mean) for pid, mean in enumerate(means))
     for kind, sigma in complexity(population.agents).items():
         metrics.complexity_rows.append((generation, kind, sigma))

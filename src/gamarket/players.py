@@ -6,9 +6,18 @@ committee `agents[(p*s+m)*k : (p*s+m+1)*k]` predicts stock m for player p
 (whose cash and shares are row p of `market.Portfolios`), and the player's
 prediction is the mean of those k agents' outputs.  The trading rules that
 turn predictions into orders live in `market`.
+
+After training, `agents` is the `neural.Stack` that `train` returned: the
+generation's weights already sorted and stacked, so each day's one
+`forward` call runs on them as they are.  Evolution replaces the list
+wholesale (a new Population) and the next `train` stacks it again.
+Per-player figures come from (players, stocks * k) reshapes of the
+population's arrays, never from per-player slices of the list.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -26,10 +35,10 @@ class Population:
 
     `k` is the committee size and `rows` the (A,) index of the stock each
     agent predicts.  `agents` may be replaced by a list of the same length
-    (a retrained population).
+    (a retrained population, the `Stack` that `train` returns).
     """
 
-    def __init__(self, agents: list[Agent], players: int, stocks: int):
+    def __init__(self, agents: Sequence[Agent], players: int, stocks: int):
         self.k = len(agents) // max(players * stocks, 1)
         if self.k < 1 or len(agents) != players * stocks * self.k:
             raise ConfigError(
@@ -39,10 +48,10 @@ class Population:
         self.agents, self.players, self.stocks = agents, players, stocks
         self.rows = np.tile(np.repeat(np.arange(stocks), self.k), players)
 
-    def player(self, pid: int) -> slice:
-        """The slice of player pid's agents in `agents` (or of any population-long list)."""
-        n = self.stocks * self.k
-        return slice(pid * n, (pid + 1) * n)
+    def architectures(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every agent's hidden count and logistic flag, as (A,) int and bool arrays."""
+        hidden = np.array([agent.hidden for agent in self.agents], dtype=int)
+        return hidden, np.array([agent.logistic for agent in self.agents], dtype=bool)
 
     def windows(self, window: TrainingWindow) -> TrainingWindow:
         """The (A, n) window whose row i is agent i's stock's row of the (stocks, n) window."""

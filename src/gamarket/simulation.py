@@ -12,7 +12,11 @@ The whole market is one `players.Population`, laid out player-major, then
 stock-major, then member.  One `build_window` call gives every stock's
 (stocks, n) window rows, and `Population.windows` hands each agent its
 stock's row: training, scoring and evolution each take the whole
-population in one call.
+population in one call.  `train` returns the generation's weight stack,
+which stays the population's agents until the next evolution, so the
+daily predictions and the next scoring reuse it.  Net worths are checked
+each day: a price that values a holding beyond the float range is a
+`DataError`, not an `inf` in `networth.csv`.
 """
 
 from __future__ import annotations
@@ -76,6 +80,20 @@ def _check_conservation(book: Portfolios, config: SimulationConfig, t: int) -> N
         raise ConservationError(f"day {t}: total cash {cash!r}, expected {expected!r}")
 
 
+def _net_worths(book: Portfolios, prices: np.ndarray, config: SimulationConfig, t: int):
+    """Every player's net worth at day t's prices; one beyond the float range is a DataError."""
+    with np.errstate(over="ignore"):
+        worths = book.net_worth(prices)
+        if np.isfinite(worths).all():
+            return worths
+        pid = int(np.argmin(np.isfinite(worths)))
+        m = int(np.argmax(book.holdings[pid] * prices))  # the holding that overflows
+    raise DataError(
+        f"day {t}: {config.stocks[m]} price {prices[m]} values player {pid}'s "
+        f"{book.holdings[pid, m]} shares beyond the float range"
+    )
+
+
 def run_simulation(config: SimulationConfig) -> RunOutput:
     """Run the whole market simulation described by `config`."""
     config.validate()
@@ -117,7 +135,7 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
         report = run_clearing(t, prices, config.total_supply, book, predictions, streams.shuffle)
         trades.extend(report.trades)
         _check_conservation(book, config, t)
-        record_networth(metrics, book, prices, t)
+        record_networth(metrics, _net_worths(book, prices, config, t), t)
 
         if (t + 1 - config.window) % config.evolution_cadence == 0 and t + 1 < end:
             window, norm_params = build_window(prices_by_day, t, config.window)

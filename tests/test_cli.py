@@ -243,6 +243,29 @@ def test_run_reports_a_price_that_overflows_normalization(tmp_path, cli_process)
     assert not out.exists()
 
 
+def test_run_reports_a_price_that_overflows_a_net_worth(tmp_path, cli_process):
+    # 1.7e308 normalizes to a finite 1.36e308 against DJIA's [1, 2] window,
+    # but valuing player 0's 2500 DJIA shares at it overflows a float.
+    djia = [1.0 if day % 2 == 0 else 2.0 for day in range(51)] + [1.7e308] * 4
+    rows = [f"{day},{price!r},2050.0,1220.0" for day, price in enumerate(djia)]
+    data = tmp_path / "prices.csv"
+    data.write_text("\n".join(["day,DJIA,NASDAQ,SP500", *rows]) + "\n")
+    out = tmp_path / "out"
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        f"seed = 1\ninput_path = {data}\nwindow = 50\ndays = 5\noutput_dir = {out}\n"
+    )
+    result = cli_process("run", "--config", str(config_path))
+    assert result.returncode == 1
+    [line] = result.stderr.splitlines()
+    assert line == (
+        "DataError: day 51: DJIA price 1.7e+308 values player 0's 2500 shares "
+        "beyond the float range"
+    )
+    assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-322])
 def test_run_on_tiny_prices_ends_without_hang_or_traceback(
     scale, tmp_path, monkeypatch, cli_process, workloads

@@ -1,11 +1,16 @@
 """Tests for the genetic operators and generation turnover."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gamarket.errors import ConfigError
 from gamarket.evolution import (
     CHROMOSOME_BITS,
+    FITNESS_EPS,
     GAParams,
     crossover_one_point,
     decode,
@@ -16,7 +21,7 @@ from gamarket.evolution import (
     mutate_bit,
     roulette_select,
 )
-from gamarket.neural import HIDDEN_MAX, HIDDEN_MIN, new_agent
+from gamarket.neural import HIDDEN_MAX, HIDDEN_MIN, Stack, new_agent
 from gamarket.players import Population
 from gamarket.rng import make_streams
 
@@ -124,28 +129,47 @@ def test_fitness_is_inverse_error():
 def test_roulette_matches_fitness_proportions():
     rng = np.random.default_rng(47)
     draws = 200_000
-    freqs = np.bincount(roulette_select([1.0, 2.0, 5.0], draws, rng), minlength=3) / draws
+    picks = roulette_select([1.0, 2.0, 5.0], rng.random(draws))
+    freqs = np.bincount(picks, minlength=3) / draws
     np.testing.assert_allclose(freqs, [1 / 8, 2 / 8, 5 / 8], atol=0.005)
 
 
 def test_roulette_pool_matches_one_draw_at_a_time():
-    # Drawing the pool at once consumes the stream like n single draws.
-    fitness = error_fitness([0.05, 0.3, 0.01, 0.2, 0.12])
-    pooled = roulette_select(fitness, 1000, np.random.default_rng(9))
-    single_rng = np.random.default_rng(9)
-    assert pooled == [roulette_select(fitness, 1, single_rng)[0] for _ in range(1000)]
+    # Selecting every row's pool at once equals selecting each draw of each
+    # row on its own.
+    fitness = error_fitness([[0.05, 0.3, 0.01, 0.2, 0.12], [0.2, 0.2, 0.0, 0.4, 0.2]])
+    draws = np.random.default_rng(9).random((2, 1000))
+    pooled = roulette_select(fitness, draws)
+    assert pooled.shape == (2, 1000)
+    for row, row_draws, picks in zip(fitness, draws, pooled):
+        assert picks.tolist() == [roulette_select(row, [u])[0] for u in row_draws]
+
+
+def test_roulette_counts_like_searchsorted_right_on_every_boundary():
+    # A draw whose target lands exactly on a cumulative entry counts that
+    # entry, as searchsorted(side="right") does; the top is capped at n - 1.
+    fitness = np.array([[1.0, 2.0, 1.0, 4.0], [2.0, 2.0, 2.0, 2.0]])
+    cumulative = np.cumsum(fitness, axis=1)
+    draws = np.array([[0.0, 1 / 8, 3 / 8, 4 / 8, 0.5 - 2**-54, 1 - 2**-53]] * 2)
+    draws[1, 1:4] = [1 / 4, 2 / 4, 3 / 4]
+    targets = draws * cumulative[:, -1:]
+    assert set(targets[0, 1:4]) <= set(cumulative[0]) and set(targets[1, 1:4]) <= set(cumulative[1])
+    expected = [
+        np.minimum(np.searchsorted(c, t, side="right"), 3) for c, t in zip(cumulative, targets)
+    ]
+    assert roulette_select(fitness, draws).tolist() == np.array(expected).tolist()
+    assert roulette_select(fitness, draws)[0].tolist() == [0, 1, 2, 3, 2, 3]
 
 
 def test_roulette_validation():
-    rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
-        roulette_select([], 1, rng)
+        roulette_select([], [0.5])
     with pytest.raises(ValueError):
-        roulette_select([0.0], 1, rng)
+        roulette_select([0.0], [0.5])
     with pytest.raises(ValueError):
-        roulette_select([float("inf")], 1, rng)
+        roulette_select([float("inf")], [0.5])
     with pytest.raises(ValueError):
-        roulette_select(error_fitness([float("nan"), 0.1]), 1, rng)
+        roulette_select(error_fitness([float("nan"), 0.1]), [0.5])
 
 
 def test_ga_params_validation():
@@ -275,3 +299,75 @@ def test_evolving_every_player_in_one_call_equals_one_call_per_player():
     assert [_key(a) for a in together.agents] == [_key(a) for a in alone]
     for name in ("ga", "mutation", "init"):
         assert getattr(together_streams, name).random() == getattr(alone_streams, name).random()
+
+
+def reference_evolve(population, errors, params, streams):
+    """The per-player body that the array evolution replaced, on one flat list."""
+    n = population.stocks * population.k
+    next_agents = []
+    for pid in range(population.players):
+        agents = population.agents[pid * n : (pid + 1) * n]
+        fitness = 1.0 / (FITNESS_EPS + np.asarray(errors[pid * n : (pid + 1) * n], dtype=float))
+        cumulative = np.cumsum(fitness)
+        picks = np.searchsorted(cumulative, streams.ga.random(n) * cumulative[-1], side="right")
+        parents = np.minimum(picks, n - 1).tolist()
+        chromosomes = [encode(agents[p].hidden, agents[p].logistic) for p in parents]
+        for j in range(0, n - 1, 2):
+            if streams.ga.random() < params.p_cross:
+                cut = int(streams.ga.integers(1, CHROMOSOME_BITS))
+                chromosomes[j], chromosomes[j + 1] = crossover_one_point(
+                    chromosomes[j], chromosomes[j + 1], cut
+                )
+        for parent_index, chromosome in zip(parents, chromosomes):
+            hidden, logistic = decode(mutate_bit(chromosome, params.p_mut, streams.mutation))
+            parent = agents[parent_index]
+            if (hidden, logistic) == (parent.hidden, parent.logistic):
+                next_agents.append(replace(parent, weights=parent.weights.copy()))
+            else:
+                next_agents.append(new_agent(hidden, logistic, streams.init))
+    return next_agents
+
+
+# p_cross = 0 is no valid GAParams (p_mut must be smaller), so the smallest
+# positive float stands in: random() < 5e-324 only on a draw of exactly 0.0.
+NO_CROSSOVER = 5e-324
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    players=st.integers(1, 5),
+    stocks=st.integers(1, 3),
+    k=st.integers(1, 3),
+    p_cross=st.sampled_from([NO_CROSSOVER, 0.6, 1.0]),
+    p_mut=st.sampled_from([0.0, 0.03, 0.5]),
+    stacked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_array_evolution_equals_the_per_player_loop(
+    players, stocks, k, p_cross, p_mut, stacked, seed, data
+):
+    assume(stocks * k >= 2 and p_mut < p_cross)
+    size = players * stocks * k
+    # Exact ties and 0.0 are drawn often, beside arbitrary errors.
+    error = st.one_of(st.sampled_from([0.0, 0.05, 0.25]), st.floats(0.0, 2.0))
+    errors = data.draw(st.lists(error, min_size=size, max_size=size))
+    rng = np.random.default_rng(seed)
+    agents = []
+    for i in range(size):
+        h = int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1))
+        agent = new_agent(h, bool(rng.integers(2)), rng)
+        agent.last_training_error = float(rng.random()) if i % 3 else None
+        agents.append(agent)
+    # A trained population is a Stack, whose weights are views of one array.
+    population = Population(Stack(agents) if stacked else agents, players, stocks)
+    params = GAParams(p_cross=p_cross, p_mut=p_mut)
+    got_streams, want_streams = make_streams(seed), make_streams(seed)
+    got = evolve_generation(population, errors, params, got_streams).agents
+    want = reference_evolve(population, errors, params, want_streams)
+    assert [(a.hidden, a.logistic) for a in got] == [(a.hidden, a.logistic) for a in want]
+    assert [a.weights.tobytes() for a in got] == [a.weights.tobytes() for a in want]
+    assert [a.last_training_error for a in got] == [a.last_training_error for a in want]
+    assert all(type(a.logistic) is bool and type(a.hidden) is int for a in got)
+    for name in ("ga", "mutation", "init"):
+        assert getattr(got_streams, name).random() == getattr(want_streams, name).random()

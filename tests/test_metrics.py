@@ -81,7 +81,7 @@ def test_linear_fit_degenerate_inputs():
 def test_record_networth_rows():
     metrics = RunMetrics()
     book = Portfolios(cash=np.array([100.0, 50.0]), holdings=np.array([[3], [10]]))
-    record_networth(metrics, book, prices=[2.0], day=7)
+    record_networth(metrics, book.net_worth([2.0]), day=7)
     assert metrics.networth_rows == [(7, 0, 106.0), (7, 1, 70.0)]
     # Plain floats, so the report writes them as Python reprs.
     assert all(type(worth) is float for _, _, worth in metrics.networth_rows)

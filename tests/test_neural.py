@@ -466,6 +466,26 @@ def test_forward_equals_the_per_agent_forward_pass_bit_for_bit():
             assert np.array_equal(out, expected), f"{arch(agent)} under numpy {np.__version__}"
 
 
+def test_one_trained_stack_serves_every_window_length_bit_for_bit():
+    # train's Stack keeps one hidden buffer per group, sized for one n at a
+    # time: a day's predictions (n = 1), scoring (n = window) and a day
+    # again all run on it and equal the per-agent forward pass.
+    rng = np.random.default_rng(42)
+    agents, window = mixed_population(rng)
+    stack = train(agents, window, Hyperparams(epochs=5))
+    day = rng.uniform(-0.8, 2.7, size=(len(agents), 1))
+    for xs in (day, window.inputs, day):
+        got = forward(stack, xs)
+        for agent, row, out in zip(stack, xs, got):
+            expected, _ = reference_predict(agent, agent.weights, row)
+            assert np.array_equal(out, expected), f"{arch(agent)} at n = {len(row)}"
+    errors = evaluate_error(stack, window)
+    for agent, xs, ys, error in zip(stack, window.inputs, window.targets, errors):
+        preds, _ = reference_predict(agent, agent.weights, xs)
+        assert error == np.mean((preds - ys) ** 2), f"{arch(agent)}"
+    assert np.array_equal(forward(stack, day), forward(list(stack), day))
+
+
 def test_forward_rejects_inputs_of_the_wrong_shape():
     agents, _ = mixed_population(np.random.default_rng(36))
     for shape in ((len(agents),), (len(agents) - 1, 1), (len(agents) + 1, 1)):
@@ -507,7 +527,8 @@ def test_train_rejects_unequal_agent_and_window_counts():
 
 
 def test_train_of_no_agents_returns_an_empty_list():
-    assert train([], NO_ROWS, Hyperparams(epochs=1)) == []
+    # The result is an empty Stack, a tuple.
+    assert len(train([], NO_ROWS, Hyperparams(epochs=1))) == 0
 
 
 def test_divergence_inside_a_mixed_stack_names_the_first_diverged_agent():

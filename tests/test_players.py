@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from gamarket.data import NORM_HI, NORM_LO, NormalizationParams
 from gamarket.errors import ConfigError
-from gamarket.neural import TrainingWindow, forward, init_random, new_agent
+from gamarket.evolution import GAParams, evolve_generation
+from gamarket.neural import Hyperparams, TrainingWindow, forward, init_random, new_agent, train
 from gamarket.market import decide, desired_quantity
 from gamarket.players import PRICE_FLOOR, Population, committee_predict
+from gamarket.rng import make_streams
 from test_neural import reference_predict
 
 
@@ -66,7 +68,9 @@ def test_population_maps_each_agent_to_its_stock():
     population = Population(agents, players=2, stocks=3)
     assert population.k == 2
     assert population.rows.tolist() == [0, 0, 1, 1, 2, 2] * 2
-    assert population.agents[population.player(1)] == agents[6:]
+    hidden, logistic = population.architectures()
+    assert hidden.tolist() == [agent.hidden for agent in agents]
+    assert logistic.tolist() == [agent.logistic for agent in agents]
     window = TrainingWindow(np.arange(6.0).reshape(3, 2), np.arange(6.0, 12.0).reshape(3, 2))
     rows = population.windows(window)
     assert rows.inputs.tolist() == [window.inputs[m].tolist() for m in population.rows]
@@ -107,6 +111,26 @@ def test_committee_predict_equals_the_per_player_loop_bit_for_bit(k):
     assert got[0, 0] == PRICE_FLOOR
     assert np.all(got[:, 2] == 3.0)
     assert np.array_equal(got, expected), f"k = {k} under numpy {np.__version__}"
+
+
+def test_committee_predict_follows_the_agents_the_population_holds():
+    # A trained population predicts from train's Stack; once its agents are
+    # replaced by an evolved list, predictions must come from the new weights.
+    rng = np.random.default_rng(43)
+    population = Population([init_random(rng) for _ in range(12)], players=2, stocks=3)
+    window = TrainingWindow(rng.uniform(0.1, 0.9, (3, 20)), rng.uniform(0.1, 0.9, (3, 20)))
+    population.agents = train(population.agents, population.windows(window), Hyperparams(epochs=3))
+    xs, params = np.array([0.35, 0.62, 0.5]), one_to_two(3)
+    before = committee_predict(population, xs, params)
+    as_lists = [list(population.agents[:6]), list(population.agents[6:])]
+    assert np.array_equal(before, reference_committee_predict(as_lists, xs, params))
+    errors = rng.uniform(0.01, 0.2, 12).tolist()
+    evolved = evolve_generation(population, errors, GAParams(0.9, 0.5), make_streams(2))
+    population.agents = evolved.agents
+    after = committee_predict(population, xs, params)
+    as_lists = [evolved.agents[:6], evolved.agents[6:]]
+    assert np.array_equal(after, reference_committee_predict(as_lists, xs, params))
+    assert not np.array_equal(after, before)
 
 
 def test_decide_expects_the_relative_price_change():

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import gamarket.market
+import gamarket.players
+import gamarket.simulation
+from gamarket import neural
 from gamarket.config import SimulationConfig
 from gamarket.data import generate_series, write_prices_csv
 from gamarket.errors import ConservationError, InsufficientHistoryError
@@ -136,3 +139,39 @@ def test_run_stops_when_clearing_breaks_conservation(tmp_path, monkeypatch, corr
     )
     with pytest.raises(ConservationError, match=message):
         run_simulation(config)
+
+
+def test_a_run_stacks_the_population_once_per_training_call(tmp_path, monkeypatch):
+    # Only train builds a Stack: each day's forward and each generation's
+    # scoring run on the one that train returned.  A crowd-shaped run:
+    # one-agent committees, one-epoch retraining, frequent evolution.
+    builds, where, calls = [], [], []
+
+    class CountingStack(neural.Stack):
+        def __new__(cls, agents):
+            builds.append(where[-1] if where else "elsewhere")
+            return super().__new__(cls, agents)
+
+    def inside(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            where.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                where.pop()
+
+        return call
+
+    monkeypatch.setattr(neural, "Stack", CountingStack)
+    monkeypatch.setattr(gamarket.players, "forward", inside("forward", neural.forward))
+    for name in ("train", "evaluate_error"):
+        monkeypatch.setattr(gamarket.simulation, name, inside(name, getattr(neural, name)))
+    config = _small_config(
+        tmp_path, rows=40, days=30, players=6, agents_per_stock=1, evolution_cadence=5, epochs=1
+    )
+    output = run_simulation(config)
+    assert output.generations == 5
+    assert builds == ["train"] * (output.generations + 1)
+    assert calls.count("forward") == config.days
+    assert calls.count("evaluate_error") == output.generations + 1
