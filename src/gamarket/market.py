@@ -1,19 +1,21 @@
 """Portfolios, the trading rules, settlement and the daily clearing.
 
 Each trading day the players trade among themselves at that day's
-historical closing prices, one row of the `load_prices` array, until a
-full round passes with no trade (consensus) or a round cap is hit.  The
-prices were checked when they were loaded.  All cash and shares live in
-one `Portfolios` pair of arrays, row p for player p; every trade just
-moves shares between rows against cash at the day's price, so each
-stock's share total never changes.  `decide` fixes every player's stock
-and side at once, once per day; `desired_quantity` sizes each order, and
-only order sizes change between rounds.
+closing prices until a full round passes with no trade (consensus) or a
+round cap is hit.  All cash and shares live in one `Portfolios` pair of
+arrays, row p for player p; every trade moves shares between rows
+against cash at the day's price, so each stock's share total never
+changes.  `decide` fixes every player's stock and side once per day;
+`desired_quantity` sizes each order.  A round skips each player who
+cannot fill: (a) its cash and holding at its turn are the round-start
+ones, and (b) its size at full supply bounds all its sizes.  Resting
+orders fill oldest-first, one deque per book.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -159,6 +161,16 @@ def desired_quantity(
     return max(affordable, 0)
 
 
+def trade_threshold(sells, delta_p, price, supply) -> np.ndarray:
+    """The least cash (buy) or holding (sell) that sizes each order above 0.
+
+    Exact at a volume of `supply` (inf: never; a sell needs 3 shares, as
+    40% of 2 floors to 0); sizes never grow as the volume shrinks.
+    """
+    wants = np.minimum(np.abs(delta_p), 1.0) * supply >= 1  # floor(x) >= 1 iff x >= 1
+    return np.where(wants, np.where(sells, -(-SELL_CAP_DEN // SELL_CAP_NUM), price), np.inf)
+
+
 def run_clearing(
     day: int,
     prices,
@@ -172,19 +184,27 @@ def run_clearing(
 
     `prices` holds the day's price per stock and `supply` each stock's
     fixed share total; `predictions` is a (players, stocks) array of
-    predicted prices.  Each player's stock and side depend only on its
-    predictions and the day's prices, so `decide` fixes them for every
-    player once per day.  Every round the players act once each, in a
-    freshly shuffled order: a player sizes an order from its current cash
-    or holding, and the order is matched earliest-first against resting
-    opposite-side orders from the same round; any remainder rests in the
-    book.  A round with zero executed trades ends the day's clearing.
+    predicted prices, from which `decide` fixes every player's stock and
+    side once per day.  Every round the players act once each, in a
+    freshly shuffled order: a player sizes an order from its cash or
+    holding, matches it oldest-first against the same round's resting
+    opposite-side orders (a deque per side and stock) and rests any
+    remainder.  A round with zero executed trades ends the day's clearing.
+
+    Only players who can fill act, which changes no outcome: (a) cash and
+    holding at a player's turn are its round-start ones, as the books
+    start empty and nobody matches a player before it places an order;
+    (b) the volume it sees never exceeds the supply (a resting ask is at
+    most 40% of its seller's holding), so `trade_threshold` bounds every
+    size.  A stock needs an able buyer and an able seller to fill at all.
     """
     if round_cap < 1:
         raise ConfigError(f"round cap must be >= 1, got {round_cap}")
     prices = np.asarray(prices, dtype=float)
     if len(prices) != len(supply):
         raise ConfigError(f"need one price per stock: {len(prices)} prices, {len(supply)} stocks")
+    if not np.all((prices > 0) & np.isfinite(prices)):
+        raise ConfigError(f"prices must be finite and > 0, got {prices.tolist()}")
     n_players, m_stocks = len(book.cash), len(supply)
     predictions = np.asarray(predictions, dtype=float)
     if predictions.shape != (n_players, m_stocks):
@@ -192,26 +212,30 @@ def run_clearing(
     if not np.all((predictions > 0) & np.isfinite(predictions)):
         raise ConfigError("predictions must be finite and > 0")
 
-    sells, stocks, deltas = (a.tolist() for a in decide(predictions, prices, supply))
-    prices = prices.tolist()
+    sells, stocks, deltas = decide(predictions, prices, supply)
+    threshold = trade_threshold(sells, deltas, prices[stocks], np.asarray(supply)[stocks])
+    cells, books_of = np.arange(n_players) * m_stocks + stocks, 2 * stocks + sells
+    sell_of, stock_of, delta_of, prices = (a.tolist() for a in (sells, stocks, deltas, prices))
     report = ClearingReport()
     for round_no in range(1, round_cap + 1):
         report.rounds = round_no
-        # books[sells][stock]: resting [player, remaining] orders, bids then asks.
-        books = [[[] for _ in range(m_stocks)] for _ in range(2)]
+        order = rng.permutation(n_players)
+        held = book.holdings.take(cells)
+        able = np.where(sells, held, book.cash) >= threshold
+        per_book = np.bincount(books_of, able, minlength=2 * m_stocks).reshape(m_stocks, 2)
+        able &= per_book.all(axis=1)[stocks]  # an able buyer and an able seller
+        cash, held = book.cash.tolist(), held.tolist()
+        # books[sells][stock]: resting [player, remaining] orders, oldest first.
+        books = [[deque() for _ in range(m_stocks)] for _ in range(2)]
         offered = [0] * m_stocks  # running total of each stock's resting asks
         traded_before = len(report.trades)
-        for pid in rng.permutation(n_players).tolist():
-            sell, stock, price = sells[pid], stocks[pid], prices[stocks[pid]]
-            volume = offered[stock] or supply[stock]
-            cash, holding = float(book.cash[pid]), int(book.holdings[pid, stock])
-            remaining = desired_quantity(sell, deltas[pid], price, volume, cash, holding)
-            if remaining == 0:
-                continue
+        for pid in order[able[order]].tolist():
+            sell, stock = sell_of[pid], stock_of[pid]
+            price, volume = prices[stock], offered[stock] or supply[stock]
+            remaining = desired_quantity(sell, delta_of[pid], price, volume, cash[pid], held[pid])
             book_across = books[not sell][stock]
-            for entry in book_across:
-                if remaining == 0:
-                    break
+            while remaining and book_across:
+                entry = book_across[0]
                 fill = min(remaining, entry[1])
                 buyer, seller = (entry[0], pid) if sell else (pid, entry[0])
                 trade = Trade(day, round_no, buyer, seller, stock, fill, price)
@@ -221,7 +245,8 @@ def run_clearing(
                 remaining -= fill
                 if not sell:
                     offered[stock] -= fill
-            book_across[:] = [entry for entry in book_across if entry[1] > 0]
+                if entry[1] == 0:
+                    book_across.popleft()
             if remaining > 0:
                 books[sell][stock].append([pid, remaining])
                 if sell:

@@ -3,6 +3,7 @@
 import copy
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from gamarket.market import (
     Termination,
     Trade,
     apply_trade,
+    decide,
+    desired_quantity,
     run_clearing,
     split_endowment,
+    trade_threshold,
 )
 
 
@@ -307,8 +311,149 @@ def test_run_clearing_validation():
         run_clearing(0, PRICES, SUPPLY, book, np.array([[10.0, 20.0], [float("nan"), 20.0]]), rng)
     with pytest.raises(ConfigError):
         run_clearing(0, PRICES, SUPPLY, book, np.array([[10.0, 20.0]] * 2), rng, round_cap=0)
+    # A day price that is not finite and > 0 is refused before anything
+    # computes with it, without a numpy warning.
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="prices must be finite and > 0"):
+                run_clearing(0, (10.0, bad), SUPPLY, book, [[10.0, 20.0]] * 2, rng)
 
 
 def test_default_round_cap_value():
     assert DEFAULT_ROUND_CAP == 100
     assert ClearingReport().terminated_by is Termination.NO_MORE_TRADES
+
+
+def reference_run_clearing(day, prices, supply, book, predictions, rng, round_cap):
+    """The clearing loop that sized every player's order in every round."""
+    prices = np.asarray(prices, dtype=float)
+    n_players, m_stocks = len(book.cash), len(supply)
+    predictions = np.asarray(predictions, dtype=float)
+    sells, stocks, deltas = (a.tolist() for a in decide(predictions, prices, supply))
+    prices = prices.tolist()
+    report = ClearingReport()
+    for round_no in range(1, round_cap + 1):
+        report.rounds = round_no
+        books = [[[] for _ in range(m_stocks)] for _ in range(2)]
+        offered = [0] * m_stocks
+        traded_before = len(report.trades)
+        for pid in rng.permutation(n_players).tolist():
+            sell, stock, price = sells[pid], stocks[pid], prices[stocks[pid]]
+            volume = offered[stock] or supply[stock]
+            cash, holding = float(book.cash[pid]), int(book.holdings[pid, stock])
+            remaining = desired_quantity(sell, deltas[pid], price, volume, cash, holding)
+            if remaining == 0:
+                continue
+            book_across = books[not sell][stock]
+            for entry in book_across:
+                if remaining == 0:
+                    break
+                fill = min(remaining, entry[1])
+                buyer, seller = (entry[0], pid) if sell else (pid, entry[0])
+                trade = Trade(day, round_no, buyer, seller, stock, fill, price)
+                apply_trade(book, trade)
+                report.trades.append(trade)
+                entry[1] -= fill
+                remaining -= fill
+                if not sell:
+                    offered[stock] -= fill
+            book_across[:] = [entry for entry in book_across if entry[1] > 0]
+            if remaining > 0:
+                books[sell][stock].append([pid, remaining])
+                if sell:
+                    offered[stock] += remaining
+        if len(report.trades) == traded_before:
+            report.terminated_by = Termination.NO_MORE_TRADES
+            return report
+    report.terminated_by = Termination.ROUND_CAP
+    return report
+
+
+@st.composite
+def _oracle_cases(draw):
+    prices, book, _, seed = draw(_clearing_cases())
+    n_players, n_stocks = book.holdings.shape
+    # Each player expects one stock, most often stock 0, to move by 1-50%
+    # and the others to stay put, so it trades that stock; players take
+    # turns buying and selling (selling needs two stocks: a tie buys).  Add
+    # broke players, holdings too small to sell a share, and stocks where
+    # every player leans the same way.
+    leans = [draw(st.sampled_from((0, 0, 0, 1, -1))) for _ in range(n_stocks)]
+    predictions = np.tile(np.asarray(prices, dtype=float), (n_players, 1))
+    for p in range(n_players):
+        m = draw(st.sampled_from((0, 0, *range(n_stocks))))
+        sign = leans[m] or (1, -1)[p % 2]
+        predictions[p, m] *= 1 + sign * draw(st.integers(1, 50)) / 100
+        broke, small = (draw(st.integers(0, 3)) == 0 for _ in range(2))
+        book.cash[p] = 0.0 if broke else draw(st.floats(1e5, 1e7))
+        book.holdings[p] = book.holdings[p] % 3 if small else book.holdings[p] + 3
+    book.holdings[0] += 1
+    return prices, book, predictions, seed, draw(st.sampled_from((1, 2, 3, DEFAULT_ROUND_CAP)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_oracle_cases())
+def test_clearing_equals_the_loop_over_every_player(case):
+    prices, book, predictions, seed, round_cap = case
+    supply = book.holdings.sum(axis=0).tolist()
+    runs = []
+    for clear in (run_clearing, reference_run_clearing):
+        copied, rng = copy.deepcopy(book), np.random.default_rng(seed)
+        report = clear(0, prices, supply, copied, predictions, rng, round_cap=round_cap)
+        state = (copied.cash.tolist(), copied.holdings.tolist(), rng.bit_generator.state)
+        runs.append((report, *state))
+    (got, *got_state), (want, *want_state) = runs
+    assert got.trades == want.trades
+    assert (got.rounds, got.terminated_by) == (want.rounds, want.terminated_by)
+    assert got_state == want_state
+
+
+@st.composite
+def _sizing_cases(draw):
+    supply = draw(st.integers(1, 300))
+    # Relative changes anywhere, and at the one-share boundary k / supply.
+    delta_p = draw(st.floats(-1.0, math.inf) | st.integers(-2, 2).map(lambda k: k / supply))
+    price = draw(st.floats(5e-324, 1e6))
+    cash = draw(st.floats(0.0, 1e9) | st.sampled_from((0.0, price, math.nextafter(price, 0))))
+    holding = draw(st.integers(0, 3) | st.integers(0, 300))
+    return draw(st.booleans()), delta_p, price, supply, cash, holding
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sizing_cases())
+def test_a_player_who_cannot_size_at_full_supply_cannot_size_at_all(case):
+    # run_clearing skips a player below its threshold; that is exact only if
+    # no volume up to the supply would size an order.
+    sells, delta_p, price, supply, cash, holding = case
+    threshold = trade_threshold(*(np.array([a]) for a in (sells, delta_p, price, supply)))[0]
+    able = bool((holding if sells else cash) >= threshold)
+    sizes = [desired_quantity(sells, delta_p, price, v, cash, holding) for v in range(supply + 1)]
+    assert able == (sizes[supply] > 0)
+    if not able:
+        assert not any(sizes)
+
+
+class CountingRng:
+    """A seeded rng that counts its permutation draws."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def permutation(self, n):
+        self.draws += 1
+        return self.rng.permutation(n)
+
+
+def test_a_day_with_only_one_sided_stocks_ends_after_one_round(monkeypatch):
+    # Players 0 and 1 buy A and players 2 and 3 sell B, all with cash and
+    # shares to spare: every order could be sized, but none could fill, so
+    # nobody is sized and the first round ends the day.
+    sized = []
+    monkeypatch.setattr("gamarket.market.desired_quantity", lambda *args: sized.append(args))
+    book, rng = _traders(holdings=(50, 50, 50, 50)), CountingRng(0)
+    preds = [[11.0, 20.0], [12.0, 20.0], [10.0, 18.0], [10.0, 19.0]]
+    report = run_clearing(0, PRICES, SUPPLY, book, preds, rng)
+    assert report.trades == [] and sized == []
+    assert report.rounds == 1 and report.terminated_by is Termination.NO_MORE_TRADES
+    assert rng.draws == 1
