@@ -15,14 +15,13 @@ from .errors import (
     TradeRejectedError,
     TrainingDivergedError,
 )
-from .neural import Agent, Hyperparams, TrainingWindow
+from .neural import Hyperparams, Stack, TrainingWindow
 from .players import Population
 from .simulation import RunOutput, run_simulation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent",
     "ConfigError",
     "ConservationError",
     "DataError",
@@ -32,6 +31,7 @@ __all__ = [
     "RunOutput",
     "SimulationConfig",
     "SimulationError",
+    "Stack",
     "TradeRejectedError",
     "TrainingDivergedError",
     "TrainingWindow",

@@ -60,8 +60,12 @@ class SimulationConfig:
                 )
         if not self.output_dir:
             raise ConfigError("output_dir must not be empty")
-        if not self.weight_init_scale > 0:
-            raise ConfigError(f"weight_init_scale must be > 0, got {self.weight_init_scale}")
+        # Weights are drawn over [-scale, scale), whose width must be a finite float.
+        if not (self.weight_init_scale > 0 and math.isfinite(2 * self.weight_init_scale)):
+            raise ConfigError(
+                "weight_init_scale must be > 0 and at most half the largest float, "
+                f"got {self.weight_init_scale}"
+            )
         if self.players < 2:
             raise ConfigError(f"players must be >= 2, got {self.players}")
         if self.agents_per_stock < 1:

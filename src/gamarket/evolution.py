@@ -1,21 +1,21 @@
 """Architecture evolution for every player's agents, as (players, n) arrays.
 
-An agent's architecture is two plain fields, `hidden` and `logistic`;
-only this module encodes them, as a 9-bit chromosome held as an int,
-`gray(h) << 1 | gene`: the hidden-unit count h Gray-coded into the high
-8 bits (bit 8 down to bit 1) and the activation gene in bit 0 (0 = linear,
-1 = logistic).  Generations are produced by fitness-proportional (roulette)
-reproduction, one-point crossover and single-bit mutation; decoded hidden
-counts are clamped back into the legal range.
+An agent's architecture is its entries of the stack's `hidden` and
+`logistic` arrays; only this module encodes them, as a 9-bit chromosome
+held as an int, `gray(h) << 1 | gene`: the hidden-unit count h Gray-coded
+into the high 8 bits (bit 8 down to bit 1) and the activation gene in
+bit 0 (0 = linear, 1 = logistic).  Generations are produced by
+fitness-proportional (roulette) reproduction, one-point crossover and
+single-bit mutation; decoded hidden counts are clamped back into range.
 
 `evolve_generation` runs each step once over the whole population, one
 row of n agents per player: fitness and its row-wise cumulative sum,
 selection by counting cumulative entries, crossover and mutation as XOR
 masks, decoding through a 512-entry table and a keep mask that compares
 each child with its parent.  Only the random draws loop per player (and
-per chromosome for mutation), because the `ga` stream interleaves each
-player's pool draws with its crossover draws; every stream sees the same
-draws, in the same order, as a per-player loop would.
+per chromosome or per fresh weight vector), because the `ga` stream
+interleaves each player's pool draws with its crossover draws; every
+stream sees the same draws, in the same order, as a per-player loop would.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .neural import HIDDEN_MAX, HIDDEN_MIN, Agent, new_agent
+from .neural import HIDDEN_MAX, HIDDEN_MIN, Stack, draw_weights
 from .players import Population
 from .rng import RandomStreams
 
@@ -132,25 +132,25 @@ def evolve_generation(
 ) -> Population:
     """Produce the next generation of every player's agents at once.
 
-    errors[i] is the validation MSE of `population.agents[i]`.  Each player
+    errors[i] is the validation MSE of the population's agent i.  Each player
     evolves on its own n agents, one row of the (players, n) arrays that
     hold fitness, parents and chromosomes.  Selection draws a same-size
     mating pool by roulette, pool neighbours are crossed with probability
     p_cross at a uniform interior cut, every chromosome faces single-bit
     mutation, and the i-th decoded (hidden, logistic) pair becomes the
-    player's agent i of the next list (its slot, not its parent, fixes
-    which stock it predicts).  An agent whose decoded pair equals its
+    player's agent i of the next population (its slot, not its parent,
+    fixes which stock it predicts).  A child whose decoded pair equals its
     selected parent's keeps that parent's weights and last training error;
-    any changed architecture gets fresh random weights, drawn in pool
-    order.  Only the random draws loop over players, so every stream sees
-    the draws of one player after another: `ga` each player's pool draws
-    and then its crossover draws, `mutation` one draw or two per
-    chromosome.
+    any changed architecture gets fresh random weights and a NaN error.
+    Only the random draws loop, so every stream sees the draws of one
+    player after another: `ga` each player's pool draws and then its
+    crossover draws, `mutation` one draw or two per chromosome, `init` one
+    weight draw per changed child, in pool order.
     """
     params.validate()
-    agents = population.agents
-    if len(agents) != len(errors):
-        raise ConfigError(f"got {len(errors)} errors for {len(agents)} agents")
+    stack = population.stack
+    if len(stack) != len(errors):
+        raise ConfigError(f"got {len(errors)} errors for {len(stack)} agents")
     players, n = population.players, population.stocks * population.k  # n agents per player
     if n < 2:
         raise ConfigError(f"evolution needs at least 2 agents per player, got {n}")
@@ -162,8 +162,8 @@ def evolve_generation(
             if streams.ga.random() < params.p_cross:
                 pair_cuts[j] = streams.ga.integers(1, CHROMOSOME_BITS)
     parents = (roulette_select(fitness, draws) + n * np.arange(players)[:, None]).ravel()
-    hidden, logistic = population.architectures()
-    chromosomes = encode(hidden[parents], logistic[parents])
+    hidden, logistic = stack.hidden[parents], stack.logistic[parents]
+    chromosomes = encode(hidden, logistic)
     pool = chromosomes.reshape(players, n)  # a view; pool neighbours are slots 2j and 2j + 1
     firsts, seconds = pool[:, 0 : n - 1 : 2], pool[:, 1::2]
     crossed = cuts > 0
@@ -173,14 +173,12 @@ def evolve_generation(
     # mutate_bit of 0 is a chromosome's flip mask; the masks are drawn in pool order.
     chromosomes ^= [mutate_bit(0, params.p_mut, streams.mutation) for _ in chromosomes]
     child_hidden, child_logistic = _DECODED_HIDDEN[chromosomes], (chromosomes & 1) == 1
-    kept = (child_hidden == hidden[parents]) & (child_logistic == logistic[parents])
-    next_agents = []
-    for parent, h, is_logistic, keep in zip(
-        parents.tolist(), child_hidden.tolist(), child_logistic.tolist(), kept.tolist()
-    ):
-        if keep:
-            weights, error = agents[parent].weights.copy(), agents[parent].last_training_error
-            next_agents.append(Agent(h, is_logistic, weights, error))
-        else:
-            next_agents.append(new_agent(h, is_logistic, streams.init, weight_init_scale))
-    return Population(next_agents, players, population.stocks)
+    kept = (child_hidden == hidden) & (child_logistic == logistic)
+    parent_weights = stack.weight_rows()
+    weights = [
+        parent_weights[parent] if keep else draw_weights(h, streams.init, weight_init_scale)
+        for parent, h, keep in zip(parents.tolist(), child_hidden.tolist(), kept.tolist())
+    ]
+    child_errors = np.where(kept, stack.errors[parents], np.nan)
+    children = Stack(child_hidden, child_logistic, weights, child_errors)
+    return Population(children, players, population.stocks)

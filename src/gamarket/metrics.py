@@ -16,19 +16,19 @@ import numpy as np
 from .players import Population
 
 
-def complexity(agents) -> dict[str, float]:
-    """Per-species population standard deviation of hidden-unit counts.
+def complexity(hidden: np.ndarray, logistic: np.ndarray) -> dict[str, float]:
+    """Per-species population standard deviation of the (A,) hidden-unit counts.
 
     Uses the population estimator (divide by the species count).  Species
     appear in the order their first agent does; empty species are absent
     from the result, not reported as zero.
     """
-    counts: dict[str, list[int]] = {}
-    for agent in agents:
-        counts.setdefault("logistic" if agent.logistic else "linear", []).append(agent.hidden)
-    if not counts:
+    if len(hidden) == 0:
         raise ValueError("complexity needs at least one agent")
-    return {kind: float(np.std(hs)) for kind, hs in counts.items()}
+    return {
+        "logistic" if kind else "linear": float(np.std(hidden[logistic == kind]))
+        for kind in dict.fromkeys(logistic.tolist())
+    }
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ def record_networth(metrics: RunMetrics, worths: np.ndarray, day: int) -> None:
 def record_generation(metrics: RunMetrics, generation: int, population: Population) -> None:
     """Snapshot architecture statistics for the whole population."""
     # Sums of small ints are exact in float64, so these are the per-player np.mean.
-    hidden, _ = population.architectures()
-    means = hidden.reshape(population.players, -1).mean(axis=1).tolist()
+    stack = population.stack
+    means = stack.hidden.reshape(population.players, -1).mean(axis=1).tolist()
     metrics.hidden_rows.extend((generation, pid, mean) for pid, mean in enumerate(means))
-    for kind, sigma in complexity(population.agents).items():
+    for kind, sigma in complexity(stack.hidden, stack.logistic).items():
         metrics.complexity_rows.append((generation, kind, sigma))

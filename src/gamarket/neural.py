@@ -1,10 +1,10 @@
-"""Predictive agents: one-hidden-layer feed-forward networks, run in stacks.
+"""Predictive agents: one-hidden-layer feed-forward networks, held as arrays.
 
 Each agent maps one normalized price to one normalized next-price estimate.
 The hidden layer uses tanh units; the output unit is either linear or
-logistic.  An `Agent` carries this architecture as two plain fields,
-`hidden` (1 to 10 units) and `logistic`.  Weights are stored flat in a
-fixed layout:
+logistic.  An agent's architecture is two plain values, its hidden-unit
+count (1 to 10) and whether its output is logistic.  Its weights are
+stored flat in a fixed layout:
 
     [input->hidden (h), hidden biases (h), hidden->output (h), output bias]
 
@@ -14,29 +14,26 @@ A `TrainingWindow` is a pair of aligned `(rows, n)` arrays, n >= 1: `train`
 and `evaluate_error` take one whose row i is agent i's series (a
 simulation takes each agent's stock row of a `(stocks, n)` window).
 
-There is one forward kernel, `_predict`, and one gradient, `_gradients`,
-and both run on a `Stack`: a population sorted by hidden count, so the
+A population of A agents is one `Stack`: `(A,)` arrays of hidden counts,
+logistic flags and last training errors in population order, and every
+agent's weights in one flat array sorted, stably, by hidden count, so the
 agents of one count h are one `_Group`, a slice of rows with one
-`(rows, 3h+1)` weight array.  Inputs, targets, outputs and errors are
-`(A, n)` arrays, one row per agent, and a boolean row mask picks the
-logistic rows, the only ones that go through the sigmoid and its
-derivative.  The work shaped by h runs once per group; every reduction
-is a batched `@` or a per-row sum, which numpy runs as the same BLAS call
-or loop for each row that a lone agent gets, so a stacked agent computes
-the same bits as it would alone.  Grouping by hidden count only, across
-players, stocks and activations, gives at most 10 groups for any
+`(rows, 3h+1)` weight array.  `draw_population` draws a stack; `train`
+returns a trained copy; `forward`, `evaluate_error` and `mse_gradient`
+run on one.  There is one forward kernel, `_predict`, and one gradient,
+`_gradients`, both over the sorted rows.  Inputs, targets, outputs and
+errors are `(A, n)` arrays, one row per agent, and a boolean row mask
+picks the logistic rows, the only ones that go through the sigmoid and
+its derivative.  The work shaped by h runs once per group; every
+reduction is a batched `@` or a per-row sum, which numpy runs as the same
+BLAS call or loop for each row that a lone agent gets, so a stacked agent
+computes the same bits as it would alone.  Grouping by hidden count only,
+across players, stocks and activations, gives at most 10 groups for any
 population, so the per-group Python overhead stays nearly constant and
 run time stays linear in the number of agents (acceptance test A1).
 
-`train` builds the one stack of a generation.  It copies every agent's
-weights, end to end in sorted order, into one flat array and returns the
-trained agents as that `Stack`: a tuple of new Agents whose weights are
-row views of the array.  The stack lives as long as that tuple, which a
-simulation keeps as its population's agents until evolution replaces
-them, so each day's `forward` and the next generation's `evaluate_error`
-run on it without sorting or copying anything; given any other list,
-`forward` stacks it for that call.  Nothing rebinds an agent's `weights`,
-so the views and the stack always agree.  Each group keeps one
+Only building a `Stack` sorts weights; `train` copies the sorted array as
+it is, and nothing else copies or sorts.  Each group keeps one
 `(rows, n, h)` hidden-layer buffer, allocated again only when n changes
 (n = 1 for a day's predictions, n = window to train and score).
 
@@ -60,8 +57,8 @@ groups out of one padded buffer, would not be bit-exact.
 
 from __future__ import annotations
 
+import copy
 import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -75,20 +72,6 @@ HIDDEN_MAX = 10
 
 _SIGMOID_LO = float(np.finfo(float).tiny)
 _SIGMOID_HI = float(np.nextafter(1.0, 0.0))
-
-
-@dataclass
-class Agent:
-    """One network: its hidden-unit count, whether its output is logistic, its weights.
-
-    last_training_error is None until the agent has been trained once,
-    afterwards it holds the final MSE on the most recent training window.
-    """
-
-    hidden: int
-    logistic: bool
-    weights: np.ndarray
-    last_training_error: float | None = None
 
 
 @dataclass(frozen=True)
@@ -129,26 +112,24 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return np.clip(np.where(u >= 0, 1.0 / d, e / d), _SIGMOID_LO, _SIGMOID_HI)
 
 
-def new_agent(
-    hidden: int, logistic: bool, rng: np.random.Generator, weight_init_scale: float = 0.5
-) -> Agent:
-    """Create an agent with the given architecture and fresh uniform weights."""
-    if not HIDDEN_MIN <= hidden <= HIDDEN_MAX:
-        raise ConfigError(f"hidden units must lie in [{HIDDEN_MIN}, {HIDDEN_MAX}], got {hidden}")
-    if not weight_init_scale > 0:
-        raise ConfigError(f"weight_init_scale must be > 0, got {weight_init_scale}")
-    weights = rng.uniform(-weight_init_scale, weight_init_scale, 3 * hidden + 1)
-    return Agent(hidden, logistic, weights)
+def draw_weights(hidden: int, rng: np.random.Generator, weight_init_scale: float) -> np.ndarray:
+    """Fresh weights for an agent of `hidden` units, uniform on [-scale, scale)."""
+    return rng.uniform(-weight_init_scale, weight_init_scale, 3 * hidden + 1)
 
 
-def init_random(rng: np.random.Generator, weight_init_scale: float = 0.5) -> Agent:
-    """Draw a random architecture and initialise its weights.
+def draw_population(size: int, rng: np.random.Generator, weight_init_scale: float) -> Stack:
+    """`size` untrained agents of random architecture, drawn one after another.
 
-    Hidden-unit count is uniform on [HIDDEN_MIN, HIDDEN_MAX], activation is
-    a fair coin between linear and logistic.
+    Each agent draws its hidden-unit count, uniform on [HIDDEN_MIN,
+    HIDDEN_MAX], then its activation, a fair coin between linear and
+    logistic, then its weights.
     """
-    hidden = int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1))
-    return new_agent(hidden, bool(rng.integers(2) == 1), rng, weight_init_scale)
+    hidden, logistic, weights = [], [], []
+    for _ in range(size):
+        hidden.append(int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1)))
+        logistic.append(rng.integers(2) == 1)
+        weights.append(draw_weights(hidden[-1], rng, weight_init_scale))
+    return Stack(hidden, logistic, weights, np.full(size, np.nan))
 
 
 def _mse(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -210,77 +191,84 @@ class _Gradient:
         d.sum(axis=1, keepdims=True, out=self.g_bout)
 
 
-class Stack(tuple):
-    """Agents, in the order given, whose weights are rows of one array sorted by hidden count.
+class Stack:
+    """A population of agents as arrays, its weights sorted by hidden count.
 
-    Building one copies every agent's weights, end to end in stable
-    hidden-count order, into the flat array `weights`, and holds new
-    Agents (same architecture and last training error) whose `weights` are
-    row views of it.  Row r of the sorted population is agent `order[r]`;
-    `groups` holds one _Group per hidden count, and `logistic` is the (A,)
-    row mask of logistic outputs.
+    Built from (A,) hidden counts, (A,) logistic flags, A flat weight
+    vectors and (A,) errors, all in population order, which `hidden`,
+    `logistic` and `errors` keep; errors[i] is agent i's final MSE on its
+    last training window, NaN until it is trained.  The weights are copied,
+    in stable hidden-count order, into the flat array `weights`: sorted row
+    r is agent `order[r]`, `groups` holds one _Group per hidden count, and
+    `sorted_logistic` is the (A,) row mask of logistic outputs.
     """
 
-    def __new__(cls, agents: Sequence[Agent]):
-        agents = list(agents)
-        order = sorted(range(len(agents)), key=lambda i: agents[i].hidden)
-        sorted_weights = [agents[i].weights for i in order]
-        weights = np.concatenate(sorted_weights, dtype=float) if agents else np.empty(0)
-        groups, start, offset = [], 0, 0
-        for h, run in itertools.groupby(agents[i].hidden for i in order):
+    def __init__(self, hidden, logistic, weights: Sequence[np.ndarray], errors):
+        self.hidden = np.array(hidden, dtype=int)
+        self.logistic = np.array(logistic, dtype=bool)
+        self.errors = np.array(errors, dtype=float)
+        outside = self.hidden[(self.hidden < HIDDEN_MIN) | (self.hidden > HIDDEN_MAX)]
+        if len(outside):
+            raise ConfigError(
+                f"hidden units must lie in [{HIDDEN_MIN}, {HIDDEN_MAX}], got {outside[0]}"
+            )
+        if [len(w) for w in weights] != (3 * self.hidden + 1).tolist():
+            raise ValueError("a stack needs one vector of 3 * hidden[i] + 1 weights per agent")
+        self.order = np.argsort(self.hidden, kind="stable")
+        self.sorted_logistic = self.logistic[self.order]
+        sorted_weights = [weights[i] for i in self.order.tolist()]
+        self._cut(np.concatenate(sorted_weights, dtype=float) if sorted_weights else np.empty(0))
+
+    def _cut(self, weights: np.ndarray) -> None:
+        """Hold `weights`, the flat sorted array, and one _Group per hidden count over it."""
+        self.weights, self.groups, start, offset = weights, [], 0, 0
+        for h, run in itertools.groupby(self.hidden[self.order].tolist()):
             count = len(list(run))
             rows, block = slice(start, start + count), slice(offset, offset + count * (3 * h + 1))
-            groups.append(_Group(rows, block, h, weights[block].reshape(count, 3 * h + 1)))
+            self.groups.append(_Group(rows, block, h, weights[block].reshape(count, 3 * h + 1)))
             start, offset = rows.stop, block.stop
-        views = [row for group in groups for row in group.weights]
-        positions = np.argsort(order).tolist()
-        stack = super().__new__(
-            cls,
-            (
-                Agent(a.hidden, a.logistic, views[r], a.last_training_error)
-                for a, r in zip(agents, positions)
-            ),
-        )
-        stack.order = np.array(order, dtype=np.intp)
-        stack.weights, stack.groups = weights, groups
-        stack.logistic = np.array([agents[i].logistic for i in order], dtype=bool)
-        return stack
+
+    def __len__(self) -> int:
+        return len(self.hidden)
+
+    def weight_rows(self) -> list[np.ndarray]:
+        """Every agent's weights in population order, as views of `weights`."""
+        rows = [row for group in self.groups for row in group.weights]
+        return [rows[r] for r in np.argsort(self.order).tolist()]
 
 
-def _check_rows(agents: Sequence[Agent], window: TrainingWindow, caller: str) -> None:
-    if len(agents) != len(window.inputs):
-        raise DataError(f"{caller} got {len(agents)} agents but {len(window.inputs)} window rows")
+def _check_rows(stack: Stack, window: TrainingWindow, caller: str) -> None:
+    if len(stack) != len(window.inputs):
+        raise DataError(f"{caller} got {len(stack)} agents but {len(window.inputs)} window rows")
 
 
-def forward(agents: Sequence[Agent], xs) -> np.ndarray:
-    """Outputs (A, n) in list order: row i of the (A, n) inputs goes through agents[i].
-
-    A Stack runs on its own weights; any other list is stacked for this call.
-    """
+def forward(stack: Stack, xs) -> np.ndarray:
+    """Outputs (A, n) in population order: row i of the (A, n) inputs goes through agent i."""
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or len(xs) != len(agents) or not np.isfinite(xs).all():
+    if xs.ndim != 2 or len(xs) != len(stack) or not np.isfinite(xs).all():
         raise ValueError(
-            f"forward needs finite ({len(agents)}, n) inputs, got shape {xs.shape} "
+            f"forward needs finite ({len(stack)}, n) inputs, got shape {xs.shape} "
             f"with {xs.size - np.isfinite(xs).sum()} non-finite values"
         )
-    stack = agents if isinstance(agents, Stack) else Stack(agents)
     preds = np.empty_like(xs)
     preds[stack.order] = _predict(stack, xs[stack.order])
     return preds
 
 
-def evaluate_error(agents: Sequence[Agent], window: TrainingWindow) -> list[float]:
-    """Mean squared error of agent i over window row i, in list order."""
-    _check_rows(agents, window, "evaluate_error")
-    return _mse(forward(agents, window.inputs), window.targets).tolist() if agents else []
+def evaluate_error(stack: Stack, window: TrainingWindow) -> list[float]:
+    """Mean squared error of agent i over window row i, in population order."""
+    _check_rows(stack, window, "evaluate_error")
+    return _mse(forward(stack, window.inputs), window.targets).tolist()
 
 
-def mse_gradient(agent: Agent, window: TrainingWindow) -> np.ndarray:
-    """Gradient of a one-row window's MSE for every weight, laid out as Agent.weights."""
-    _check_rows([agent], window, "mse_gradient")
-    stack = Stack([agent])
+def mse_gradient(stack: Stack, window: TrainingWindow) -> np.ndarray:
+    """Gradient of each agent's MSE over its window row, laid out as `stack.weights`.
+
+    For a one-agent stack that is the layout of the agent's own weights.
+    """
+    _check_rows(stack, window, "mse_gradient")
     grad, gradients = _gradient_buffers(stack, window.inputs.shape[1])
-    _gradients(stack, gradients, window.inputs, window.targets)
+    _gradients(stack, gradients, window.inputs[stack.order], window.targets[stack.order])
     return grad
 
 
@@ -289,7 +277,7 @@ def _predict(stack: Stack, xs: np.ndarray) -> np.ndarray:
     u = np.empty_like(xs)
     for group in stack.groups:
         group.predict(xs, u)
-    u[stack.logistic] = _sigmoid(u[stack.logistic])
+    u[stack.sorted_logistic] = _sigmoid(u[stack.sorted_logistic])
     return u
 
 
@@ -304,7 +292,7 @@ def _gradients(stack: Stack, gradients: list[_Gradient], xs: np.ndarray, ys: np.
     """Fill the gradient of each sorted row's MSE."""
     preds = _predict(stack, xs)
     delta = (2.0 / xs.shape[1]) * (preds - ys)
-    logistic = stack.logistic
+    logistic = stack.sorted_logistic
     p = preds[logistic]
     delta[logistic] = delta[logistic] * p * (1.0 - p)
     # delta is dMSE/du for the output pre-activation u of each sample.
@@ -312,33 +300,35 @@ def _gradients(stack: Stack, gradients: list[_Gradient], xs: np.ndarray, ys: np.
         gradient.backward(xs, delta)
 
 
-def train(agents: Sequence[Agent], window: TrainingWindow, hp: Hyperparams) -> Stack:
+def train(stack: Stack, window: TrainingWindow, hp: Hyperparams) -> Stack:
     """Full-batch gradient descent for hp.epochs passes, agent i on window row i.
 
-    Returns a Stack of new Agents in the order given; the inputs are left
-    untouched.  Each returned agent keeps its architecture and records its
-    final training MSE.  Raises TrainingDivergedError naming the first
-    agent, in list order, whose final MSE is not finite.
+    Returns a new Stack of the same agents, its sorted weights copied from
+    `stack` without re-sorting, trained, and its errors holding each
+    agent's final training MSE; `stack` is left untouched.  Raises
+    TrainingDivergedError naming the first agent, in population order,
+    whose final MSE is not finite.
     """
     hp.validate()
-    _check_rows(agents, window, "train")
-    stack = Stack(agents)
+    _check_rows(stack, window, "train")
+    trained = copy.copy(stack)
+    trained._cut(stack.weights.copy())
     xs, ys = window.inputs[stack.order], window.targets[stack.order]
-    grad, gradients = _gradient_buffers(stack, xs.shape[1])
+    grad, gradients = _gradient_buffers(trained, xs.shape[1])
     # A diverging row overflows; the check below reports it instead of numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hp.epochs):
-            _gradients(stack, gradients, xs, ys)
+            _gradients(trained, gradients, xs, ys)
             grad *= hp.learning_rate
-            stack.weights -= grad
-        final_mse = np.empty(len(stack))
-        final_mse[stack.order] = _mse(_predict(stack, xs), ys)
-    for agent, error in zip(stack, final_mse.tolist()):
-        agent.last_training_error = error
-        if not math.isfinite(error):
-            kind = "logistic" if agent.logistic else "linear"
-            raise TrainingDivergedError(
-                f"training diverged for {agent.hidden}-unit {kind} agent: final MSE "
-                f"{error} after {hp.epochs} epochs at learning rate {hp.learning_rate}"
-            )
-    return stack
+            trained.weights -= grad
+        trained.errors = np.empty(len(stack))
+        trained.errors[stack.order] = _mse(_predict(trained, xs), ys)
+    diverged = np.flatnonzero(~np.isfinite(trained.errors))
+    if len(diverged):
+        i = diverged[0]
+        kind = "logistic" if stack.logistic[i] else "linear"
+        raise TrainingDivergedError(
+            f"training diverged for {stack.hidden[i]}-unit {kind} agent: final MSE "
+            f"{trained.errors[i]} after {hp.epochs} epochs at learning rate {hp.learning_rate}"
+        )
+    return trained

@@ -8,13 +8,13 @@ the price file; one day index `t` runs over the traded days, and row
 Architectures evolve every `evolution_cadence` trading days, after which
 every agent is retrained on the window ending that day.
 
-The whole market is one `players.Population`, laid out player-major, then
-stock-major, then member.  One `build_window` call gives every stock's
-(stocks, n) window rows, and `Population.windows` hands each agent its
-stock's row: training, scoring and evolution each take the whole
-population in one call.  `train` returns the generation's weight stack,
-which stays the population's agents until the next evolution, so the
-daily predictions and the next scoring reuse it.  Net worths are checked
+The whole market is one `players.Population` over one `neural.Stack`,
+laid out player-major, then stock-major, then member.  One `build_window`
+call gives every stock's (stocks, n) window rows, and `Population.windows`
+hands each agent its stock's row: training, scoring and evolution each
+take the whole population in one call.  The population is stacked at
+start-up and by each evolution; the daily predictions and the next
+scoring run on `train`'s trained copy as it is.  Net worths are checked
 each day: a price that values a holding beyond the float range is a
 `DataError`, not an `inf` in `networth.csv`.
 """
@@ -32,7 +32,7 @@ from .errors import ConservationError, DataError, InsufficientHistoryError, Trai
 from .evolution import evolve_generation
 from .market import Portfolios, Trade, run_clearing
 from .metrics import RunMetrics, record_generation, record_networth
-from .neural import Agent, TrainingWindow, evaluate_error, init_random, train
+from .neural import Stack, TrainingWindow, draw_population, evaluate_error, train
 from .players import Population, committee_predict
 from .rng import make_streams
 
@@ -48,7 +48,7 @@ class RunOutput:
 
 
 def _score_population(
-    agents: list[Agent], window: TrainingWindow, metrics: RunMetrics, generation: int
+    stack: Stack, window: TrainingWindow, metrics: RunMetrics, generation: int
 ) -> list[float]:
     """Validation MSE of agent i over row i of the (A, n) window, population order.
 
@@ -56,7 +56,7 @@ def _score_population(
     Targets lie in [0.1, 0.9], so a mean above 1.0 means the agents did
     not learn, and the run stops with `TrainingDivergedError`.
     """
-    errors = evaluate_error(agents, window)
+    errors = evaluate_error(stack, window)
     mean = float(np.mean(errors))
     if mean > 1.0:
         raise TrainingDivergedError(
@@ -107,18 +107,16 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
     end = config.window + config.days  # one past the last traded day
     streams = make_streams(config.seed)
     stocks = len(config.stocks)
-    agents = [
-        init_random(streams.init, config.weight_init_scale)
-        for _ in range(config.players * stocks * config.agents_per_stock)
-    ]
-    population = Population(agents, config.players, stocks)
+    size = config.players * stocks * config.agents_per_stock
+    stack = draw_population(size, streams.init, config.weight_init_scale)
+    population = Population(stack, config.players, stocks)
     book = Portfolios.endow(config.players, config.total_supply, config.initial_cash)
     metrics = RunMetrics()
     trades: list[Trade] = []
     generations = 0
 
     window, norm_params = build_window(prices_by_day, config.window, config.window)
-    population.agents = train(population.agents, population.windows(window), config.hyperparams())
+    population.stack = train(population.stack, population.windows(window), config.hyperparams())
     record_generation(metrics, 0, population)
 
     for t in range(config.window, end):
@@ -140,16 +138,16 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
         if (t + 1 - config.window) % config.evolution_cadence == 0 and t + 1 < end:
             window, norm_params = build_window(prices_by_day, t, config.window)
             rows = population.windows(window)
-            errors = _score_population(population.agents, rows, metrics, generations)
+            errors = _score_population(population.stack, rows, metrics, generations)
             population = evolve_generation(
                 population, errors, config.ga_params(), streams, config.weight_init_scale
             )
             generations += 1
-            population.agents = train(population.agents, rows, config.hyperparams())
+            population.stack = train(population.stack, rows, config.hyperparams())
             record_generation(metrics, generations, population)
 
     if config.days >= 1:
         # Score the final population on the last traded day's window.
         window, _ = build_window(prices_by_day, end - 1, config.window)
-        _score_population(population.agents, population.windows(window), metrics, generations)
+        _score_population(population.stack, population.windows(window), metrics, generations)
     return RunOutput(config, metrics, trades, population, generations, book)

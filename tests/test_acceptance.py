@@ -40,12 +40,12 @@ from gamarket.market import Portfolios, apply_trade
 from gamarket.neural import (
     HIDDEN_MAX,
     HIDDEN_MIN,
-    Agent,
     Hyperparams,
+    Stack,
     TrainingWindow,
+    draw_weights,
     evaluate_error,
     mse_gradient,
-    new_agent,
     train,
 )
 from gamarket.simulation import run_simulation
@@ -184,15 +184,25 @@ def test_a3_genetic_operator_statistics():
     )
 
 
+def _one_agent(hidden, logistic, weights):
+    """A one-agent, untrained stack."""
+    return Stack([hidden], [logistic], [weights], [math.nan])
+
+
+def _new_agent(hidden, logistic, rng):
+    return _one_agent(hidden, logistic, draw_weights(hidden, rng, 0.5))
+
+
 def _central_difference(agent, window, step=1e-5):
+    [hidden], [logistic] = agent.hidden.tolist(), agent.logistic.tolist()
     grad = np.zeros_like(agent.weights)
     for i in range(len(agent.weights)):
         up = agent.weights.copy()
         down = agent.weights.copy()
         up[i] += step
         down[i] -= step
-        [e_up] = evaluate_error([Agent(agent.hidden, agent.logistic, up)], window)
-        [e_down] = evaluate_error([Agent(agent.hidden, agent.logistic, down)], window)
+        [e_up] = evaluate_error(_one_agent(hidden, logistic, up), window)
+        [e_down] = evaluate_error(_one_agent(hidden, logistic, down), window)
         grad[i] = (e_up - e_down) / (2 * step)
     return grad
 
@@ -202,7 +212,7 @@ def test_a4_gradients_match_finite_differences_and_training_learns():
     specs = [(h, logistic) for h in range(HIDDEN_MIN, HIDDEN_MAX + 1) for logistic in (False, True)]
     worst = 0.0
     for i in range(100):
-        agent = new_agent(*specs[i % len(specs)], rng)
+        agent = _new_agent(*specs[i % len(specs)], rng)
         inputs = rng.uniform(0.05, 0.95, size=30)
         targets = rng.uniform(0.1, 0.9, size=30)
         window = TrainingWindow(inputs=inputs[None], targets=targets[None])
@@ -218,11 +228,11 @@ def test_a4_gradients_match_finite_differences_and_training_learns():
     befores = []
     afters = []
     for i in range(100):
-        agent = new_agent(*specs[i % len(specs)], rng)
-        befores.extend(evaluate_error([agent], ramp))
-        [trained] = train([agent], ramp, Hyperparams(epochs=200, learning_rate=0.05))
-        afters.append(trained.last_training_error)
-        assert trained.last_training_error < befores[-1]
+        agent = _new_agent(*specs[i % len(specs)], rng)
+        befores.extend(evaluate_error(agent, ramp))
+        [after] = train(agent, ramp, Hyperparams(epochs=200, learning_rate=0.05)).errors
+        afters.append(after)
+        assert after < befores[-1]
     ratio = float(np.mean(afters) / np.mean(befores))
     _report(
         "A4 neural suite",
@@ -248,8 +258,8 @@ def test_a5_selection_pressure_reduces_population_error(price_file):
     rows = output.metrics.generation_error_rows
     assert [g for g, _ in rows] == list(range(11))
     first, last = rows[0][1], rows[-1][1]
-    for agent in output.population.agents:
-        assert HIDDEN_MIN <= agent.hidden <= HIDDEN_MAX
+    for hidden in output.population.stack.hidden.tolist():
+        assert HIDDEN_MIN <= hidden <= HIDDEN_MAX
     _report(
         "A5 selection pressure",
         output.generations == 10 and last <= first,

@@ -12,7 +12,7 @@ from gamarket.config import SimulationConfig, parse_config, resolved_text
 from gamarket.errors import ConfigError
 from gamarket.market import Portfolios, Trade
 from gamarket.metrics import RunMetrics
-from gamarket.neural import init_random
+from gamarket.neural import draw_population
 from gamarket.players import Population
 from gamarket.reports import emit_reports
 from gamarket.simulation import RunOutput
@@ -116,7 +116,7 @@ def test_emit_reports_writes_exact_bytes(tmp_path):
     )
     trade = Trade(day=1, round=2, buyer=1, seller=0, stock=1, quantity=3, price=0.1)
     # The report writes no population or portfolio state; both are only well formed.
-    population = Population([init_random(np.random.default_rng(0)) for _ in range(4)], 2, 2)
+    population = Population(draw_population(4, np.random.default_rng(0), 0.5), 2, 2)
     book = Portfolios.endow(2, config.total_supply, config.initial_cash)
     output = RunOutput(config, metrics, [trade], population, 1, book)
     emit_reports(output, tmp_path)
@@ -206,6 +206,23 @@ def test_run_rejects_an_inline_comment_without_traceback(tmp_path, cli_process):
     assert result.stderr.startswith("ConfigError: output_dir must not contain '#'")
     assert "Traceback" not in result.stderr
     assert sorted(os.listdir(tmp_path)) == ["prices.csv", "run.cfg"]
+
+
+@pytest.mark.parametrize("scale", ["1e308", "8.98846567431158e307"])
+def test_run_rejects_a_weight_init_scale_too_large_to_draw(tmp_path, cli_process, scale):
+    # Weights are drawn over [-scale, scale), whose width 2 * scale overflows here.
+    data = _gen_data(tmp_path)
+    out = tmp_path / "out"
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        CONFIG_TEMPLATE.format(data=data, out=out) + f"weight_init_scale = {scale}\n"
+    )
+    result = cli_process("run", "--config", str(config_path))
+    assert result.returncode == 1
+    [line] = result.stderr.splitlines()
+    assert line.startswith("ConfigError: weight_init_scale")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 def test_run_reports_a_non_finite_price_with_its_line(tmp_path, cli_process):

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from gamarket.config import SimulationConfig, parse_config, resolved_text
 from gamarket.data import DEFAULT_STOCKS
 from gamarket.errors import ConfigError
+from gamarket.neural import draw_weights
 
 FULL_CONFIG = """\
 # every recognised key, exercised once
@@ -92,6 +94,14 @@ def test_validate_rejects_bad_fields(kwargs):
     config = SimulationConfig(**{"seed": 1, "input_path": "x", **kwargs})
     with pytest.raises(ConfigError):
         config.validate()
+
+
+def test_validate_accepts_the_largest_drawable_weight_init_scale():
+    # Weights are drawn over a width of 2 * weight_init_scale, finite up to here.
+    scale = np.finfo(float).max / 2
+    SimulationConfig(seed=1, input_path="x", weight_init_scale=scale).validate()
+    weights = draw_weights(10, np.random.default_rng(0), scale)
+    assert np.isfinite(weights).all() and np.all(np.abs(weights) <= scale)
 
 
 @pytest.mark.parametrize("cadence", [6, 7])
@@ -246,7 +256,10 @@ def _valid_configs(draw):
         p_mut=draw(st.floats(min_value=0.0, max_value=p_cross, exclude_max=True)),
         epochs=draw(st.integers(min_value=1, max_value=10**6)),
         learning_rate=draw(_FLOAT.filter(lambda x: x > 0)),
-        weight_init_scale=draw(_FLOAT.filter(lambda x: x > 0)),
+        # Weights are drawn over a width of 2 * weight_init_scale, which must be finite.
+        weight_init_scale=draw(
+            st.floats(min_value=0.0, max_value=np.finfo(float).max / 2, exclude_min=True)
+        ),
         # At most 10**6 players, so their total cash stays finite.
         initial_cash=draw(st.floats(min_value=0.0, max_value=1e300)),
         output_dir=draw(_TEXT.filter(bool)),

@@ -1,6 +1,6 @@
 """Tests for the genetic operators and generation turnover."""
 
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
@@ -21,9 +21,10 @@ from gamarket.evolution import (
     mutate_bit,
     roulette_select,
 )
-from gamarket.neural import HIDDEN_MAX, HIDDEN_MIN, Stack, new_agent
+from gamarket.neural import HIDDEN_MAX, HIDDEN_MIN, Stack, draw_weights
 from gamarket.players import Population
 from gamarket.rng import make_streams
+from test_neural import agents, make_agent
 
 
 def test_gray_round_trip_all_byte_values():
@@ -183,66 +184,80 @@ def test_ga_params_validation():
         GAParams(p_cross=0.1, p_mut=0.5).validate()
 
 
+def _mixed_agents(seed, size):
+    """`size` random (hidden, logistic, weights, error) agents, untrained."""
+    rng = np.random.default_rng(seed)
+    mixed = []
+    for _ in range(size):
+        h = int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1))
+        logistic = bool(rng.integers(2) == 1)
+        mixed.append((h, logistic, draw_weights(h, rng, 0.5), math.nan))
+    return mixed
+
+
+def _population(mixed, players, stocks):
+    """A population over a stack of (hidden, logistic, weights, error) agents."""
+    return Population(Stack(*zip(*mixed)), players=players, stocks=stocks)
+
+
 def _mixed_player(seed=0, stocks=2, per_stock=4):
     """A one-player population of random architectures."""
-    rng = np.random.default_rng(seed)
-    agents = []
-    for _ in range(stocks * per_stock):
-        h = int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1))
-        agents.append(new_agent(h, bool(rng.integers(2) == 1), rng))
-    return Population(agents, players=1, stocks=stocks)
+    return _population(_mixed_agents(seed, stocks * per_stock), players=1, stocks=stocks)
+
+
+def _architectures(population):
+    return list(zip(population.stack.hidden.tolist(), population.stack.logistic.tolist()))
 
 
 def test_evolve_generation_shape_and_legality():
     player = _mixed_player()
-    n = len(player.agents)
+    n = len(player.stack)
     errors = list(np.random.default_rng(7).uniform(0.01, 0.2, n))
     child = evolve_generation(player, errors, GAParams(), make_streams(99))
-    assert len(child.agents) == len(player.agents)
-    for agent in child.agents:
-        assert HIDDEN_MIN <= agent.hidden <= HIDDEN_MAX
-        assert len(agent.weights) == 3 * agent.hidden + 1
+    assert len(child.stack) == len(player.stack)
+    for hidden, _, weights, _ in agents(child.stack):
+        assert HIDDEN_MIN <= hidden <= HIDDEN_MAX
+        assert len(weights) == 3 * hidden + 1
 
 
 def test_evolve_generation_keeps_parent_weights_when_spec_survives():
     # With mutation off and crossover vanishingly rare, children are parent copies.
     player = _mixed_player(seed=3)
-    n = len(player.agents)
+    n = len(player.stack)
     errors = [0.1] * n
     params = GAParams(p_cross=1e-12, p_mut=0.0)
     child = evolve_generation(player, errors, params, make_streams(5))
-    parents = player.agents
-    by_key = {(a.hidden, a.logistic, a.weights.tobytes()) for a in parents}
-    for agent in child.agents:
-        assert (agent.hidden, agent.logistic, agent.weights.tobytes()) in by_key
-        # Copies, not aliases: mutating a child cannot corrupt the parent.
-        assert all(agent.weights is not p.weights for p in parents)
+    by_key = {(h, logistic, w.tobytes()) for h, logistic, w, _ in agents(player.stack)}
+    for hidden, logistic, weights, _ in agents(child.stack):
+        assert (hidden, logistic, weights.tobytes()) in by_key
+    # Copies, not aliases: changing a child's weights cannot corrupt the parent.
+    assert not np.shares_memory(child.stack.weights, player.stack.weights)
 
 
 def test_evolve_generation_concentrates_on_fit_parent():
     # One agent vastly fitter than the rest should dominate the mating pool.
     player = _mixed_player(seed=8, stocks=1, per_stock=8)
     errors = [1e-9] + [10.0] * 7
-    star = player.agents[0]
+    star = _architectures(player)[0]
     hits = 0
     trials = 200
     for seed in range(trials):
         child = evolve_generation(
             player, errors, GAParams(p_cross=1e-12, p_mut=0.0), make_streams(seed)
         )
-        hits += sum((a.hidden, a.logistic) == (star.hidden, star.logistic) for a in child.agents)
+        hits += sum(arch == star for arch in _architectures(child))
     assert hits / (trials * 8) > 0.99
 
 
 def test_evolve_generation_is_deterministic_per_seed():
     player = _mixed_player(seed=21)
-    n = len(player.agents)
+    n = len(player.stack)
     errors = list(np.random.default_rng(2).uniform(0.01, 0.5, n))
     a = evolve_generation(player, errors, GAParams(), make_streams(123))
     b = evolve_generation(_mixed_player(seed=21), errors, GAParams(), make_streams(123))
-    for x, y in zip(a.agents, b.agents):
-        assert (x.hidden, x.logistic) == (y.hidden, y.logistic)
-        assert x.weights.tobytes() == y.weights.tobytes()
+    assert _architectures(a) == _architectures(b)
+    for (_, _, x, _), (_, _, y, _) in zip(agents(a.stack), agents(b.stack)):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_evolve_generation_validation():
@@ -250,12 +265,12 @@ def test_evolve_generation_validation():
     streams = make_streams(1)
     with pytest.raises(ConfigError):
         evolve_generation(player, [0.1], GAParams(), streams)
-    n = len(player.agents)
+    n = len(player.stack)
     with pytest.raises(ValueError):
         evolve_generation(player, [-0.1] + [0.1] * (n - 1), GAParams(), streams)
     with pytest.raises(ValueError):
         evolve_generation(player, [float("nan")] + [0.1] * (n - 1), GAParams(), streams)
-    single = Population([new_agent(2, False, np.random.default_rng(0))], players=1, stocks=1)
+    single = Population(make_agent(2, False, np.zeros(7)), players=1, stocks=1)
     with pytest.raises(ConfigError):
         evolve_generation(single, [0.1], GAParams(), streams)
 
@@ -269,11 +284,11 @@ def test_evolve_generation_pins_the_draw_order():
     streams = make_streams(123)
     child = evolve_generation(player, errors, GAParams(p_cross=0.9, p_mut=0.5), streams)
     L, G = False, True
-    assert [(a.hidden, a.logistic) for a in child.agents] == [
+    assert _architectures(child) == [
         (10, L), (6, L), (4, G), (5, L), (6, L), (5, L), (9, G), (3, L)
     ]
-    parent_weights = {a.weights.tobytes() for a in player.agents}
-    kept = [a.weights.tobytes() in parent_weights for a in child.agents]
+    parent_weights = {w.tobytes() for w in player.stack.weight_rows()}
+    kept = [w.tobytes() in parent_weights for w in child.stack.weight_rows()]
     assert kept == [False, True, True, False, True, False, False, False]
     assert streams.ga.random() == 0.557870569619728
     assert streams.mutation.random() == 0.6298292058975088
@@ -281,37 +296,43 @@ def test_evolve_generation_pins_the_draw_order():
 
 
 def _key(agent):
-    return agent.hidden, agent.logistic, agent.weights.tobytes()
+    hidden, logistic, weights, error = agent
+    return hidden, logistic, weights.tobytes(), None if math.isnan(error) else error
 
 
 def test_evolving_every_player_in_one_call_equals_one_call_per_player():
-    players = [_mixed_player(seed=30 + p).agents for p in range(3)]
+    players = [_mixed_agents(30 + p, 8) for p in range(3)]
     errors = np.random.default_rng(4).uniform(0.01, 0.5, 3 * 8).tolist()
     params = GAParams(p_cross=0.9, p_mut=0.5)
     together_streams, alone_streams = make_streams(77), make_streams(77)
-    population = Population([a for agents in players for a in agents], players=3, stocks=2)
+    population = _population([a for mixed in players for a in mixed], players=3, stocks=2)
     together = evolve_generation(population, errors, params, together_streams)
     alone = []
-    for p, agents in enumerate(players):
-        one = Population(agents, players=1, stocks=2)
-        alone += evolve_generation(one, errors[p * 8 : (p + 1) * 8], params, alone_streams).agents
+    for p, mixed in enumerate(players):
+        one = _population(mixed, players=1, stocks=2)
+        evolved = evolve_generation(one, errors[p * 8 : (p + 1) * 8], params, alone_streams)
+        alone += agents(evolved.stack)
     assert (together.players, together.stocks, together.k) == (3, 2, 4)
-    assert [_key(a) for a in together.agents] == [_key(a) for a in alone]
+    assert [_key(a) for a in agents(together.stack)] == [_key(a) for a in alone]
     for name in ("ga", "mutation", "init"):
         assert getattr(together_streams, name).random() == getattr(alone_streams, name).random()
 
 
-def reference_evolve(population, errors, params, streams):
-    """The per-player body that the array evolution replaced, on one flat list."""
+def reference_evolve(population, errors, params, streams, weight_init_scale):
+    """The per-player body that the array evolution replaced, on a flat agent list.
+
+    Agents are (hidden, logistic, weights, error) tuples, error NaN when untrained.
+    """
     n = population.stocks * population.k
+    flat = agents(population.stack)
     next_agents = []
     for pid in range(population.players):
-        agents = population.agents[pid * n : (pid + 1) * n]
+        own = flat[pid * n : (pid + 1) * n]
         fitness = 1.0 / (FITNESS_EPS + np.asarray(errors[pid * n : (pid + 1) * n], dtype=float))
         cumulative = np.cumsum(fitness)
         picks = np.searchsorted(cumulative, streams.ga.random(n) * cumulative[-1], side="right")
         parents = np.minimum(picks, n - 1).tolist()
-        chromosomes = [encode(agents[p].hidden, agents[p].logistic) for p in parents]
+        chromosomes = [encode(own[p][0], own[p][1]) for p in parents]
         for j in range(0, n - 1, 2):
             if streams.ga.random() < params.p_cross:
                 cut = int(streams.ga.integers(1, CHROMOSOME_BITS))
@@ -320,11 +341,13 @@ def reference_evolve(population, errors, params, streams):
                 )
         for parent_index, chromosome in zip(parents, chromosomes):
             hidden, logistic = decode(mutate_bit(chromosome, params.p_mut, streams.mutation))
-            parent = agents[parent_index]
-            if (hidden, logistic) == (parent.hidden, parent.logistic):
-                next_agents.append(replace(parent, weights=parent.weights.copy()))
+            parent = own[parent_index]
+            if (hidden, logistic) == parent[:2]:
+                next_agents.append(parent)
             else:
-                next_agents.append(new_agent(hidden, logistic, streams.init))
+                scale = weight_init_scale
+                weights = streams.init.uniform(-scale, scale, 3 * hidden + 1)
+                next_agents.append((hidden, logistic, weights, math.nan))
     return next_agents
 
 
@@ -340,12 +363,12 @@ NO_CROSSOVER = 5e-324
     k=st.integers(1, 3),
     p_cross=st.sampled_from([NO_CROSSOVER, 0.6, 1.0]),
     p_mut=st.sampled_from([0.0, 0.03, 0.5]),
-    stacked=st.booleans(),
+    scale=st.sampled_from([0.5, 2.0]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
 def test_array_evolution_equals_the_per_player_loop(
-    players, stocks, k, p_cross, p_mut, stacked, seed, data
+    players, stocks, k, p_cross, p_mut, scale, seed, data
 ):
     assume(stocks * k >= 2 and p_mut < p_cross)
     size = players * stocks * k
@@ -353,21 +376,21 @@ def test_array_evolution_equals_the_per_player_loop(
     error = st.one_of(st.sampled_from([0.0, 0.05, 0.25]), st.floats(0.0, 2.0))
     errors = data.draw(st.lists(error, min_size=size, max_size=size))
     rng = np.random.default_rng(seed)
-    agents = []
+    mixed = []
     for i in range(size):
         h = int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1))
-        agent = new_agent(h, bool(rng.integers(2)), rng)
-        agent.last_training_error = float(rng.random()) if i % 3 else None
-        agents.append(agent)
-    # A trained population is a Stack, whose weights are views of one array.
-    population = Population(Stack(agents) if stacked else agents, players, stocks)
+        logistic = bool(rng.integers(2))
+        weights = draw_weights(h, rng, 0.5)
+        mixed.append((h, logistic, weights, float(rng.random()) if i % 3 else math.nan))
+    population = _population(mixed, players, stocks)
     params = GAParams(p_cross=p_cross, p_mut=p_mut)
     got_streams, want_streams = make_streams(seed), make_streams(seed)
-    got = evolve_generation(population, errors, params, got_streams).agents
-    want = reference_evolve(population, errors, params, want_streams)
-    assert [(a.hidden, a.logistic) for a in got] == [(a.hidden, a.logistic) for a in want]
-    assert [a.weights.tobytes() for a in got] == [a.weights.tobytes() for a in want]
-    assert [a.last_training_error for a in got] == [a.last_training_error for a in want]
-    assert all(type(a.logistic) is bool and type(a.hidden) is int for a in got)
+    children = evolve_generation(population, errors, params, got_streams, scale).stack
+    got = agents(children)
+    want = reference_evolve(population, errors, params, want_streams, scale)
+    assert children.hidden.dtype == int and children.logistic.dtype == bool
+    assert [a[:2] for a in got] == [a[:2] for a in want]
+    assert [a[2].tobytes() for a in got] == [a[2].tobytes() for a in want]
+    assert [_key(a)[3] for a in got] == [_key(a)[3] for a in want]
     for name in ("ga", "mutation", "init"):
         assert getattr(got_streams, name).random() == getattr(want_streams, name).random()

@@ -14,19 +14,16 @@ from gamarket.metrics import (
     record_networth,
 )
 from gamarket.market import Portfolios
-from gamarket.neural import new_agent
 from gamarket.players import Population
-
-
-def _agent(hidden, kind):
-    return new_agent(hidden, kind == "logistic", np.random.default_rng(hidden))
+from test_neural import new_stack
 
 
 def test_complexity_matches_two_pass_oracle():
     # Population standard deviation computed longhand per species.
     counts = {"linear": [2, 7, 4, 4], "logistic": [1, 9]}
-    agents = [_agent(h, kind) for kind, hs in counts.items() for h in hs]
-    got = complexity(agents)
+    hidden = [h for hs in counts.values() for h in hs]
+    logistic = [kind == "logistic" for kind, hs in counts.items() for _ in hs]
+    got = complexity(np.array(hidden), np.array(logistic))
     for kind, hs in counts.items():
         mean = sum(hs) / len(hs)
         var = sum((h - mean) ** 2 for h in hs) / len(hs)
@@ -34,19 +31,18 @@ def test_complexity_matches_two_pass_oracle():
 
 
 def test_complexity_omits_empty_species():
-    agents = [_agent(3, "linear"), _agent(6, "linear")]
-    got = complexity(agents)
+    got = complexity(np.array([3, 6]), np.array([False, False]))
     assert set(got) == {"linear"}
     assert got["linear"] == pytest.approx(1.5)
     with pytest.raises(ValueError):
-        complexity([])
+        complexity(np.array([], dtype=int), np.array([], dtype=bool))
 
 
 def test_complexity_lists_species_in_first_occurrence_order():
     # complexity.csv writes one row per species in this order.
-    agents = [_agent(4, "logistic"), _agent(2, "linear")]
-    assert list(complexity(agents)) == ["logistic", "linear"]
-    assert list(complexity(agents[::-1])) == ["linear", "logistic"]
+    hidden, logistic = np.array([4, 2]), np.array([True, False])
+    assert list(complexity(hidden, logistic)) == ["logistic", "linear"]
+    assert list(complexity(hidden[::-1], logistic[::-1])) == ["linear", "logistic"]
 
 
 def test_linear_fit_recovers_exact_line():
@@ -89,10 +85,8 @@ def test_record_networth_rows():
 
 def test_record_generation_rows():
     metrics = RunMetrics()
-    agents = [
-        _agent(2, "linear"), _agent(4, "linear"), _agent(6, "logistic"), _agent(6, "logistic")
-    ]
-    record_generation(metrics, generation=3, population=Population(agents, players=2, stocks=1))
+    stack = new_stack([(2, False), (4, False), (6, True), (6, True)], np.random.default_rng(0))
+    record_generation(metrics, generation=3, population=Population(stack, players=2, stocks=1))
     assert metrics.hidden_rows == [(3, 0, 3.0), (3, 1, 6.0)]
     by_species = dict(
         (kind, sigma) for gen, kind, sigma in metrics.complexity_rows if gen == 3

@@ -1,4 +1,4 @@
-"""Agent construction, forward pass, gradients and training."""
+"""Stack construction, forward pass, gradients and training."""
 
 import math
 import warnings
@@ -10,31 +10,45 @@ from gamarket.errors import ConfigError, DataError, TrainingDivergedError
 from gamarket.neural import (
     HIDDEN_MAX,
     HIDDEN_MIN,
-    Agent,
     Hyperparams,
+    Stack,
     TrainingWindow,
     _sigmoid,
+    draw_population,
+    draw_weights,
     evaluate_error,
     forward,
-    init_random,
     mse_gradient,
-    new_agent,
     train,
 )
 
 
 def make_agent(hidden, logistic, weights):
-    return Agent(hidden, logistic, np.asarray(weights, dtype=float))
+    """A one-agent, untrained stack."""
+    return Stack([hidden], [logistic], [np.asarray(weights, dtype=float)], [math.nan])
 
 
-def arch(agent):
-    """An agent's architecture: (hidden units, logistic output)."""
-    return agent.hidden, agent.logistic
+def new_stack(specs, rng):
+    """An untrained stack of the (hidden, logistic) specs, weights drawn in list order."""
+    weights = [draw_weights(h, rng, 0.5) for h, _ in specs]
+    return Stack([h for h, _ in specs], [g for _, g in specs], weights, [math.nan] * len(specs))
+
+
+def agents(stack):
+    """Every agent of a stack as (hidden, logistic, weights, error), in population order."""
+    columns = stack.hidden.tolist(), stack.logistic.tolist(), stack.weight_rows()
+    return list(zip(*columns, stack.errors.tolist()))
+
+
+def arch(stack):
+    """A one-agent stack's architecture: (hidden units, logistic output)."""
+    [(hidden, logistic, _, _)] = agents(stack)
+    return hidden, logistic
 
 
 def forward_one(agent, x):
-    """One agent on one input, through the population forward pass."""
-    return float(forward([agent], [[x]])[0, 0])
+    """A one-agent stack on one input, through the population forward pass."""
+    return float(forward(agent, [[x]])[0, 0])
 
 
 def one_row(xs, ys):
@@ -43,8 +57,8 @@ def one_row(xs, ys):
 
 
 def error_one(agent, window):
-    """One agent's MSE over a one-row window, through the population scorer."""
-    [error] = evaluate_error([agent], window)
+    """A one-agent stack's MSE over a one-row window, through the population scorer."""
+    [error] = evaluate_error(agent, window)
     return error
 
 
@@ -76,15 +90,15 @@ def test_forward_matches_hand_computation():
 def test_forward_matches_reference_on_random_agents():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        agent = init_random(rng)
+        agent = draw_population(1, rng, 0.5)
         x = float(rng.uniform(-2, 2))
-        expected = reference_forward(agent.hidden, agent.logistic, agent.weights, x)
+        expected = reference_forward(*arch(agent), agent.weights, x)
         assert forward_one(agent, x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_forward_is_pure():
     rng = np.random.default_rng(5)
-    agent = init_random(rng)
+    agent = draw_population(1, rng, 0.5)
     before = agent.weights.copy()
     first = forward_one(agent, 0.4)
     second = forward_one(agent, 0.4)
@@ -96,12 +110,12 @@ def test_forward_rejects_non_finite_input():
     agent = make_agent(1, False, [0.1, 0.2, 0.3, 0.4])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            forward([agent], [[bad]])
+            forward(agent, [[bad]])
     # The message gives the shape and the count, not the whole array.
     xs = np.full((1, 1000), 0.5)
     xs[0, [3, 500]] = math.inf
     with pytest.raises(ValueError, match=r"got shape \(1, 1000\) with 2 non-finite values$"):
-        forward([agent], xs)
+        forward(agent, xs)
 
 
 def test_logistic_output_strictly_inside_unit_interval():
@@ -139,47 +153,53 @@ def test_weight_count_is_three_h_plus_one():
     rng = np.random.default_rng(0)
     for h in range(HIDDEN_MIN, HIDDEN_MAX + 1):
         for logistic in (False, True):
-            agent = new_agent(h, logistic, rng)
+            agent = make_agent(h, logistic, draw_weights(h, rng, 0.5))
             assert arch(agent) == (h, logistic)
             assert len(agent.weights) == 3 * h + 1
 
 
-def test_new_agent_rejects_out_of_range_hidden_units():
-    rng = np.random.default_rng(0)
+def test_stack_rejects_out_of_range_hidden_units():
     for bad in (0, 11, -1):
         for logistic in (False, True):
             with pytest.raises(ConfigError, match=rf"must lie in \[1, 10\], got {bad}$"):
-                new_agent(bad, logistic, rng)
+                make_agent(bad, logistic, np.zeros(4))
+    # Every agent needs a flag, an error and 3h + 1 weights.
+    with pytest.raises(ValueError, match="3 \\* hidden"):
+        make_agent(2, False, np.zeros(4))
+    with pytest.raises(ValueError, match="3 \\* hidden"):
+        Stack([1, 2], [False, True], [np.zeros(4)], [math.nan, math.nan])
 
 
-def test_init_random_respects_bounds_and_seed():
-    rng_a = np.random.default_rng(42)
-    rng_b = np.random.default_rng(42)
-    seen_hidden = set()
-    seen_kinds = set()
-    for _ in range(300):
-        agent = init_random(rng_a)
-        twin = init_random(rng_b)
-        assert HIDDEN_MIN <= agent.hidden <= HIDDEN_MAX
-        assert type(agent.logistic) is bool
-        assert np.all(np.abs(agent.weights) <= 0.5)
-        assert arch(agent) == arch(twin)
-        assert np.array_equal(agent.weights, twin.weights)
-        seen_hidden.add(agent.hidden)
-        seen_kinds.add(agent.logistic)
-    assert seen_hidden == set(range(HIDDEN_MIN, HIDDEN_MAX + 1))
-    assert seen_kinds == {False, True}
+def test_draw_population_respects_bounds_and_seed():
+    stack = draw_population(300, np.random.default_rng(42), 0.5)
+    twin = draw_population(300, np.random.default_rng(42), 0.5)
+    assert len(stack) == 300
+    assert np.all((HIDDEN_MIN <= stack.hidden) & (stack.hidden <= HIDDEN_MAX))
+    assert stack.logistic.dtype == bool
+    assert np.all(np.abs(stack.weights) <= 0.5)
+    assert np.all(np.isnan(stack.errors))
+    assert np.array_equal(stack.hidden, twin.hidden)
+    assert np.array_equal(stack.logistic, twin.logistic)
+    assert stack.weights.tobytes() == twin.weights.tobytes()
+    assert set(stack.hidden.tolist()) == set(range(HIDDEN_MIN, HIDDEN_MAX + 1))
+    assert set(stack.logistic.tolist()) == {False, True}
+    # Each agent draws its hidden count, then its activation, then its weights.
+    rng = np.random.default_rng(42)
+    for hidden, logistic, weights, _ in agents(stack)[:20]:
+        assert hidden == rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1)
+        assert logistic == (rng.integers(2) == 1)
+        assert np.array_equal(weights, rng.uniform(-0.5, 0.5, 3 * hidden + 1))
 
 
 def test_evaluate_error_matches_loop_oracle():
     rng = np.random.default_rng(9)
-    agent = init_random(rng)
+    agent = draw_population(1, rng, 0.5)
     xs = rng.uniform(0.1, 0.9, 20)
     ys = rng.uniform(0.1, 0.9, 20)
     window = one_row(xs, ys)
     total = 0.0
     for x, y in zip(xs, ys):
-        pred = reference_forward(agent.hidden, agent.logistic, agent.weights, x)
+        pred = reference_forward(*arch(agent), agent.weights, x)
         total += (pred - y) ** 2
     assert error_one(agent, window) == pytest.approx(total / 20, rel=1e-12)
 
@@ -195,9 +215,9 @@ def central_difference(agent, window, step=1e-5):
     for i in range(len(agent.weights)):
         bumped = agent.weights.copy()
         bumped[i] += step
-        up = error_one(Agent(agent.hidden, agent.logistic, bumped), window)
+        up = error_one(make_agent(*arch(agent), bumped), window)
         bumped[i] -= 2 * step
-        down = error_one(Agent(agent.hidden, agent.logistic, bumped), window)
+        down = error_one(make_agent(*arch(agent), bumped), window)
         numeric[i] = (up - down) / (2 * step)
     return numeric
 
@@ -216,23 +236,24 @@ def test_gradient_matches_central_differences_every_size_and_kind():
     window = one_row(xs, ys)
     for h in range(HIDDEN_MIN, HIDDEN_MAX + 1):
         for logistic in (False, True):
-            agent = new_agent(h, logistic, rng)
+            agent = new_stack([(h, logistic)], rng)
             assert gradient_check(agent, window) < 1e-4
 
 
 def test_train_returns_new_agent_and_preserves_architecture():
     rng = np.random.default_rng(3)
-    agent = init_random(rng)
+    agent = draw_population(1, rng, 0.5)
     original = agent.weights.copy()
     xs = np.linspace(0.1, 0.9, 50)
     window = one_row(xs, xs)
-    [trained] = train([agent], window, Hyperparams(epochs=20))
+    trained = train(agent, window, Hyperparams(epochs=20))
     assert trained is not agent
     assert arch(trained) == arch(agent)
     assert np.array_equal(agent.weights, original)  # input untouched
-    assert trained.last_training_error is not None
-    assert trained.last_training_error >= 0
-    assert trained.last_training_error == pytest.approx(error_one(trained, window), rel=1e-12)
+    assert np.isnan(agent.errors[0])
+    [error] = trained.errors
+    assert error >= 0
+    assert error == pytest.approx(error_one(trained, window), rel=1e-12)
 
 
 def test_train_reduces_error_on_linear_series():
@@ -246,15 +267,15 @@ def test_train_reduces_error_on_linear_series():
     linear_befores, linear_afters = [], []
     for logistic in (False, True):
         for trial in range(10):
-            agent = new_agent(int(rng.integers(1, 11)), logistic, rng)
+            agent = new_stack([(int(rng.integers(1, 11)), logistic)], rng)
             before = error_one(agent, window)
-            [trained] = train([agent], window, Hyperparams(epochs=200, learning_rate=0.05))
-            assert trained.last_training_error < before
+            [after] = train(agent, window, Hyperparams(epochs=200, learning_rate=0.05)).errors
+            assert after < before
             if not logistic:
                 linear_befores.append(before)
-                linear_afters.append(trained.last_training_error)
+                linear_afters.append(after)
             befores.append(before)
-            afters.append(trained.last_training_error)
+            afters.append(after)
     assert np.mean(linear_afters) <= 0.5 * np.mean(linear_befores)
     assert np.mean(afters) <= 0.5 * np.mean(befores)
 
@@ -262,8 +283,9 @@ def test_train_reduces_error_on_linear_series():
 def test_train_is_bit_reproducible():
     xs = np.linspace(0.1, 0.9, 50)
     window = one_row(xs, xs**2)
-    [first] = train([init_random(np.random.default_rng(8))], window, Hyperparams(epochs=50))
-    [second] = train([init_random(np.random.default_rng(8))], window, Hyperparams(epochs=50))
+    hp = Hyperparams(epochs=50)
+    first = train(draw_population(1, np.random.default_rng(8), 0.5), window, hp)
+    second = train(draw_population(1, np.random.default_rng(8), 0.5), window, hp)
     assert arch(first) == arch(second)
     assert first.weights.tobytes() == second.weights.tobytes()
 
@@ -275,13 +297,13 @@ def test_divergent_training_raises_a_named_error():
     xs = np.linspace(0.1, 0.9, 50)
     window = one_row(xs, xs)
     for hidden in range(HIDDEN_MIN, HIDDEN_MAX + 1):
-        agent = new_agent(hidden, False, rng)
+        agent = new_stack([(hidden, False)], rng)
         # Numpy's overflow warnings are silenced inside train; any that
         # escaped would fail here as errors.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergedError) as info:
-                train([agent], window, Hyperparams(epochs=200, learning_rate=1000.0))
+                train(agent, window, Hyperparams(epochs=200, learning_rate=1000.0))
         message = str(info.value)
         assert f"{hidden}-unit linear" in message
         assert "200 epochs" in message
@@ -291,7 +313,7 @@ def test_divergent_training_raises_a_named_error():
 def test_zero_epochs_is_a_config_error():
     agent = make_agent(1, False, [0.1, 0.2, 0.3, 0.4])
     with pytest.raises(ConfigError):
-        train([agent], one_row([0.5], [0.5]), Hyperparams(epochs=0))
+        train(agent, one_row([0.5], [0.5]), Hyperparams(epochs=0))
 
 
 def test_misaligned_window_is_rejected():
@@ -306,23 +328,23 @@ def test_window_rows_must_be_two_dimensional():
         TrainingWindow(inputs=xs, targets=xs)
 
 
-def reference_predict(agent, weights, xs):
-    """The per-agent forward pass that the stacked one replaced, on agent's architecture."""
-    h = agent.hidden
+def reference_predict(hidden, logistic, weights, xs):
+    """The per-agent forward pass that the stacked one replaced."""
+    h = hidden
     hidden = np.tanh(np.outer(xs, weights[:h]) + weights[h : 2 * h])
     u = hidden @ weights[2 * h : 3 * h] + weights[3 * h]
-    if agent.logistic:
+    if logistic:
         return _sigmoid(u), hidden
     return u, hidden
 
 
-def reference_gradient(agent, weights, xs, ys):
-    """The per-agent gradient that stacked training replaced, on agent's architecture."""
-    h = agent.hidden
+def reference_gradient(hidden, logistic, weights, xs, ys):
+    """The per-agent gradient that stacked training replaced."""
+    h = hidden
     w_out = weights[2 * h : 3 * h]
-    preds, hidden = reference_predict(agent, weights, xs)
+    preds, hidden = reference_predict(h, logistic, weights, xs)
     delta = (2.0 / len(xs)) * (preds - ys)
-    if agent.logistic:
+    if logistic:
         delta = delta * preds * (1.0 - preds)
     grad_w_out = hidden.T @ delta
     grad_b_out = float(np.sum(delta))
@@ -332,13 +354,13 @@ def reference_gradient(agent, weights, xs, ys):
     return np.concatenate([grad_w_in, grad_b_in, grad_w_out, [grad_b_out]])
 
 
-def reference_train(agent, xs, ys, hp):
+def reference_train(hidden, logistic, weights, xs, ys, hp):
     """One agent at a time on one series; returns (weights, final MSE)."""
-    weights = agent.weights.astype(float, copy=True)
+    weights = weights.astype(float, copy=True)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hp.epochs):
-            weights -= hp.learning_rate * reference_gradient(agent, weights, xs, ys)
-        preds, _ = reference_predict(agent, weights, xs)
+            weights -= hp.learning_rate * reference_gradient(hidden, logistic, weights, xs, ys)
+        preds, _ = reference_predict(hidden, logistic, weights, xs)
         final_mse = float(np.mean((preds - ys) ** 2))
     return weights, final_mse
 
@@ -346,34 +368,34 @@ def reference_train(agent, xs, ys, hp):
 def mixed_population(rng):
     """Every hidden count with both activations, interleaved over three series.
 
-    Returns the agents and their window: row i is agent i's series.
+    Returns the stack and its window: row i is agent i's series.
     """
     xs = np.linspace(0.1, 0.9, 50)
     series = [(xs, xs), (xs, xs**2), (rng.uniform(0.1, 0.9, 50), rng.uniform(0.1, 0.9, 50))]
     specs = [(h, logistic) for h in range(HIDDEN_MIN, HIDDEN_MAX + 1) for logistic in (False, True)]
     specs = [specs[i] for i in rng.permutation(len(specs))] * 2
-    agents = [new_agent(h, logistic, rng) for h, logistic in specs]
-    rows = [series[i % len(series)] for i in range(len(agents))]
-    return agents, TrainingWindow(np.array([x for x, _ in rows]), np.array([y for _, y in rows]))
+    stack = new_stack(specs, rng)
+    rows = [series[i % len(series)] for i in range(len(stack))]
+    return stack, TrainingWindow(np.array([x for x, _ in rows]), np.array([y for _, y in rows]))
 
 
-def assert_trains_like_the_per_agent_loop(agents, window, hp):
+def assert_trains_like_the_per_agent_loop(stack, window, hp):
     # Bit-equality holds because each row of a stack goes through the same
     # numpy/BLAS calls as a lone agent; a numpy or BLAS change may break it.
-    trained = train(agents, window, hp)
-    assert len(trained) == len(agents)
-    rows = zip(agents, window.inputs, window.targets, trained)
-    for k, (agent, xs, ys, got) in enumerate(rows):
-        weights, final_mse = reference_train(agent, xs, ys, hp)
-        where = f"agent {k} {arch(agent)} under numpy {np.__version__}"
-        assert arch(got) == arch(agent)
-        assert np.array_equal(got.weights, weights), f"weights differ for {where}"
-        assert got.last_training_error == final_mse, f"final MSE differs for {where}"
+    trained = train(stack, window, hp)
+    assert len(trained) == len(stack)
+    rows = zip(agents(stack), window.inputs, window.targets, agents(trained))
+    for k, ((hidden, logistic, weights, _), xs, ys, got) in enumerate(rows):
+        want_weights, final_mse = reference_train(hidden, logistic, weights, xs, ys, hp)
+        where = f"agent {k} {(hidden, logistic)} under numpy {np.__version__}"
+        assert got[:2] == (hidden, logistic)
+        assert np.array_equal(got[2], want_weights), f"weights differ for {where}"
+        assert got[3] == final_mse, f"final MSE differs for {where}"
 
 
 def test_stacked_training_equals_the_per_agent_loop_bit_for_bit():
-    agents, window = mixed_population(np.random.default_rng(31))
-    assert_trains_like_the_per_agent_loop(agents, window, Hyperparams(epochs=200))
+    stack, window = mixed_population(np.random.default_rng(31))
+    assert_trains_like_the_per_agent_loop(stack, window, Hyperparams(epochs=200))
 
 
 def random_window(rng, rows, n):
@@ -400,11 +422,11 @@ def test_training_special_shapes_equal_the_per_agent_loop_bit_for_bit(specs, n, 
     # pairwise `sum`, not einsum) and a single epoch.  None is every spec.
     rng = np.random.default_rng(39)
     if specs is None:
-        agents, _ = mixed_population(rng)
+        stack, _ = mixed_population(rng)
     else:
-        agents = [new_agent(h, logistic, rng) for h, logistic in specs]
-    window = random_window(rng, len(agents), n)
-    assert_trains_like_the_per_agent_loop(agents, window, Hyperparams(epochs=epochs))
+        stack = new_stack(specs, rng)
+    window = random_window(rng, len(stack), n)
+    assert_trains_like_the_per_agent_loop(stack, window, Hyperparams(epochs=epochs))
 
 
 def test_einsum_adds_over_n_in_the_order_of_sum_axis_1():
@@ -422,48 +444,48 @@ def test_einsum_adds_over_n_in_the_order_of_sum_axis_1():
 
 
 def test_training_again_leaves_earlier_results_untouched():
-    # train updates its weight stacks in place.  The stacks are copies, so
-    # neither the agents passed in nor an earlier result may change, in
+    # train updates its weight array in place.  It trains a copy, so
+    # neither the stack passed in nor an earlier result may change, in
     # groups of one row or of many.
     rng = np.random.default_rng(40)
     hp = Hyperparams(epochs=20)
-    for agents in (
-        mixed_population(rng)[0],
-        [new_agent(h, logistic, rng) for h, logistic in ONE_ROW_GROUPS],
-    ):
-        window = random_window(rng, len(agents), 50)
-        first = train(agents, window, hp)
-        second = train(agents, window, hp)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.weights, b.weights)
-            assert a.last_training_error == b.last_training_error
-        kept = [agent.weights.copy() for agent in first]
+    for stack in (mixed_population(rng)[0], new_stack(ONE_ROW_GROUPS, rng)):
+        window = random_window(rng, len(stack), 50)
+        untrained = stack.weights.copy()
+        first = train(stack, window, hp)
+        second = train(stack, window, hp)
+        assert np.array_equal(stack.weights, untrained)
+        assert np.all(np.isnan(stack.errors))
+        assert np.array_equal(first.weights, second.weights)
+        assert np.array_equal(first.errors, second.errors)
+        kept, kept_errors = first.weights.copy(), first.errors.copy()
         again = train(first, window, hp)
-        for agent, weights, retrained in zip(first, kept, again):
-            assert np.array_equal(agent.weights, weights)
-            assert not np.array_equal(retrained.weights, weights)
+        assert np.array_equal(first.weights, kept)
+        assert np.array_equal(first.errors, kept_errors)
+        for weights, retrained in zip(first.weight_rows(), again.weight_rows()):
+            assert not np.array_equal(retrained, weights)
 
 
 def test_mse_gradient_equals_the_per_agent_gradient_bit_for_bit():
-    agents, window = mixed_population(np.random.default_rng(32))
-    for agent, xs, ys in zip(agents, window.inputs, window.targets):
-        expected = reference_gradient(agent, agent.weights, xs, ys)
-        assert np.array_equal(mse_gradient(agent, one_row(xs, ys)), expected), (
-            f"{arch(agent)} under numpy {np.__version__}"
-        )
+    stack, window = mixed_population(np.random.default_rng(32))
+    for (hidden, logistic, weights, _), xs, ys in zip(agents(stack), window.inputs, window.targets):
+        expected = reference_gradient(hidden, logistic, weights, xs, ys)
+        got = mse_gradient(make_agent(hidden, logistic, weights), one_row(xs, ys))
+        assert np.array_equal(got, expected), f"{(hidden, logistic)} under numpy {np.__version__}"
 
 
 def test_forward_equals_the_per_agent_forward_pass_bit_for_bit():
     # One input per agent (a day's prediction, inputs spread past the
     # training range) and a whole window per agent (scoring).
     rng = np.random.default_rng(35)
-    agents, window = mixed_population(rng)
-    for xs in (rng.uniform(-0.8, 2.7, size=(len(agents), 1)), window.inputs):
-        got = forward(agents, xs)
+    stack, window = mixed_population(rng)
+    for xs in (rng.uniform(-0.8, 2.7, size=(len(stack), 1)), window.inputs):
+        got = forward(stack, xs)
         assert got.shape == np.shape(xs)
-        for agent, row, out in zip(agents, xs, got):
-            expected, _ = reference_predict(agent, agent.weights, row)
-            assert np.array_equal(out, expected), f"{arch(agent)} under numpy {np.__version__}"
+        for (hidden, logistic, weights, _), row, out in zip(agents(stack), xs, got):
+            expected, _ = reference_predict(hidden, logistic, weights, row)
+            where = f"{(hidden, logistic)} under numpy {np.__version__}"
+            assert np.array_equal(out, expected), where
 
 
 def test_one_trained_stack_serves_every_window_length_bit_for_bit():
@@ -471,35 +493,40 @@ def test_one_trained_stack_serves_every_window_length_bit_for_bit():
     # time: a day's predictions (n = 1), scoring (n = window) and a day
     # again all run on it and equal the per-agent forward pass.
     rng = np.random.default_rng(42)
-    agents, window = mixed_population(rng)
-    stack = train(agents, window, Hyperparams(epochs=5))
-    day = rng.uniform(-0.8, 2.7, size=(len(agents), 1))
+    stack, window = mixed_population(rng)
+    stack = train(stack, window, Hyperparams(epochs=5))
+    day = rng.uniform(-0.8, 2.7, size=(len(stack), 1))
     for xs in (day, window.inputs, day):
         got = forward(stack, xs)
-        for agent, row, out in zip(stack, xs, got):
-            expected, _ = reference_predict(agent, agent.weights, row)
-            assert np.array_equal(out, expected), f"{arch(agent)} at n = {len(row)}"
+        for (hidden, logistic, weights, _), row, out in zip(agents(stack), xs, got):
+            expected, _ = reference_predict(hidden, logistic, weights, row)
+            assert np.array_equal(out, expected), f"{(hidden, logistic)} at n = {len(row)}"
     errors = evaluate_error(stack, window)
-    for agent, xs, ys, error in zip(stack, window.inputs, window.targets, errors):
-        preds, _ = reference_predict(agent, agent.weights, xs)
-        assert error == np.mean((preds - ys) ** 2), f"{arch(agent)}"
-    assert np.array_equal(forward(stack, day), forward(list(stack), day))
+    for (hidden, logistic, weights, _), xs, ys, error in zip(
+        agents(stack), window.inputs, window.targets, errors
+    ):
+        preds, _ = reference_predict(hidden, logistic, weights, xs)
+        assert error == np.mean((preds - ys) ** 2), f"{(hidden, logistic)}"
+    restacked = Stack(stack.hidden, stack.logistic, stack.weight_rows(), stack.errors)
+    assert np.array_equal(forward(stack, day), forward(restacked, day))
 
 
 def test_forward_rejects_inputs_of_the_wrong_shape():
-    agents, _ = mixed_population(np.random.default_rng(36))
-    for shape in ((len(agents),), (len(agents) - 1, 1), (len(agents) + 1, 1)):
+    stack, _ = mixed_population(np.random.default_rng(36))
+    for shape in ((len(stack),), (len(stack) - 1, 1), (len(stack) + 1, 1)):
         with pytest.raises(ValueError, match="inputs"):
-            forward(agents, np.full(shape, 0.5))
+            forward(stack, np.full(shape, 0.5))
 
 
 def test_evaluate_error_equals_the_per_agent_mse_bit_for_bit():
-    agents, window = mixed_population(np.random.default_rng(37))
-    errors = evaluate_error(agents, window)
-    assert len(errors) == len(agents)
-    for agent, xs, ys, error in zip(agents, window.inputs, window.targets, errors):
-        preds, _ = reference_predict(agent, agent.weights, xs)
-        assert error == np.mean((preds - ys) ** 2), f"{arch(agent)}"
+    stack, window = mixed_population(np.random.default_rng(37))
+    errors = evaluate_error(stack, window)
+    assert len(errors) == len(stack)
+    for (hidden, logistic, weights, _), xs, ys, error in zip(
+        agents(stack), window.inputs, window.targets, errors
+    ):
+        preds, _ = reference_predict(hidden, logistic, weights, xs)
+        assert error == np.mean((preds - ys) ** 2), f"{(hidden, logistic)}"
 
 
 def drop_last_row(window):
@@ -507,49 +534,53 @@ def drop_last_row(window):
 
 
 NO_ROWS = TrainingWindow(np.empty((0, 50)), np.empty((0, 50)))
+NO_AGENTS = Stack([], [], [], [])
 
 
 def test_forward_of_no_agents_is_an_empty_array():
-    assert forward([], np.empty((0, 1))).shape == (0, 1)
+    assert forward(NO_AGENTS, np.empty((0, 1))).shape == (0, 1)
 
 
 def test_evaluate_error_shares_the_window_checks_of_train():
-    agents, window = mixed_population(np.random.default_rng(38))
+    stack, window = mixed_population(np.random.default_rng(38))
     with pytest.raises(DataError, match="40 agents but 39 window rows"):
-        evaluate_error(agents, drop_last_row(window))
-    assert evaluate_error([], NO_ROWS) == []
+        evaluate_error(stack, drop_last_row(window))
+    assert evaluate_error(NO_AGENTS, NO_ROWS) == []
 
 
 def test_train_rejects_unequal_agent_and_window_counts():
-    agents, window = mixed_population(np.random.default_rng(33))
+    stack, window = mixed_population(np.random.default_rng(33))
     with pytest.raises(DataError, match="40 agents but 39 window rows"):
-        train(agents, drop_last_row(window), Hyperparams(epochs=1))
+        train(stack, drop_last_row(window), Hyperparams(epochs=1))
 
 
 def test_train_of_no_agents_returns_an_empty_list():
-    # The result is an empty Stack, a tuple.
-    assert len(train([], NO_ROWS, Hyperparams(epochs=1))) == 0
+    # The result is an empty Stack.
+    assert len(train(NO_AGENTS, NO_ROWS, Hyperparams(epochs=1))) == 0
 
 
 def test_divergence_inside_a_mixed_stack_names_the_first_diverged_agent():
     # Linear agents blow up at a learning rate of 1000 among logistic agents
     # of the same and other hidden counts.  The logistic output and factor
     # run on the logistic rows only, beside the overflowing linear rows;
-    # none of numpy's warnings may escape.  The 7-unit stack is built first, so the
-    # error must name the 3-unit agent, the one the per-agent loop stops at.
+    # none of numpy's warnings may escape.  Both linear agents diverge, so
+    # the error must name the first in population order, the 3-unit agent,
+    # the one the per-agent loop stops at.
     rng = np.random.default_rng(34)
     xs = np.linspace(0.1, 0.9, 50)
     specs = [(7, LOGISTIC), (5, LOGISTIC), (3, LINEAR), (3, LOGISTIC), (7, LINEAR)]
-    agents = [new_agent(h, logistic, rng) for h, logistic in specs]
+    stack = new_stack(specs, rng)
     hp = Hyperparams(epochs=200, learning_rate=1000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TrainingDivergedError) as info:
-            train(agents, TrainingWindow(np.tile(xs, (5, 1)), np.tile(xs, (5, 1))), hp)
+            train(stack, TrainingWindow(np.tile(xs, (5, 1)), np.tile(xs, (5, 1))), hp)
         first = next(
-            agent for agent in agents if not math.isfinite(reference_train(agent, xs, xs, hp)[1])
+            (hidden, logistic)
+            for hidden, logistic, weights, _ in agents(stack)
+            if not math.isfinite(reference_train(hidden, logistic, weights, xs, xs, hp)[1])
         )
-    assert arch(first) == (3, False)
+    assert first == (3, False)
     message = str(info.value)
     assert "3-unit linear" in message
     assert "200 epochs" in message

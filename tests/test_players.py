@@ -10,21 +10,26 @@ from hypothesis import strategies as st
 from gamarket.data import NORM_HI, NORM_LO, NormalizationParams
 from gamarket.errors import ConfigError
 from gamarket.evolution import GAParams, evolve_generation
-from gamarket.neural import Hyperparams, TrainingWindow, forward, init_random, new_agent, train
+from gamarket.neural import Hyperparams, Stack, TrainingWindow, draw_population, forward, train
 from gamarket.market import decide, desired_quantity
 from gamarket.players import PRICE_FLOOR, Population, committee_predict
 from gamarket.rng import make_streams
-from test_neural import reference_predict
+from test_neural import agents, make_agent, reference_predict
+
+
+def random_agents(size, rng):
+    return draw_population(size, rng, 0.5)
 
 
 def test_committee_predict_is_mean_then_denormalized():
     rng = np.random.default_rng(11)
-    agents = [init_random(rng) for _ in range(8)]
+    stack = random_agents(8, rng)
     xs = np.array([0.35, 0.62])
     params = NormalizationParams(lo=np.array([10.0, 5.0]), hi=np.array([20.0, 9.0]))
-    [got] = committee_predict(Population(agents, players=1, stocks=2), xs, params)
+    [got] = committee_predict(Population(stack, players=1, stocks=2), xs, params)
+    lone = [make_agent(h, logistic, w) for h, logistic, w, _ in agents(stack)]
     for m in range(2):
-        outs = [float(forward([agent], [[xs[m]]])[0, 0]) for agent in agents[m * 4 : (m + 1) * 4]]
+        outs = [float(forward(agent, [[xs[m]]])[0, 0]) for agent in lone[m * 4 : (m + 1) * 4]]
         mean = sum(outs) / len(outs)
         lo, hi = params.lo[m], params.hi[m]
         expected = lo + (mean - 0.1) * (hi - lo) / 0.8
@@ -34,10 +39,9 @@ def test_committee_predict_is_mean_then_denormalized():
 def test_committee_predict_floors_negative_prices():
     # A linear agent rigged to output a large negative value would denormalize
     # below zero; the prediction is floored instead.
-    agent = new_agent(1, False, np.random.default_rng(0))
-    agent.weights[:] = [0.0, 0.0, 0.0, -50.0]
+    agent = make_agent(1, False, [0.0, 0.0, 0.0, -50.0])
     params = NormalizationParams(lo=np.array([10.0]), hi=np.array([20.0]))
-    [got] = committee_predict(Population([agent], players=1, stocks=1), np.array([0.5]), params)
+    [got] = committee_predict(Population(agent, players=1, stocks=1), np.array([0.5]), params)
     assert got[0] == PRICE_FLOOR
 
 
@@ -51,26 +55,22 @@ def test_committee_predict_shape_checks():
     # Population is built: every player needs the same k >= 1 agents per stock.
     rng = np.random.default_rng(1)
     with pytest.raises(ConfigError):
-        Population([init_random(rng)], players=1, stocks=2)
+        Population(random_agents(1, rng), players=1, stocks=2)
     with pytest.raises(ConfigError):
-        Population([], players=1, stocks=1)
+        Population(random_agents(0, rng), players=1, stocks=1)
     with pytest.raises(ConfigError, match=r"3 agents cannot be 2 players"):
-        Population([init_random(rng) for _ in range(3)], players=2, stocks=1)
+        Population(random_agents(3, rng), players=2, stocks=1)
     with pytest.raises(ConfigError, match=r"each of the 3 prices"):
-        Population([init_random(rng) for _ in range(8)], players=2, stocks=3)
-    population = Population([init_random(rng) for _ in range(12)], players=2, stocks=3)
+        Population(random_agents(8, rng), players=2, stocks=3)
+    population = Population(random_agents(12, rng), players=2, stocks=3)
     assert committee_predict(population, np.array([0.5, 0.6, 0.7]), one_to_two(3)).shape == (2, 3)
 
 
 def test_population_maps_each_agent_to_its_stock():
     rng = np.random.default_rng(3)
-    agents = [init_random(rng) for _ in range(12)]
-    population = Population(agents, players=2, stocks=3)
+    population = Population(random_agents(12, rng), players=2, stocks=3)
     assert population.k == 2
     assert population.rows.tolist() == [0, 0, 1, 1, 2, 2] * 2
-    hidden, logistic = population.architectures()
-    assert hidden.tolist() == [agent.hidden for agent in agents]
-    assert logistic.tolist() == [agent.logistic for agent in agents]
     window = TrainingWindow(np.arange(6.0).reshape(3, 2), np.arange(6.0, 12.0).reshape(3, 2))
     rows = population.windows(window)
     assert rows.inputs.tolist() == [window.inputs[m].tolist() for m in population.rows]
@@ -78,13 +78,16 @@ def test_population_maps_each_agent_to_its_stock():
 
 
 def reference_committee_predict(players, xs, params):
-    """The per-player loop that the population prediction replaced (one agent list per player)."""
+    """The per-player loop that the population prediction replaced.
+
+    `players` holds one list per player of its agents' (hidden, logistic, weights).
+    """
     predictions = np.empty((len(players), len(xs)))
     for p, player in enumerate(players):
         k = len(player) // len(xs)
         for m in range(len(xs)):
             group = player[m * k : (m + 1) * k]
-            outs = [reference_predict(a, a.weights, np.array([xs[m]]))[0][0] for a in group]
+            outs = [reference_predict(*agent, np.array([xs[m]]))[0][0] for agent in group]
             mean = sum(float(out) for out in outs) / len(group)
             lo, hi = float(params.lo[m]), float(params.hi[m])
             price = lo if hi == lo else lo + (mean - NORM_LO) * (hi - lo) / (NORM_HI - NORM_LO)
@@ -97,15 +100,17 @@ def test_committee_predict_equals_the_per_player_loop_bit_for_bit(k):
     # Committee means add members in committee order; numpy's sum or mean
     # along an axis adds in another order from k = 8 up, so these pin it.
     rng = np.random.default_rng(40 + k)
-    players = [[init_random(rng) for _ in range(3 * k)] for _ in range(5)]
+    players = [[a[:3] for a in agents(random_agents(3 * k, rng))] for _ in range(5)]
     # Player 0's first committee is rigged far negative: that cell is floored.
-    for agent in players[0][:k]:
-        agent.logistic = False
-        agent.weights[-1] = -50.0
+    for j, (hidden, _, weights) in enumerate(players[0][:k]):
+        weights[-1] = -50.0
+        players[0][j] = (hidden, False, weights)
     xs = np.array([0.35, 1.7, 0.5])
     # The third stock's window was constant (hi == lo).
     params = NormalizationParams(lo=np.array([10.0, 5.0, 3.0]), hi=np.array([20.0, 9.0, 3.0]))
-    population = Population([a for player in players for a in player], players=5, stocks=3)
+    flat = [agent for player in players for agent in player]
+    stack = Stack(*zip(*flat), [np.nan] * len(flat))
+    population = Population(stack, players=5, stocks=3)
     got = committee_predict(population, xs, params)
     expected = reference_committee_predict(players, xs, params)
     assert got[0, 0] == PRICE_FLOOR
@@ -113,23 +118,29 @@ def test_committee_predict_equals_the_per_player_loop_bit_for_bit(k):
     assert np.array_equal(got, expected), f"k = {k} under numpy {np.__version__}"
 
 
+def as_lists(stack):
+    """A 2-player stack's agents as one (hidden, logistic, weights) list per player."""
+    flat = [agent[:3] for agent in agents(stack)]
+    return [flat[: len(flat) // 2], flat[len(flat) // 2 :]]
+
+
 def test_committee_predict_follows_the_agents_the_population_holds():
-    # A trained population predicts from train's Stack; once its agents are
-    # replaced by an evolved list, predictions must come from the new weights.
+    # A trained population predicts from train's Stack; once its stack is
+    # replaced by an evolved one, predictions must come from the new weights.
     rng = np.random.default_rng(43)
-    population = Population([init_random(rng) for _ in range(12)], players=2, stocks=3)
+    population = Population(random_agents(12, rng), players=2, stocks=3)
     window = TrainingWindow(rng.uniform(0.1, 0.9, (3, 20)), rng.uniform(0.1, 0.9, (3, 20)))
-    population.agents = train(population.agents, population.windows(window), Hyperparams(epochs=3))
+    population.stack = train(population.stack, population.windows(window), Hyperparams(epochs=3))
     xs, params = np.array([0.35, 0.62, 0.5]), one_to_two(3)
     before = committee_predict(population, xs, params)
-    as_lists = [list(population.agents[:6]), list(population.agents[6:])]
-    assert np.array_equal(before, reference_committee_predict(as_lists, xs, params))
+    expected = reference_committee_predict(as_lists(population.stack), xs, params)
+    assert np.array_equal(before, expected)
     errors = rng.uniform(0.01, 0.2, 12).tolist()
     evolved = evolve_generation(population, errors, GAParams(0.9, 0.5), make_streams(2))
-    population.agents = evolved.agents
+    population.stack = evolved.stack
     after = committee_predict(population, xs, params)
-    as_lists = [evolved.agents[:6], evolved.agents[6:]]
-    assert np.array_equal(after, reference_committee_predict(as_lists, xs, params))
+    expected = reference_committee_predict(as_lists(evolved.stack), xs, params)
+    assert np.array_equal(after, expected)
     assert not np.array_equal(after, before)
 
 
@@ -269,7 +280,45 @@ def test_desired_quantity_caps_an_overflowed_change_at_the_volume():
 
 
 def test_population_agent_iteration():
+    # iter_agents is what perfbench's `_count_kept` reads of evolve_generation's
+    # result: every agent in population order, with its architecture and
+    # weights, and a last training error that is None exactly for the
+    # children whose architecture differs from their parent's.
     rng = np.random.default_rng(2)
-    agents = [init_random(rng) for _ in range(6)]
-    population = Population(agents, players=2, stocks=3)
-    assert list(population.iter_agents()) == agents
+    stack = random_agents(6, rng)
+    records = list(Population(stack, players=2, stocks=3).iter_agents())
+    assert len(records) == 6
+    for record, (hidden, logistic, weights, _) in zip(records, agents(stack)):
+        assert (record.hidden, record.logistic) == (hidden, logistic)
+        assert type(record.hidden) is int and type(record.logistic) is bool
+        assert np.array_equal(record.weights, weights)
+        assert record.last_training_error is None
+    population = Population(random_agents(24, rng), players=2, stocks=4)
+    window = TrainingWindow(rng.uniform(0.1, 0.9, (4, 20)), rng.uniform(0.1, 0.9, (4, 20)))
+    population.stack = train(population.stack, population.windows(window), Hyperparams(epochs=3))
+    parents = list(population.iter_agents())
+    assert [p.last_training_error for p in parents] == population.stack.errors.tolist()
+    errors = rng.uniform(0.01, 0.2, 24).tolist()
+    streams = make_streams(5)
+    init_before = streams.init.bit_generator.state
+    evolved = evolve_generation(population, errors, GAParams(0.9, 0.5), streams)
+    children = list(evolved.iter_agents())
+    by_weights = {p.weights.tobytes(): p for p in parents}
+    changed = kept = 0
+    for child in children:
+        parent = by_weights.get(child.weights.tobytes())
+        if child.last_training_error is None:
+            # A changed architecture: fresh weights, no parent's.
+            assert parent is None
+            changed += 1
+        else:
+            assert (child.hidden, child.logistic) == (parent.hidden, parent.logistic)
+            assert child.last_training_error == parent.last_training_error
+            kept += 1
+    assert changed > 0 and kept > 0
+    # Each changed child drew its fresh weights from `init`, one after another.
+    replay = np.random.default_rng()
+    replay.bit_generator.state = init_before
+    for child in children:
+        if child.last_training_error is None:
+            assert np.array_equal(child.weights, replay.uniform(-0.5, 0.5, 3 * child.hidden + 1))

@@ -66,7 +66,11 @@ def _fingerprint(output):
     return (
         [(t.day, t.round, t.buyer, t.seller, t.stock, t.quantity, t.price) for t in output.trades],
         (output.portfolios.cash.tolist(), output.portfolios.holdings.tolist()),
-        [(a.hidden, a.logistic, a.weights.tobytes()) for a in output.population.agents],
+        (
+            output.population.stack.hidden.tolist(),
+            output.population.stack.logistic.tolist(),
+            [w.tobytes() for w in output.population.stack.weight_rows()],
+        ),
         output.metrics.networth_rows,
         output.metrics.hidden_rows,
         output.metrics.complexity_rows,
@@ -103,8 +107,7 @@ def test_zero_days_trains_but_never_trades(tmp_path):
     assert output.metrics.generation_error_rows == []
     # The initial population is still trained and recorded.
     assert len(output.metrics.hidden_rows) == config.players
-    for agent in output.population.agents:
-        assert agent.last_training_error is not None
+    assert np.isfinite(output.population.stack.errors).all()
 
 
 def test_evolution_cadence_counts_events(tmp_path):
@@ -141,16 +144,19 @@ def test_run_stops_when_clearing_breaks_conservation(tmp_path, monkeypatch, corr
         run_simulation(config)
 
 
-def test_a_run_stacks_the_population_once_per_training_call(tmp_path, monkeypatch):
-    # Only train builds a Stack: each day's forward and each generation's
-    # scoring run on the one that train returned.  A crowd-shaped run:
-    # one-agent committees, one-epoch retraining, frequent evolution.
+def test_a_run_stacks_the_population_once_per_generation(tmp_path, monkeypatch):
+    # Building a Stack is the only step that sorts and stacks weights: a run
+    # builds one at start-up and one per evolution (the children), while
+    # each day's forward, each generation's scoring and every train call
+    # (which copies the sorted weights as they are) run on the stack they
+    # get.  A crowd-shaped run: one-agent committees, one-epoch retraining,
+    # frequent evolution.
     builds, where, calls = [], [], []
+    build = neural.Stack.__init__
 
-    class CountingStack(neural.Stack):
-        def __new__(cls, agents):
-            builds.append(where[-1] if where else "elsewhere")
-            return super().__new__(cls, agents)
+    def counting_build(self, *args):
+        builds.append(where[-1] if where else "start-up")
+        build(self, *args)
 
     def inside(name, fn):
         def call(*args, **kwargs):
@@ -163,15 +169,18 @@ def test_a_run_stacks_the_population_once_per_training_call(tmp_path, monkeypatc
 
         return call
 
-    monkeypatch.setattr(neural, "Stack", CountingStack)
+    monkeypatch.setattr(neural.Stack, "__init__", counting_build)
     monkeypatch.setattr(gamarket.players, "forward", inside("forward", neural.forward))
-    for name in ("train", "evaluate_error"):
-        monkeypatch.setattr(gamarket.simulation, name, inside(name, getattr(neural, name)))
+    for name in ("train", "evaluate_error", "evolve_generation"):
+        monkeypatch.setattr(
+            gamarket.simulation, name, inside(name, getattr(gamarket.simulation, name))
+        )
     config = _small_config(
         tmp_path, rows=40, days=30, players=6, agents_per_stock=1, evolution_cadence=5, epochs=1
     )
     output = run_simulation(config)
     assert output.generations == 5
-    assert builds == ["train"] * (output.generations + 1)
+    assert builds == ["start-up"] + ["evolve_generation"] * output.generations
     assert calls.count("forward") == config.days
     assert calls.count("evaluate_error") == output.generations + 1
+    assert calls.count("train") == output.generations + 1
