@@ -34,8 +34,16 @@ run time stays linear in the number of agents (acceptance test A1).
 
 Only building a `Stack` sorts weights; `train` copies the sorted array as
 it is, and nothing else copies or sorts.  Each group keeps one
-`(rows, n, h)` hidden-layer buffer, allocated again only when n changes
-(n = 1 for a day's predictions, n = window to train and score).
+`(rows, n, h)` hidden-layer buffer, allocated again only when n changes.
+
+The output unit's product of the hidden layer and the output weights has
+two forms.  Training and scoring take a window of n samples per row, and
+`forward` runs each group's `(n, h) @ (h, 1)` product as one `@`, which
+BLAS computes as a matrix-vector product (gemv).  `forward(days=True)`
+takes n days of predictions per row instead, and runs one `(1, h) @ (h, 1)`
+product per row and day, which numpy computes as a dot.  For h >= 2 gemv
+and dot add the h terms in different orders, so their last bits differ;
+the day form keeps every column equal, bit for bit, to a one-day call.
 
 Training adds a gradient array of the same size as the weights and, per
 group, a `_Gradient` with views of its block and two more `(rows, n, h)`
@@ -152,15 +160,21 @@ class _Group:
         self.w_out_col = self.w_out[:, :, None]
         self.hidden = np.empty((len(weights), 0, h))
 
-    def predict(self, xs: np.ndarray, u: np.ndarray) -> None:
-        """Fill the hidden buffer and the group's rows of u, the output pre-activation."""
+    def predict(self, xs: np.ndarray, u: np.ndarray, days: bool) -> None:
+        """Fill the hidden buffer and the group's rows of u, the output pre-activation.
+
+        With `days`, the output product is one dot per row and column.
+        """
         if self.hidden.shape[1] != xs.shape[1]:
             self.hidden = np.empty((len(self.weights), xs.shape[1], self.h))
         hidden, u_rows = self.hidden, u[self.rows]
         np.einsum("rn,rh->rnh", xs[self.rows], self.w_in, out=hidden)
         hidden += self.b_h
         np.tanh(hidden, out=hidden)
-        np.matmul(hidden, self.w_out_col, out=u_rows[:, :, None])
+        if days:
+            np.matmul(hidden[:, :, None, :], self.w_out_col[:, None], out=u_rows[:, :, None, None])
+        else:
+            np.matmul(hidden, self.w_out_col, out=u_rows[:, :, None])
         u_rows += self.b_out
 
 
@@ -242,8 +256,13 @@ def _check_rows(stack: Stack, window: TrainingWindow, caller: str) -> None:
         raise DataError(f"{caller} got {len(stack)} agents but {len(window.inputs)} window rows")
 
 
-def forward(stack: Stack, xs) -> np.ndarray:
-    """Outputs (A, n) in population order: row i of the (A, n) inputs goes through agent i."""
+def forward(stack: Stack, xs, days: bool = False) -> np.ndarray:
+    """Outputs (A, n) in population order: row i of the (A, n) inputs goes through agent i.
+
+    By default the n columns are one window (the gemv product); with
+    `days` each column is one day, and its outputs equal, bit for bit,
+    those of a call on that column alone.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or len(xs) != len(stack) or not np.isfinite(xs).all():
         raise ValueError(
@@ -251,7 +270,7 @@ def forward(stack: Stack, xs) -> np.ndarray:
             f"with {xs.size - np.isfinite(xs).sum()} non-finite values"
         )
     preds = np.empty_like(xs)
-    preds[stack.order] = _predict(stack, xs[stack.order])
+    preds[stack.order] = _predict(stack, xs[stack.order], days)
     return preds
 
 
@@ -272,11 +291,11 @@ def mse_gradient(stack: Stack, window: TrainingWindow) -> np.ndarray:
     return grad
 
 
-def _predict(stack: Stack, xs: np.ndarray) -> np.ndarray:
+def _predict(stack: Stack, xs: np.ndarray, days: bool = False) -> np.ndarray:
     """Predictions (A, n) of the sorted rows; leaves each group's hidden buffer filled."""
     u = np.empty_like(xs)
     for group in stack.groups:
-        group.predict(xs, u)
+        group.predict(xs, u, days)
     u[stack.sorted_logistic] = _sigmoid(u[stack.sorted_logistic])
     return u
 

@@ -13,8 +13,17 @@ laid out player-major, then stock-major, then member.  One `build_window`
 call gives every stock's (stocks, n) window rows, and `Population.windows`
 hands each agent its stock's row: training, scoring and evolution each
 take the whole population in one call.  The population is stacked at
-start-up and by each evolution; the daily predictions and the next
-scoring run on `train`'s trained copy as it is.  Net worths are checked
+start-up and by each evolution; the predictions and the next scoring run
+on `train`'s trained copy as it is.
+
+Trading never moves a price: day t trades at its historical close.  So a
+generation's predictions are known once it is trained, and one
+`committee_predict` call predicts a block of its days, up to its last day
+and at most `window` days long, so no hidden-layer buffer outgrows the
+one that scoring uses.  Each day's prediction keeps the bits of a call
+for that day alone.  A price that does not normalize to a finite value
+is a `DataError` on its own day, after every earlier day's checks; the
+block predicts only the days before it.  Net worths are checked
 each day: a price that values a holding beyond the float range is a
 `DataError`, not an `inf` in `networth.csv`.
 """
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SimulationConfig
-from .data import build_window, load_prices, normalize
+from .data import NormalizationParams, build_window, load_prices, normalize
 from .errors import ConservationError, DataError, InsufficientHistoryError, TrainingDivergedError
 from .evolution import evolve_generation
 from .market import Portfolios, Trade, run_clearing
@@ -94,6 +103,22 @@ def _net_worths(book: Portfolios, prices: np.ndarray, config: SimulationConfig, 
     )
 
 
+def _predict_block(
+    population: Population, prices: np.ndarray, norm_params: NormalizationParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized (d, stocks) prices of a block of days, and their predictions.
+
+    The (d', players, stocks) predictions cover the block's first d' days,
+    those before the first day with a price that does not normalize to a
+    finite value; the caller raises that day's error when it gets there.
+    """
+    with np.errstate(over="ignore"):  # a price far outside a near-flat window gives inf
+        normalized = normalize(prices, norm_params)
+    finite = np.isfinite(normalized).all(axis=1)
+    days = len(finite) if finite.all() else int(np.argmin(finite))
+    return normalized, committee_predict(population, normalized[:days], norm_params)
+
+
 def run_simulation(config: SimulationConfig) -> RunOutput:
     """Run the whole market simulation described by `config`."""
     config.validate()
@@ -119,18 +144,22 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
     population.stack = train(population.stack, population.windows(window), config.hyperparams())
     record_generation(metrics, 0, population)
 
+    block_end = config.window
     for t in range(config.window, end):
-        prices = prices_by_day[t]
-        with np.errstate(over="ignore"):  # a price far outside a near-flat window gives inf
-            normalized = normalize(prices, norm_params)
-        if not np.isfinite(normalized).all():
-            m = int(np.argmin(np.isfinite(normalized)))
+        if t == block_end:
+            # A generation keeps its weights and norm_params until the day it evolves.
+            cadence = config.evolution_cadence
+            next_generation = t + cadence - (t - config.window) % cadence
+            block_start, block_end = t, min(t + config.window, next_generation, end)
+            normalized, block = _predict_block(population, prices_by_day[t:block_end], norm_params)
+        prices, day = prices_by_day[t], t - block_start
+        if day == len(block):
+            m = int(np.argmin(np.isfinite(normalized[day])))
             raise DataError(
                 f"day {t}: {config.stocks[m]} price {prices[m]} does not normalize to a finite "
                 f"value against its window's [{norm_params.lo[m]}, {norm_params.hi[m]}]"
             )
-        predictions = committee_predict(population, normalized, norm_params)
-        report = run_clearing(t, prices, config.total_supply, book, predictions, streams.shuffle)
+        report = run_clearing(t, prices, config.total_supply, book, block[day], streams.shuffle)
         trades.extend(report.trades)
         _check_conservation(book, config, t)
         record_networth(metrics, _net_worths(book, prices, config, t), t)

@@ -283,6 +283,31 @@ def test_run_reports_a_price_that_overflows_a_net_worth(tmp_path, cli_process):
     assert not out.exists()
 
 
+def test_run_reports_the_earlier_of_two_bad_days_of_one_generation(tmp_path, cli_process):
+    # Days 50-54 are one generation.  Day 51's DJIA price normalizes but
+    # overflows a net worth; day 52's NASDAQ price does not normalize
+    # against its one-ulp window.  Day 51's error is the one reported.
+    djia = [1.0 if day % 2 == 0 else 2.0 for day in range(51)] + [1.7e308] * 4
+    nasdaq = [1.0 if day % 2 == 0 else 1.0000000000000002 for day in range(51)]
+    nasdaq += [1.0] + [1e300] * 3
+    rows = [f"{day},{d!r},{n!r},1220.0" for day, (d, n) in enumerate(zip(djia, nasdaq))]
+    data = tmp_path / "prices.csv"
+    data.write_text("\n".join(["day,DJIA,NASDAQ,SP500", *rows]) + "\n")
+    out = tmp_path / "out"
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        f"seed = 1\ninput_path = {data}\nwindow = 50\ndays = 5\noutput_dir = {out}\n"
+    )
+    result = cli_process("run", "--config", str(config_path))
+    assert result.returncode == 1
+    [line] = result.stderr.splitlines()
+    assert line == (
+        "DataError: day 51: DJIA price 1.7e+308 values player 0's 2500 shares "
+        "beyond the float range"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-322])
 def test_run_on_tiny_prices_ends_without_hang_or_traceback(
     scale, tmp_path, monkeypatch, cli_process, workloads

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamarket.errors import ConfigError, DataError, TrainingDivergedError
 from gamarket.neural import (
@@ -509,6 +511,36 @@ def test_one_trained_stack_serves_every_window_length_bit_for_bit():
         assert error == np.mean((preds - ys) ** 2), f"{(hidden, logistic)}"
     restacked = Stack(stack.hidden, stack.logistic, stack.weight_rows(), stack.errors)
     assert np.array_equal(forward(stack, day), forward(restacked, day))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.integers(HIDDEN_MIN, HIDDEN_MAX), st.booleans()), min_size=1, max_size=24
+    ),
+    days=st.integers(1, 50),
+    trained=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_block_of_days_equals_one_forward_call_per_day_bit_for_bit(specs, days, trained, seed):
+    # forward(days=True) runs one dot per agent and day, where a window's
+    # (n, h) @ (h, 1) product is a gemv whose last bits differ for h >= 2.
+    # A trained stack serves a block, a window (which reallocates its
+    # hidden buffers) and the block again.
+    rng = np.random.default_rng(seed)
+    stack = new_stack(specs, rng)
+    window = random_window(rng, len(stack), 50)
+    if trained:
+        stack = train(stack, window, Hyperparams(epochs=5))
+    block = rng.uniform(-0.8, 2.7, size=(len(stack), days))
+    for _ in range(2):
+        got = forward(stack, block, days=True)
+        assert got.shape == block.shape
+        for j in range(days):
+            assert np.array_equal(got[:, [j]], forward(stack, block[:, [j]])), (
+                f"day {j} of {days} under numpy {np.__version__}"
+            )
+        forward(stack, window.inputs)
 
 
 def test_forward_rejects_inputs_of_the_wrong_shape():

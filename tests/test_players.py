@@ -64,6 +64,17 @@ def test_committee_predict_shape_checks():
         Population(random_agents(8, rng), players=2, stocks=3)
     population = Population(random_agents(12, rng), players=2, stocks=3)
     assert committee_predict(population, np.array([0.5, 0.6, 0.7]), one_to_two(3)).shape == (2, 3)
+    # A (days, stocks) block gives one (players, stocks) row per day, each
+    # with the bits of that day's own call.
+    days = rng.uniform(-0.8, 2.7, size=(4, 3))
+    block = committee_predict(population, days, one_to_two(3))
+    assert block.shape == (4, 2, 3)
+    for row, day in zip(block, days):
+        assert np.array_equal(row, committee_predict(population, day, one_to_two(3)))
+    # A last axis other than stocks is refused, not regrouped into days.
+    for shape in ((6,), (3, 2), (2, 6), (1, 2, 3)):
+        with pytest.raises(ConfigError, match=r"\(3,\) or \(days, 3\) normalized prices"):
+            committee_predict(population, np.full(shape, 0.5), one_to_two(3))
 
 
 def test_population_maps_each_agent_to_its_stock():

@@ -147,11 +147,11 @@ def test_run_stops_when_clearing_breaks_conservation(tmp_path, monkeypatch, corr
 def test_a_run_stacks_the_population_once_per_generation(tmp_path, monkeypatch):
     # Building a Stack is the only step that sorts and stacks weights: a run
     # builds one at start-up and one per evolution (the children), while
-    # each day's forward, each generation's scoring and every train call
-    # (which copies the sorted weights as they are) run on the stack they
-    # get.  A crowd-shaped run: one-agent committees, one-epoch retraining,
-    # frequent evolution.
-    builds, where, calls = [], [], []
+    # each generation's one forward call for its trading days, its scoring
+    # and every train call (which copies the sorted weights as they are)
+    # run on the stack they get.  A crowd-shaped run: one-agent committees,
+    # one-epoch retraining, frequent evolution.
+    builds, where, calls, columns = [], [], [], []
     build = neural.Stack.__init__
 
     def counting_build(self, *args):
@@ -169,8 +169,12 @@ def test_a_run_stacks_the_population_once_per_generation(tmp_path, monkeypatch):
 
         return call
 
+    def counting_forward(stack, xs, **kwargs):
+        columns.append(np.shape(xs)[1])
+        return neural.forward(stack, xs, **kwargs)
+
     monkeypatch.setattr(neural.Stack, "__init__", counting_build)
-    monkeypatch.setattr(gamarket.players, "forward", inside("forward", neural.forward))
+    monkeypatch.setattr(gamarket.players, "forward", inside("forward", counting_forward))
     for name in ("train", "evaluate_error", "evolve_generation"):
         monkeypatch.setattr(
             gamarket.simulation, name, inside(name, getattr(gamarket.simulation, name))
@@ -181,6 +185,32 @@ def test_a_run_stacks_the_population_once_per_generation(tmp_path, monkeypatch):
     output = run_simulation(config)
     assert output.generations == 5
     assert builds == ["start-up"] + ["evolve_generation"] * output.generations
-    assert calls.count("forward") == config.days
+    # Six 5-day generations, each predicted in one block of <= window days.
+    assert calls.count("forward") == output.generations + 1
+    assert sum(columns) == config.days and max(columns) <= config.window
     assert calls.count("evaluate_error") == output.generations + 1
     assert calls.count("train") == output.generations + 1
+
+
+def test_blocks_of_days_predict_like_one_call_per_day(tmp_path, monkeypatch):
+    # A 20-day generation is longer than the 8-day window, so it is
+    # predicted in blocks of at most 8 days; the run equals one that
+    # predicts one day per call.  Four players with 1-epoch training trade.
+    trading = dict(seed=4, players=4, total_supply=(20_000, 2_000), initial_cash=4e6, epochs=1)
+    config = _small_config(tmp_path, rows=40, days=30, window=8, evolution_cadence=20, **trading)
+    predict, blocks = gamarket.simulation.committee_predict, []
+
+    def counting(population, normalized, params):
+        blocks.append(len(normalized))
+        return predict(population, normalized, params)
+
+    def one_day_per_call(population, normalized, params):
+        days = [predict(population, day, params) for day in normalized]
+        return np.array(days).reshape(len(normalized), config.players, len(STOCKS))
+
+    monkeypatch.setattr(gamarket.simulation, "committee_predict", counting)
+    output = run_simulation(config)
+    assert output.generations == 1 and output.trades
+    assert blocks == [8, 8, 4, 8, 2]
+    monkeypatch.setattr(gamarket.simulation, "committee_predict", one_day_per_call)
+    assert _fingerprint(run_simulation(config)) == _fingerprint(output)
