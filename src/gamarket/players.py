@@ -10,8 +10,9 @@ prediction is the mean of those k agents' outputs.  The trading rules
 that turn predictions into orders live in `market`.
 
 The simulation replaces `stack` with its trained copy after each `train`,
-so one `forward` call predicts a block of a generation's days on its
-weights as they are, and evolution replaces the whole Population.
+so `committee_predict` predicts a (d, stocks) block of a generation's days
+in one `forward` call on its weights as they are, and evolution replaces
+the whole Population.
 Per-player figures come from (players, stocks * k) reshapes of the
 stack's arrays.
 """
@@ -73,26 +74,23 @@ class Population:
 def committee_predict(
     population: Population, normalized_prices, norm_params: NormalizationParams
 ) -> np.ndarray:
-    """Every player's predicted next price per stock, for one day or a block of days.
+    """Every player's predicted next price per stock, for a block of days.
 
-    Normalized prices of shape (stocks,) give a (players, stocks) array;
-    (d, stocks), one row per day, give (d, players, stocks).  One `forward`
-    call runs every agent on its stock's normalized price of each day, and
-    each day's outputs equal those of a call for that day alone.  A
-    committee's outputs are added in committee order from 0, then divided
-    by k (numpy's `sum` or `mean` along an axis adds in another order from
-    k = 8 up, changing the last bits), and denormalized.
+    Normalized prices of shape (d, stocks), one row per day, give a
+    (d, players, stocks) array; one day is a (1, stocks) block.  One
+    `forward` call runs every agent on its stock's normalized price of each
+    day, and each day's outputs equal those of a call for that day alone.
+    A committee's outputs are added in committee order from 0, then
+    divided by k (numpy's `sum` or `mean` along an axis adds in another
+    order from k = 8 up, changing the last bits), and denormalized.
     """
     p, k = population, population.k
     xs = np.asarray(normalized_prices, dtype=float)
-    if xs.ndim not in (1, 2) or xs.shape[-1] != p.stocks:
+    if xs.ndim != 2 or xs.shape[1] != p.stocks:
         raise ConfigError(
-            f"committee_predict needs ({p.stocks},) or (days, {p.stocks}) normalized "
-            f"prices, got shape {xs.shape}"
+            f"committee_predict needs (days, {p.stocks}) normalized prices, got shape {xs.shape}"
         )
-    days = xs.reshape(-1, p.stocks)
-    outs = forward(p.stack, days.T[p.rows], days=True).T.reshape(-1, p.players, p.stocks, k)
+    outs = forward(p.stack, xs.T[p.rows], days=True).T.reshape(-1, p.players, p.stocks, k)
     mean = sum(outs[..., j] for j in range(k)) / k
     # NaN and inf pass the floor unchanged; run_clearing rejects them.
-    predictions = np.maximum(denormalize(mean, norm_params), PRICE_FLOOR)
-    return predictions.reshape(xs.shape[:-1] + (p.players, p.stocks))
+    return np.maximum(denormalize(mean, norm_params), PRICE_FLOOR)

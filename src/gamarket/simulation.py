@@ -1,31 +1,32 @@
-"""End-to-end simulation loop: train, predict, clear, record, evolve.
+"""End-to-end simulation loop, one generation at a time: evolve, train, predict, trade, score.
 
 The price history is the `(days, stocks)` array from `load_prices`, which
 has already checked every price.  Trading starts once a full training
 window of history exists, so the first traded day has index `window` in
-the price file; one day index `t` runs over the traded days, and row
-`prices_by_day[t]` is the prices everyone trades at that day.
-Architectures evolve every `evolution_cadence` trading days, after which
-every agent is retrained on the window ending that day.
+the price file, and row `prices_by_day[t]` is the prices everyone trades
+at on day t.  Each generation trades `evolution_cadence` days (the last
+one may trade fewer) and is then scored on the window ending on its last
+day.  That score is the next generation's fitness, or the final score;
+the next generation evolves on it, is retrained on the same window, and
+normalizes its prices with that window's min/max.
 
 The whole market is one `players.Population` over one `neural.Stack`,
 laid out player-major, then stock-major, then member.  One `build_window`
 call gives every stock's (stocks, n) window rows, and `Population.windows`
 hands each agent its stock's row: training, scoring and evolution each
 take the whole population in one call.  The population is stacked at
-start-up and by each evolution; the predictions and the next scoring run
-on `train`'s trained copy as it is.
+start-up and by each evolution; the predictions and the scoring run on
+`train`'s trained copy as it is.
 
 Trading never moves a price: day t trades at its historical close.  So a
-generation's predictions are known once it is trained, and one
-`committee_predict` call predicts a block of its days, up to its last day
-and at most `window` days long, so no hidden-layer buffer outgrows the
-one that scoring uses.  Each day's prediction keeps the bits of a call
-for that day alone.  A price that does not normalize to a finite value
-is a `DataError` on its own day, after every earlier day's checks; the
-block predicts only the days before it.  Net worths are checked
-each day: a price that values a holding beyond the float range is a
-`DataError`, not an `inf` in `networth.csv`.
+generation's predictions are known once it is trained, and
+`committee_predict` predicts its days in blocks of at most `window` days,
+so no hidden-layer buffer outgrows the one that scoring uses.  Each day's
+prediction keeps the bits of a call for that day alone.  A price that
+does not normalize to a finite value is a `DataError` on its own day,
+after every earlier day's checks; only the days before it are predicted.
+Net worths are checked each day: a price that values a holding beyond the
+float range is a `DataError`, not an `inf` in `networth.csv`.
 """
 
 from __future__ import annotations
@@ -103,20 +104,24 @@ def _net_worths(book: Portfolios, prices: np.ndarray, config: SimulationConfig, 
     )
 
 
-def _predict_block(
-    population: Population, prices: np.ndarray, norm_params: NormalizationParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """The normalized (d, stocks) prices of a block of days, and their predictions.
+def _predict_generation(
+    population: Population, prices: np.ndarray, norm_params: NormalizationParams, most: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The normalized (d, stocks) prices of a generation's days, and their predictions.
 
-    The (d', players, stocks) predictions cover the block's first d' days,
-    those before the first day with a price that does not normalize to a
-    finite value; the caller raises that day's error when it gets there.
+    The (players, stocks) predictions, `most` days per `committee_predict`
+    call, cover the days before the first one with a price that does not
+    normalize to a finite value; the caller raises that day's error once
+    the days before it have traded.
     """
     with np.errstate(over="ignore"):  # a price far outside a near-flat window gives inf
         normalized = normalize(prices, norm_params)
     finite = np.isfinite(normalized).all(axis=1)
-    days = len(finite) if finite.all() else int(np.argmin(finite))
-    return normalized, committee_predict(population, normalized[:days], norm_params)
+    days = normalized[: len(finite) if finite.all() else int(np.argmin(finite))]
+    predictions = []
+    for first in range(0, len(days), most):
+        predictions.extend(committee_predict(population, days[first : first + most], norm_params))
+    return normalized, predictions
 
 
 def run_simulation(config: SimulationConfig) -> RunOutput:
@@ -138,45 +143,38 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
     book = Portfolios.endow(config.players, config.total_supply, config.initial_cash)
     metrics = RunMetrics()
     trades: list[Trade] = []
-    generations = 0
 
     window, norm_params = build_window(prices_by_day, config.window, config.window)
     population.stack = train(population.stack, population.windows(window), config.hyperparams())
     record_generation(metrics, 0, population)
 
-    block_end = config.window
-    for t in range(config.window, end):
-        if t == block_end:
-            # A generation keeps its weights and norm_params until the day it evolves.
-            cadence = config.evolution_cadence
-            next_generation = t + cadence - (t - config.window) % cadence
-            block_start, block_end = t, min(t + config.window, next_generation, end)
-            normalized, block = _predict_block(population, prices_by_day[t:block_end], norm_params)
-        prices, day = prices_by_day[t], t - block_start
-        if day == len(block):
-            m = int(np.argmin(np.isfinite(normalized[day])))
-            raise DataError(
-                f"day {t}: {config.stocks[m]} price {prices[m]} does not normalize to a finite "
-                f"value against its window's [{norm_params.lo[m]}, {norm_params.hi[m]}]"
-            )
-        report = run_clearing(t, prices, config.total_supply, book, block[day], streams.shuffle)
-        trades.extend(report.trades)
-        _check_conservation(book, config, t)
-        record_networth(metrics, _net_worths(book, prices, config, t), t)
-
-        if (t + 1 - config.window) % config.evolution_cadence == 0 and t + 1 < end:
-            window, norm_params = build_window(prices_by_day, t, config.window)
-            rows = population.windows(window)
-            errors = _score_population(population.stack, rows, metrics, generations)
+    starts = range(config.window, end, config.evolution_cadence)
+    for generation, start in enumerate(starts):
+        if generation:
             population = evolve_generation(
                 population, errors, config.ga_params(), streams, config.weight_init_scale
             )
-            generations += 1
             population.stack = train(population.stack, rows, config.hyperparams())
-            record_generation(metrics, generations, population)
-
-    if config.days >= 1:
-        # Score the final population on the last traded day's window.
-        window, _ = build_window(prices_by_day, end - 1, config.window)
-        _score_population(population.stack, population.windows(window), metrics, generations)
-    return RunOutput(config, metrics, trades, population, generations, book)
+            record_generation(metrics, generation, population)
+        stop = min(start + config.evolution_cadence, end)
+        normalized, predictions = _predict_generation(
+            population, prices_by_day[start:stop], norm_params, config.window
+        )
+        for t, predicted in zip(range(start, stop), predictions):
+            prices = prices_by_day[t]
+            report = run_clearing(t, prices, config.total_supply, book, predicted, streams.shuffle)
+            trades.extend(report.trades)
+            _check_conservation(book, config, t)
+            record_networth(metrics, _net_worths(book, prices, config, t), t)
+        if len(predictions) < len(normalized):
+            t = start + len(predictions)
+            m = int(np.argmin(np.isfinite(normalized[t - start])))
+            raise DataError(
+                f"day {t}: {config.stocks[m]} price {prices_by_day[t, m]} does not normalize to "
+                f"a finite value against its window's [{norm_params.lo[m]}, {norm_params.hi[m]}]"
+            )
+        # The next evolution's fitness, or the final score.
+        window, norm_params = build_window(prices_by_day, stop - 1, config.window)
+        rows = population.windows(window)
+        errors = _score_population(population.stack, rows, metrics, generation)
+    return RunOutput(config, metrics, trades, population, max(len(starts) - 1, 0), book)

@@ -4,7 +4,9 @@ perfbench wraps gamarket functions by their module attribute names (see
 `perfbench/spans.py`).  A renamed or no longer called function silently
 drops a per-layer metric, so this runs one traced A7-sized run and checks
 that every per-layer metric `BENCHMARK.json` declares is present and > 0,
-and that the kept-agent counters read their recorded values.
+and that the kept-agent counters and the per-layer call counts read their
+recorded values: a change to the simulation loop that alters what the
+benchmark counts fails here, not only in a benchmark run.
 """
 
 import importlib.util
@@ -21,6 +23,16 @@ REPO = os.path.dirname(SRC_DIR)
 PERFBENCH = os.path.join(REPO, "perfbench")
 # Measured by perfbench/run.py from the files in out/, not from spans.
 OUTSIDE_SPANS = {"reports.bytes_written"}
+# Recorded on the test's config: 40 days in four 10-day generations, one
+# build_window per generation plus the start-up one, three evolutions.
+RECORDED_CALLS = {
+    "data.build_window_calls": 5,
+    "neural.train_calls": 4,
+    "neural.evaluate_error_calls": 4,
+    "neural.forward_calls": 4,
+    "players.committee_predict_calls": 4,
+    "evolution.evolve_generation_calls": 3,
+}
 
 
 def _load_spans():
@@ -66,3 +78,4 @@ def test_traced_run_reports_every_declared_per_layer_metric(tmp_path):
         if name not in OUTSIDE_SPANS and not metrics[name][0] > 0
     }
     assert not_positive == {}
+    assert {name: metrics[name][0] for name in RECORDED_CALLS} == RECORDED_CALLS

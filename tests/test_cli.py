@@ -308,6 +308,30 @@ def test_run_reports_the_earlier_of_two_bad_days_of_one_generation(tmp_path, cli
     assert not out.exists()
 
 
+def test_run_reports_a_bad_price_on_the_first_day_of_a_later_generation(tmp_path, cli_process):
+    # Cadence 2: days 50-51 are generation 0, and day 52 starts generation 1,
+    # whose window (days 1-51) spans one ulp of 1.0.  So 1e300 on day 52
+    # normalizes to inf and none of generation 1's days can be predicted.
+    djia = [1.0 if day % 2 == 0 else 1.0000000000000002 for day in range(52)] + [1e300] * 3
+    rows = [f"{day},{price!r},2050.0,1220.0" for day, price in enumerate(djia)]
+    data = tmp_path / "prices.csv"
+    data.write_text("\n".join(["day,DJIA,NASDAQ,SP500", *rows]) + "\n")
+    out = tmp_path / "out"
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        f"seed = 1\ninput_path = {data}\nwindow = 50\nevolution_cadence = 2\ndays = 5\n"
+        f"output_dir = {out}\n"
+    )
+    result = cli_process("run", "--config", str(config_path))
+    assert result.returncode == 1
+    [line] = result.stderr.splitlines()
+    assert line == (
+        "DataError: day 52: DJIA price 1e+300 does not normalize to a finite value "
+        "against its window's [1.0, 1.0000000000000002]"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-322])
 def test_run_on_tiny_prices_ends_without_hang_or_traceback(
     scale, tmp_path, monkeypatch, cli_process, workloads

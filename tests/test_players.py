@@ -26,7 +26,7 @@ def test_committee_predict_is_mean_then_denormalized():
     stack = random_agents(8, rng)
     xs = np.array([0.35, 0.62])
     params = NormalizationParams(lo=np.array([10.0, 5.0]), hi=np.array([20.0, 9.0]))
-    [got] = committee_predict(Population(stack, players=1, stocks=2), xs, params)
+    [[got]] = committee_predict(Population(stack, players=1, stocks=2), xs[None], params)
     lone = [make_agent(h, logistic, w) for h, logistic, w, _ in agents(stack)]
     for m in range(2):
         outs = [float(forward(agent, [[xs[m]]])[0, 0]) for agent in lone[m * 4 : (m + 1) * 4]]
@@ -41,7 +41,8 @@ def test_committee_predict_floors_negative_prices():
     # below zero; the prediction is floored instead.
     agent = make_agent(1, False, [0.0, 0.0, 0.0, -50.0])
     params = NormalizationParams(lo=np.array([10.0]), hi=np.array([20.0]))
-    [got] = committee_predict(Population(agent, players=1, stocks=1), np.array([0.5]), params)
+    population = Population(agent, players=1, stocks=1)
+    [[got]] = committee_predict(population, np.array([[0.5]]), params)
     assert got[0] == PRICE_FLOOR
 
 
@@ -63,17 +64,17 @@ def test_committee_predict_shape_checks():
     with pytest.raises(ConfigError, match=r"each of the 3 prices"):
         Population(random_agents(8, rng), players=2, stocks=3)
     population = Population(random_agents(12, rng), players=2, stocks=3)
-    assert committee_predict(population, np.array([0.5, 0.6, 0.7]), one_to_two(3)).shape == (2, 3)
     # A (days, stocks) block gives one (players, stocks) row per day, each
     # with the bits of that day's own call.
     days = rng.uniform(-0.8, 2.7, size=(4, 3))
     block = committee_predict(population, days, one_to_two(3))
     assert block.shape == (4, 2, 3)
     for row, day in zip(block, days):
-        assert np.array_equal(row, committee_predict(population, day, one_to_two(3)))
-    # A last axis other than stocks is refused, not regrouped into days.
-    for shape in ((6,), (3, 2), (2, 6), (1, 2, 3)):
-        with pytest.raises(ConfigError, match=r"\(3,\) or \(days, 3\) normalized prices"):
+        assert np.array_equal(row, committee_predict(population, day[None], one_to_two(3))[0])
+    # One day is a (1, stocks) block: a bare (stocks,) row is refused, and
+    # a last axis other than stocks is refused, not regrouped into days.
+    for shape in ((3,), (6,), (3, 2), (2, 6), (1, 2, 3)):
+        with pytest.raises(ConfigError, match=r"needs \(days, 3\) normalized prices"):
             committee_predict(population, np.full(shape, 0.5), one_to_two(3))
 
 
@@ -122,7 +123,7 @@ def test_committee_predict_equals_the_per_player_loop_bit_for_bit(k):
     flat = [agent for player in players for agent in player]
     stack = Stack(*zip(*flat), [np.nan] * len(flat))
     population = Population(stack, players=5, stocks=3)
-    got = committee_predict(population, xs, params)
+    [got] = committee_predict(population, xs[None], params)
     expected = reference_committee_predict(players, xs, params)
     assert got[0, 0] == PRICE_FLOOR
     assert np.all(got[:, 2] == 3.0)
@@ -143,13 +144,13 @@ def test_committee_predict_follows_the_agents_the_population_holds():
     window = TrainingWindow(rng.uniform(0.1, 0.9, (3, 20)), rng.uniform(0.1, 0.9, (3, 20)))
     population.stack = train(population.stack, population.windows(window), Hyperparams(epochs=3))
     xs, params = np.array([0.35, 0.62, 0.5]), one_to_two(3)
-    before = committee_predict(population, xs, params)
+    [before] = committee_predict(population, xs[None], params)
     expected = reference_committee_predict(as_lists(population.stack), xs, params)
     assert np.array_equal(before, expected)
     errors = rng.uniform(0.01, 0.2, 12).tolist()
     evolved = evolve_generation(population, errors, GAParams(0.9, 0.5), make_streams(2))
     population.stack = evolved.stack
-    after = committee_predict(population, xs, params)
+    [after] = committee_predict(population, xs[None], params)
     expected = reference_committee_predict(as_lists(evolved.stack), xs, params)
     assert np.array_equal(after, expected)
     assert not np.array_equal(after, before)

@@ -98,9 +98,24 @@ def test_run_rejects_short_input(tmp_path):
         run_simulation(config)
 
 
-def test_zero_days_trains_but_never_trades(tmp_path):
+def test_zero_days_trains_but_never_trades(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    for name in ("build_window", "train", "evaluate_error"):
+        monkeypatch.setattr(
+            gamarket.simulation, name, counting(name, getattr(gamarket.simulation, name))
+        )
     config = _small_config(tmp_path, days=0)
     output = run_simulation(config)
+    # One window trains the initial population; no generation is scored.
+    assert calls == ["build_window", "train"]
     assert output.trades == []
     assert output.generations == 0
     assert output.metrics.networth_rows == []
@@ -175,7 +190,8 @@ def test_a_run_stacks_the_population_once_per_generation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(neural.Stack, "__init__", counting_build)
     monkeypatch.setattr(gamarket.players, "forward", inside("forward", counting_forward))
-    for name in ("train", "evaluate_error", "evolve_generation"):
+    for name in ("build_window", "committee_predict", "train", "evaluate_error",
+                 "evolve_generation"):
         monkeypatch.setattr(
             gamarket.simulation, name, inside(name, getattr(gamarket.simulation, name))
         )
@@ -187,7 +203,10 @@ def test_a_run_stacks_the_population_once_per_generation(tmp_path, monkeypatch):
     assert builds == ["start-up"] + ["evolve_generation"] * output.generations
     # Six 5-day generations, each predicted in one block of <= window days.
     assert calls.count("forward") == output.generations + 1
+    assert calls.count("committee_predict") == calls.count("forward")
     assert sum(columns) == config.days and max(columns) <= config.window
+    # One window at start-up and one ending on each generation's last day.
+    assert calls.count("build_window") == output.generations + 2
     assert calls.count("evaluate_error") == output.generations + 1
     assert calls.count("train") == output.generations + 1
 
@@ -205,7 +224,7 @@ def test_blocks_of_days_predict_like_one_call_per_day(tmp_path, monkeypatch):
         return predict(population, normalized, params)
 
     def one_day_per_call(population, normalized, params):
-        days = [predict(population, day, params) for day in normalized]
+        days = [predict(population, day[None], params)[0] for day in normalized]
         return np.array(days).reshape(len(normalized), config.players, len(STOCKS))
 
     monkeypatch.setattr(gamarket.simulation, "committee_predict", counting)
