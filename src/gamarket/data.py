@@ -5,9 +5,11 @@ closing-price column per stock, e.g. `day,DJIA,NASDAQ,SP500`.  In memory
 the history is one `(days, stocks)` float64 array: row t holds day t's
 closing prices, column m stock m's series.  `load_prices` is the only
 place prices are checked: data row t must be day t, counting from 0, and
-every price finite and strictly positive, and a bad row is a `DataError`
-naming the file and line.  How many rows a run needs is `run_simulation`'s
-check.
+every price must lie in [PRICE_MIN, PRICE_MAX], and a bad row is a
+`DataError` naming the file and line.  Inside that range no holding's
+value and no normalized price can leave the float range, so nothing
+downstream checks for overflow.  How many rows a run needs is
+`run_simulation`'s check.
 """
 
 from __future__ import annotations
@@ -29,6 +31,16 @@ DEFAULT_START_PRICES = (10600.0, 2050.0, 1220.0)
 # never have to reach their asymptotes to represent a window extreme.
 NORM_LO = 0.1
 NORM_HI = 0.9
+
+# The prices `load_prices` accepts, and `write_prices_csv` writes:
+# - PRICE_MIN is the smallest price written at 4 decimals (0.0001), and
+#   1e5 times `players.PRICE_FLOOR`, so a floored prediction reads as a fall;
+# - PRICE_MAX * (2**63 - 1) is about 9.2e30, so no holding of 64-bit shares
+#   is worth more than a float holds;
+# - PRICE_MAX / np.spacing(PRICE_MIN) is about 7.4e31, so no window, however
+#   flat, normalizes a price to a value beyond the float range.
+PRICE_MIN = 1e-4
+PRICE_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -82,8 +94,8 @@ def load_prices(path, expected_stocks=DEFAULT_STOCKS) -> np.ndarray:
 
     The header must be exactly `day` followed by the expected stock names.
     Raises a DataError naming the offending line for a malformed row, a
-    day that is not its data row's index, or a price that is not finite
-    and > 0.
+    day that is not its data row's index, or a price outside
+    [PRICE_MIN, PRICE_MAX] (NaN included).
     """
     expected_stocks = tuple(expected_stocks)
     try:
@@ -115,9 +127,10 @@ def load_prices(path, expected_stocks=DEFAULT_STOCKS) -> np.ndarray:
                 f"{path}:{lineno}: day {day} should be {len(rows)} (day t is row t, from 0)"
             )
         for name, value in zip(expected_stocks, values):
-            if not (math.isfinite(value) and value > 0):
+            if not PRICE_MIN <= value <= PRICE_MAX:  # false for nan too
                 raise DataError(
-                    f"{path}:{lineno}: price {value} for {name} is not finite and > 0"
+                    f"{path}:{lineno}: price {value} for {name} is outside "
+                    f"[{PRICE_MIN:g}, {PRICE_MAX:g}]"
                 )
         rows.append(values)
     return np.array(rows, dtype=float)
@@ -151,18 +164,19 @@ def generate_series(
 def write_prices_csv(path, names, prices: np.ndarray) -> None:
     """Write a (days, stocks) price array in the loadable CSV format.
 
-    Prices are written to 4 decimals.  A price that would not load (not
-    finite, or 0 at 4 decimals) is a `DataError`, and no file is written.
+    Prices are written to 4 decimals.  A price that would not load (one
+    whose written value lies outside [PRICE_MIN, PRICE_MAX]) is a
+    `DataError`, and no file is written.
     """
     if prices.ndim != 2 or prices.shape[1] != len(names):
         raise DataError(f"prices of shape {prices.shape} need one column per name in {names}")
     rows = [[f"{price:.4f}" for price in row] for row in prices]
     for day, row in enumerate(rows):
         for m, cell in enumerate(row):
-            if not 0 < float(cell) < math.inf:  # false for nan too
+            if not PRICE_MIN <= float(cell) <= PRICE_MAX:  # false for nan too
                 raise DataError(
                     f"day {day}: {names[m]} would be written as {cell} (price "
-                    f"{float(prices[day, m])!r}), which is not finite and > 0"
+                    f"{float(prices[day, m])!r}), which is outside [{PRICE_MIN:g}, {PRICE_MAX:g}]"
                 )
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)

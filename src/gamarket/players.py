@@ -29,7 +29,8 @@ from .errors import ConfigError
 from .neural import Stack, TrainingWindow, forward
 
 # Denormalized committee predictions are floored here so downstream ratios
-# stay defined even if a linear output drifts below zero.
+# stay defined even if a linear output drifts below zero.  Loaded prices are
+# at least `data.PRICE_MIN`, 1e5 times this, so a floored prediction is a fall.
 PRICE_FLOOR = 1e-9
 
 

@@ -1,14 +1,15 @@
 """End-to-end simulation loop, one generation at a time: evolve, train, predict, trade, score.
 
 The price history is the `(days, stocks)` array from `load_prices`, which
-has already checked every price.  Trading starts once a full training
-window of history exists, so the first traded day has index `window` in
-the price file, and row `prices_by_day[t]` is the prices everyone trades
-at on day t.  Each generation trades `evolution_cadence` days (the last
-one may trade fewer) and is then scored on the window ending on its last
-day.  That score is the next generation's fitness, or the final score;
-the next generation evolves on it, is retrained on the same window, and
-normalizes its prices with that window's min/max.
+has already checked every price against `data`'s price range, so no price
+overflows a net worth or a normalization here.  Trading starts once a
+full training window of history exists, so the first traded day has index
+`window` in the price file, and row `prices_by_day[t]` is the prices
+everyone trades at on day t.  Each generation trades `evolution_cadence`
+days (the last one may trade fewer) and is then scored on the window
+ending on its last day.  That score is the next generation's fitness, or
+the final score; the next generation evolves on it, is retrained on the
+same window, and normalizes its prices with that window's min/max.
 
 The whole market is one `players.Population` over one `neural.Stack`,
 laid out player-major, then stock-major, then member.  One `build_window`
@@ -22,11 +23,7 @@ Trading never moves a price: day t trades at its historical close.  So a
 generation's predictions are known once it is trained, and
 `committee_predict` predicts its days in blocks of at most `window` days,
 so no hidden-layer buffer outgrows the one that scoring uses.  Each day's
-prediction keeps the bits of a call for that day alone.  A price that
-does not normalize to a finite value is a `DataError` on its own day,
-after every earlier day's checks; only the days before it are predicted.
-Net worths are checked each day: a price that values a holding beyond the
-float range is a `DataError`, not an `inf` in `networth.csv`.
+prediction keeps the bits of a call for that day alone.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import numpy as np
 
 from .config import SimulationConfig
 from .data import NormalizationParams, build_window, load_prices, normalize
-from .errors import ConservationError, DataError, InsufficientHistoryError, TrainingDivergedError
+from .errors import ConservationError, InsufficientHistoryError, TrainingDivergedError
 from .evolution import evolve_generation
 from .market import Portfolios, Trade, run_clearing
 from .metrics import RunMetrics, record_generation, record_networth
@@ -90,38 +87,15 @@ def _check_conservation(book: Portfolios, config: SimulationConfig, t: int) -> N
         raise ConservationError(f"day {t}: total cash {cash!r}, expected {expected!r}")
 
 
-def _net_worths(book: Portfolios, prices: np.ndarray, config: SimulationConfig, t: int):
-    """Every player's net worth at day t's prices; one beyond the float range is a DataError."""
-    with np.errstate(over="ignore"):
-        worths = book.net_worth(prices)
-        if np.isfinite(worths).all():
-            return worths
-        pid = int(np.argmin(np.isfinite(worths)))
-        m = int(np.argmax(book.holdings[pid] * prices))  # the holding that overflows
-    raise DataError(
-        f"day {t}: {config.stocks[m]} price {prices[m]} values player {pid}'s "
-        f"{book.holdings[pid, m]} shares beyond the float range"
-    )
-
-
 def _predict_generation(
     population: Population, prices: np.ndarray, norm_params: NormalizationParams, most: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The normalized (d, stocks) prices of a generation's days, and their predictions.
-
-    The (players, stocks) predictions, `most` days per `committee_predict`
-    call, cover the days before the first one with a price that does not
-    normalize to a finite value; the caller raises that day's error once
-    the days before it have traded.
-    """
-    with np.errstate(over="ignore"):  # a price far outside a near-flat window gives inf
-        normalized = normalize(prices, norm_params)
-    finite = np.isfinite(normalized).all(axis=1)
-    days = normalized[: len(finite) if finite.all() else int(np.argmin(finite))]
+) -> list[np.ndarray]:
+    """The (players, stocks) predictions of a generation's days, `most` days per call."""
+    days = normalize(prices, norm_params)
     predictions = []
     for first in range(0, len(days), most):
         predictions.extend(committee_predict(population, days[first : first + most], norm_params))
-    return normalized, predictions
+    return predictions
 
 
 def run_simulation(config: SimulationConfig) -> RunOutput:
@@ -157,7 +131,7 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
             population.stack = train(population.stack, rows, config.hyperparams())
             record_generation(metrics, generation, population)
         stop = min(start + config.evolution_cadence, end)
-        normalized, predictions = _predict_generation(
+        predictions = _predict_generation(
             population, prices_by_day[start:stop], norm_params, config.window
         )
         for t, predicted in zip(range(start, stop), predictions):
@@ -165,14 +139,7 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
             report = run_clearing(t, prices, config.total_supply, book, predicted, streams.shuffle)
             trades.extend(report.trades)
             _check_conservation(book, config, t)
-            record_networth(metrics, _net_worths(book, prices, config, t), t)
-        if len(predictions) < len(normalized):
-            t = start + len(predictions)
-            m = int(np.argmin(np.isfinite(normalized[t - start])))
-            raise DataError(
-                f"day {t}: {config.stocks[m]} price {prices_by_day[t, m]} does not normalize to "
-                f"a finite value against its window's [{norm_params.lo[m]}, {norm_params.hi[m]}]"
-            )
+            record_networth(metrics, book.net_worth(prices), t)
         # The next evolution's fitness, or the final score.
         window, norm_params = build_window(prices_by_day, stop - 1, config.window)
         rows = population.windows(window)

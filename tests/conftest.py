@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gamarket
@@ -56,3 +57,15 @@ def workloads():
     sys.modules[spec.name] = module  # its dataclass looks the module up here
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def host_dependence():
+    """What recorded output digests depend on besides the code, with this host's values."""
+    return (
+        "they were recorded with numpy 2.4.6, AVX-512 and the default OpenBLAS kernel "
+        f"(this is numpy {np.__version__}, OPENBLAS_CORETYPE="
+        f"{os.environ.get('OPENBLAS_CORETYPE', 'unset')}, NPY_DISABLE_CPU_FEATURES="
+        f"{os.environ.get('NPY_DISABLE_CPU_FEATURES', 'unset')}); another numpy build, SIMD "
+        "level (numpy's transcendentals) or OpenBLAS kernel (the matmuls) may change float results"
+    )

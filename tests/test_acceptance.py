@@ -344,7 +344,7 @@ A7_DIGESTS = {
 }
 
 
-def test_a7_output_bytes_match_recorded_digests(tmp_path, monkeypatch):
+def test_a7_output_bytes_match_recorded_digests(tmp_path, monkeypatch, host_dependence):
     # Relative paths keep `config.resolved` independent of the directory.
     monkeypatch.chdir(tmp_path)
     prices = generate_series(351, DATA_SEED, start_prices=START_PRICES, volatility=0.012)
@@ -360,8 +360,4 @@ def test_a7_output_bytes_match_recorded_digests(tmp_path, monkeypatch):
         name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
         for name in sorted(os.listdir("out"))
     }
-    assert digests == A7_DIGESTS, (
-        "output bytes differ from the recorded digests; they were recorded with "
-        f"numpy 2.4.6 (this is numpy {np.__version__}), and a different numpy or "
-        "BLAS may change float results"
-    )
+    assert digests == A7_DIGESTS, "output bytes differ from the recorded digests; " + host_dependence

@@ -2,15 +2,15 @@
 
 Runs perfbench's `reference` and `crowd` workloads at seeds 0 and 1 in-process,
 from the inputs `perfbench/workloads.py` writes, and compares the sha256 of
-every output file with digests recorded with numpy 2.4.6.  A change that
-is meant to keep `out/` byte-identical must keep these; one that changes
-the model on purpose records new digests and says why.
+every output file with digests recorded with numpy 2.4.6 on an AVX-512 host
+under its default OpenBLAS kernel; the bytes depend on all three.  A change
+that is meant to keep `out/` byte-identical must keep these; one that
+changes the model on purpose records new digests and says why.
 """
 
 import hashlib
 import os
 
-import numpy as np
 import pytest
 
 from gamarket.cli import main as cli_main
@@ -64,7 +64,7 @@ WORKLOAD_DIGESTS = {
     ],
 )
 def test_workload_output_bytes_match_recorded_digests(
-    name, seed, tmp_path, monkeypatch, workloads
+    name, seed, tmp_path, monkeypatch, workloads, host_dependence
 ):
     # The configs use relative paths, so `config.resolved` does not depend
     # on the directory.
@@ -77,7 +77,7 @@ def test_workload_output_bytes_match_recorded_digests(
         for file in sorted(os.listdir(out))
     }
     assert digests == WORKLOAD_DIGESTS[name, seed], (
-        f"{name} at seed {seed}: the output bytes differ from the recorded digests; they were recorded "
-        f"with numpy 2.4.6 (this is numpy {np.__version__}), and a different numpy or "
-        "BLAS may change float results"
+        f"{name} at seed {seed}: the output bytes differ from the recorded digests; "
+        + host_dependence
     )
+

@@ -5,10 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from gamarket import errors
 from gamarket.bench import scaling_benchmark
 from gamarket.cli import main
 from gamarket.config import SimulationConfig, parse_config, resolved_text
+from gamarket.data import PRICE_MAX, PRICE_MIN, generate_series
 from gamarket.errors import ConfigError
 from gamarket.market import Portfolios, Trade
 from gamarket.metrics import RunMetrics
@@ -239,107 +239,114 @@ def test_run_reports_a_non_finite_price_with_its_line(tmp_path, cli_process):
     assert not out.exists()
 
 
-def test_run_reports_a_price_that_overflows_normalization(tmp_path, cli_process):
-    # DJIA's window spans one ulp of 1.0, so 1e300 on day 51 normalizes to inf.
-    djia = [1.0 if day % 2 == 0 else 1.0000000000000002 for day in range(51)] + [1e300] * 4
-    rows = [f"{day},{price!r},2050.0,1220.0" for day, price in enumerate(djia)]
+RANGE = f"is outside [{PRICE_MIN:g}, {PRICE_MAX:g}]"
+
+
+def _price_run(tmp_path, rows, extra=""):
+    """Write (days, 3) price rows and a run config over them (window 50, 5 days); its path."""
+    lines = [",".join([str(day), *(repr(float(p)) for p in row)]) for day, row in enumerate(rows)]
     data = tmp_path / "prices.csv"
-    data.write_text("\n".join(["day,DJIA,NASDAQ,SP500", *rows]) + "\n")
-    out = tmp_path / "out"
+    data.write_text("\n".join(["day,DJIA,NASDAQ,SP500", *lines]) + "\n")
     config_path = tmp_path / "run.cfg"
     config_path.write_text(
-        f"seed = 1\ninput_path = {data}\nwindow = 50\ndays = 5\noutput_dir = {out}\n"
+        f"seed = 1\ninput_path = {data}\nwindow = 50\ndays = 5\n{extra}"
+        f"output_dir = {tmp_path / 'out'}\n"
     )
+    return config_path
+
+
+def test_run_reports_a_price_that_overflows_normalization(tmp_path, cli_process):
+    # DJIA's window spans one ulp of 1.0, so 1e300 on day 51 would normalize
+    # to inf; it is refused where it is read, on line 53.
+    djia = [1.0 if day % 2 == 0 else 1.0000000000000002 for day in range(51)] + [1e300] * 4
+    config_path = _price_run(tmp_path, [(d, 2050.0, 1220.0) for d in djia])
     result = cli_process("run", "--config", str(config_path))
     assert result.returncode == 1
     [line] = result.stderr.splitlines()
-    assert line == (
-        "DataError: day 51: DJIA price 1e+300 does not normalize to a finite value "
-        "against its window's [1.0, 1.0000000000000002]"
-    )
-    assert not out.exists()
+    assert line == f"DataError: {tmp_path / 'prices.csv'}:53: price 1e+300 for DJIA {RANGE}"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_reports_a_price_that_overflows_a_net_worth(tmp_path, cli_process):
-    # 1.7e308 normalizes to a finite 1.36e308 against DJIA's [1, 2] window,
-    # but valuing player 0's 2500 DJIA shares at it overflows a float.
+    # Valuing player 0's 2500 DJIA shares at 1.7e308 would overflow a float;
+    # the price is refused where it is read.
     djia = [1.0 if day % 2 == 0 else 2.0 for day in range(51)] + [1.7e308] * 4
-    rows = [f"{day},{price!r},2050.0,1220.0" for day, price in enumerate(djia)]
-    data = tmp_path / "prices.csv"
-    data.write_text("\n".join(["day,DJIA,NASDAQ,SP500", *rows]) + "\n")
-    out = tmp_path / "out"
-    config_path = tmp_path / "run.cfg"
-    config_path.write_text(
-        f"seed = 1\ninput_path = {data}\nwindow = 50\ndays = 5\noutput_dir = {out}\n"
-    )
+    config_path = _price_run(tmp_path, [(d, 2050.0, 1220.0) for d in djia])
     result = cli_process("run", "--config", str(config_path))
     assert result.returncode == 1
     [line] = result.stderr.splitlines()
-    assert line == (
-        "DataError: day 51: DJIA price 1.7e+308 values player 0's 2500 shares "
-        "beyond the float range"
-    )
+    assert line == f"DataError: {tmp_path / 'prices.csv'}:53: price 1.7e+308 for DJIA {RANGE}"
     assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_reports_the_earlier_of_two_bad_days_of_one_generation(tmp_path, cli_process):
-    # Days 50-54 are one generation.  Day 51's DJIA price normalizes but
-    # overflows a net worth; day 52's NASDAQ price does not normalize
-    # against its one-ulp window.  Day 51's error is the one reported.
+    # Days 50-54 are one generation.  Day 51 (line 53) has an out-of-range
+    # DJIA price, and day 52 out-of-range DJIA and NASDAQ prices.  The first
+    # out-of-range line is the one reported, and its first bad price.
     djia = [1.0 if day % 2 == 0 else 2.0 for day in range(51)] + [1.7e308] * 4
     nasdaq = [1.0 if day % 2 == 0 else 1.0000000000000002 for day in range(51)]
     nasdaq += [1.0] + [1e300] * 3
-    rows = [f"{day},{d!r},{n!r},1220.0" for day, (d, n) in enumerate(zip(djia, nasdaq))]
-    data = tmp_path / "prices.csv"
-    data.write_text("\n".join(["day,DJIA,NASDAQ,SP500", *rows]) + "\n")
-    out = tmp_path / "out"
-    config_path = tmp_path / "run.cfg"
-    config_path.write_text(
-        f"seed = 1\ninput_path = {data}\nwindow = 50\ndays = 5\noutput_dir = {out}\n"
-    )
+    config_path = _price_run(tmp_path, [(d, n, 1220.0) for d, n in zip(djia, nasdaq)])
     result = cli_process("run", "--config", str(config_path))
     assert result.returncode == 1
     [line] = result.stderr.splitlines()
-    assert line == (
-        "DataError: day 51: DJIA price 1.7e+308 values player 0's 2500 shares "
-        "beyond the float range"
-    )
-    assert not out.exists()
+    assert line == f"DataError: {tmp_path / 'prices.csv'}:53: price 1.7e+308 for DJIA {RANGE}"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_reports_a_bad_price_on_the_first_day_of_a_later_generation(tmp_path, cli_process):
-    # Cadence 2: days 50-51 are generation 0, and day 52 starts generation 1,
-    # whose window (days 1-51) spans one ulp of 1.0.  So 1e300 on day 52
-    # normalizes to inf and none of generation 1's days can be predicted.
+    # Cadence 2: days 50-51 are generation 0, and day 52 starts generation 1.
+    # Its 1e300 is refused at load (line 54), before generation 0 trades.
     djia = [1.0 if day % 2 == 0 else 1.0000000000000002 for day in range(52)] + [1e300] * 3
-    rows = [f"{day},{price!r},2050.0,1220.0" for day, price in enumerate(djia)]
-    data = tmp_path / "prices.csv"
-    data.write_text("\n".join(["day,DJIA,NASDAQ,SP500", *rows]) + "\n")
-    out = tmp_path / "out"
-    config_path = tmp_path / "run.cfg"
-    config_path.write_text(
-        f"seed = 1\ninput_path = {data}\nwindow = 50\nevolution_cadence = 2\ndays = 5\n"
-        f"output_dir = {out}\n"
+    config_path = _price_run(
+        tmp_path, [(d, 2050.0, 1220.0) for d in djia], extra="evolution_cadence = 2\n"
     )
     result = cli_process("run", "--config", str(config_path))
     assert result.returncode == 1
     [line] = result.stderr.splitlines()
-    assert line == (
-        "DataError: day 52: DJIA price 1e+300 does not normalize to a finite value "
-        "against its window's [1.0, 1.0000000000000002]"
-    )
-    assert not out.exists()
+    assert line == f"DataError: {tmp_path / 'prices.csv'}:54: price 1e+300 for DJIA {RANGE}"
+    assert not (tmp_path / "out").exists()
+
+
+def _one_ulp_window_then_price_max():
+    low = [PRICE_MIN if day % 2 == 0 else np.nextafter(PRICE_MIN, 1.0) for day in range(51)]
+    return [(p, 2050.0, 1220.0) for p in low + [PRICE_MAX] * 4], ""
+
+
+def _all_supply_at_price_max():
+    walk = generate_series(55, seed=4)
+    rows = np.minimum(walk * (PRICE_MAX / walk.max(axis=0)), PRICE_MAX)
+    supply = 2**63 - 1
+    return rows, f"total_supply = {supply}, {supply}, {supply}\ninitial_cash = 1e30\n"
+
+
+def _all_near_price_min():
+    walk = generate_series(55, seed=4)
+    return np.maximum(walk * (PRICE_MIN / walk.min(axis=0)), PRICE_MIN), ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "corner", [_one_ulp_window_then_price_max, _all_supply_at_price_max, _all_near_price_min]
+)
+def test_run_at_the_corners_of_the_price_range_stays_finite(tmp_path, corner):
+    # In-range prices need no overflow check after loading: the most extreme
+    # normalization, holding and floor run without a warning or a DataError.
+    rows, extra = corner()
+    config_path = _price_run(tmp_path, rows, extra + "evolution_cadence = 2\n")
+    assert main(["run", "--config", str(config_path)]) == 0
+    worths = (tmp_path / "out" / "networth.csv").read_text().splitlines()[1:]
+    assert worths and all(np.isfinite(float(line.split(",")[2])) for line in worths)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-322])
 def test_run_on_tiny_prices_ends_without_hang_or_traceback(
     scale, tmp_path, monkeypatch, cli_process, workloads
 ):
-    # perfbench's crowd prices scaled down: every price is finite and > 0,
-    # so the file loads.  At 1e-300 order sizing once counted down a
-    # thousand-bit share count; at 1e-322 (subnormal) the relative price
-    # change overflowed into a raw OverflowError.
+    # perfbench's crowd prices scaled far below PRICE_MIN, to the scales
+    # that once hung order sizing (1e-300) and overflowed the relative price
+    # change (1e-322, subnormal): the file is refused on its first data line.
     monkeypatch.chdir(tmp_path)
     crowd = workloads.WORKLOADS["crowd"]
     prices = workloads.make_inputs(crowd, 0, ".") * scale
@@ -349,14 +356,12 @@ def test_run_on_tiny_prices_ends_without_hang_or_traceback(
     with open(workloads.RUN_CFG, "w") as handle:
         handle.write(workloads.config_text(crowd, 0, days=30))
     result = cli_process("run", "--config", workloads.RUN_CFG, timeout=30)
-    assert "Traceback" not in result.stderr
-    if result.returncode == 0:
-        assert result.stderr == ""
-    else:
-        assert result.returncode == 1
-        [line] = result.stderr.splitlines()
-        error = getattr(errors, line.split(":")[0], None)
-        assert isinstance(error, type) and issubclass(error, errors.SimulationError), line
+    assert result.returncode == 1
+    [line] = result.stderr.splitlines()
+    assert line == (
+        f"DataError: {workloads.PRICES_CSV}:2: price {prices[0, 0].item()!r} "
+        f"for {workloads.STOCKS[0]} {RANGE}"
+    )
 
 
 def test_scaling_benchmark_skips_infeasible_points():

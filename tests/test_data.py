@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gamarket.data import (
     NORM_HI,
     NORM_LO,
+    PRICE_MAX,
+    PRICE_MIN,
     NormalizationParams,
     build_window,
     denormalize,
@@ -201,8 +205,49 @@ def test_load_prices_day_gap(tmp_path):
 def test_load_prices_nonpositive_price(tmp_path):
     path = tmp_path / "bad.csv"
     _write_rows(path, [["day", "A"], [0, 1.0], [1, -2.0]])
-    with pytest.raises(DataError, match=r":3: price -2.0 for A is not finite and > 0"):
+    with pytest.raises(DataError, match=r":3: price -2.0 for A is outside \[0.0001, 1e\+12\]"):
         load_prices(path, expected_stocks=("A",))
+
+
+# Each bound and its neighbours, and the floats a price must never be.
+_EDGES = [
+    float(price)
+    for bound in (PRICE_MIN, PRICE_MAX)
+    for price in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf))
+] + [0.0, -0.0, 5e-324, 2.2e-308, -1.0, np.inf, -np.inf, np.nan, 1.7976931348623157e308]
+
+
+# The fixture's directory is reused by every example; each overwrites the file.
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    price=st.one_of(
+        st.floats(),  # the whole range: subnormals, -0.0 and 0.0, infinities, nan
+        st.sampled_from(_EDGES),
+        st.floats(PRICE_MIN / 4, PRICE_MIN * 4),
+        st.floats(PRICE_MAX / 4, PRICE_MAX * 4),
+    )
+)
+def test_load_prices_takes_a_price_exactly_when_it_is_in_range(tmp_path, price):
+    path = tmp_path / "prices.csv"
+    _write_rows(path, [["day", "A"], [0, 1.0], [1, repr(price)]])
+    if PRICE_MIN <= price <= PRICE_MAX:
+        assert load_prices(path, expected_stocks=("A",))[1, 0] == price
+    else:
+        with pytest.raises(DataError, match=r"prices.csv:3: price .* for A is outside"):
+            load_prices(path, expected_stocks=("A",))
+
+
+def test_write_prices_csv_refuses_a_price_written_below_the_range(tmp_path):
+    # 4e-5 rounds to 0.0000 at 4 decimals; 6e-5 rounds to 0.0001, PRICE_MIN.
+    path = tmp_path / "prices.csv"
+    with pytest.raises(DataError, match=r"day 1: A would be written as 0.0000 \(price 4e-05\)"):
+        write_prices_csv(path, ("A",), np.array([[1.0], [4e-5]]))
+    assert not path.exists()
+    write_prices_csv(path, ("A",), np.array([[1.0], [6e-5]]))
+    assert path.read_text().splitlines()[2] == "1,0.0001"
+    assert load_prices(path, expected_stocks=("A",))[1, 0] == PRICE_MIN
 
 
 def test_load_prices_too_short_for_window(tmp_path):
