@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import scaling_benchmark
 from .config import parse_config
 from .data import DEFAULT_STOCKS, generate_series, write_prices_csv
 from .errors import ConfigError, SimulationError
@@ -62,6 +61,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import scaling_benchmark  # here, so `gamarket run` never loads it
     if not args.out:
         raise ConfigError("--out must not be empty")
     result = scaling_benchmark(

@@ -5,11 +5,11 @@ closing prices until a full round passes with no trade (consensus) or a
 round cap is hit.  All cash and shares live in one `Portfolios` pair of
 arrays, row p for player p; every trade moves shares between rows
 against cash at the day's price, so each stock's share total never
-changes.  `decide` fixes every player's stock and side once per day;
-`desired_quantity` sizes each order.  A round skips each player who
-cannot fill: (a) its cash and holding at its turn are the round-start
-ones, and (b) its size at full supply bounds all its sizes.  Resting
-orders fill oldest-first, one deque per book.
+changes.  `decide` fixes every player's stock and side for each day of
+a generation at once; `desired_quantity` sizes each order.  A round
+skips each player who cannot fill: (a) its cash and holding at its turn
+are the round-start ones, and (b) its size at full supply bounds all its
+sizes.  Resting orders fill oldest-first, one deque per book.
 """
 
 from __future__ import annotations
@@ -111,23 +111,23 @@ def apply_trade(book: Portfolios, trade: Trade) -> None:
 
 
 def decide(predictions, prices, supply) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every player's side, stock and expected relative change for the day.
+    """Every player's side, stock and expected relative change, per day.
 
     A player's decision factors are its relative changes
     (predicted - current) / current, one per stock, times each stock's
     supply.  It sells the argmin stock when |min| beats |max|, otherwise
     buys the argmax stock.  An exact tie between the two magnitudes
     resolves to a buy; ties inside argmax/argmin resolve to the lowest
-    stock index.  Returns (sells, stock, delta), one entry per player.
+    stock index.  Returns (sells, stock, delta), one entry per player;
+    (days, players, stocks) predictions with (days, 1, stocks) prices
+    give one per day and player, each day's as a one-day call would.
     """
     with np.errstate(over="ignore"):  # subnormal prices overflow to inf; sizing caps it
-        deltas = (predictions - prices) / prices
+        deltas = np.subtract(predictions, prices) / prices
         factors = deltas * np.asarray(supply)
-    rows = np.arange(len(factors))
-    imax, imin = factors.argmax(axis=1), factors.argmin(axis=1)
-    sells = np.abs(factors[rows, imax]) < np.abs(factors[rows, imin])
-    stock = np.where(sells, imin, imax)
-    return sells, stock, deltas[rows, stock]
+    sells = np.abs(factors.max(axis=-1)) < np.abs(factors.min(axis=-1))
+    stock = np.where(sells, factors.argmin(axis=-1), factors.argmax(axis=-1))
+    return sells, stock, np.take_along_axis(deltas, stock[..., None], -1)[..., 0]
 
 
 def desired_quantity(
@@ -176,20 +176,20 @@ def run_clearing(
     prices,
     supply,
     book: Portfolios,
-    predictions,
+    decisions,
     rng: np.random.Generator,
     round_cap: int = DEFAULT_ROUND_CAP,
 ) -> ClearingReport:
     """Trade at day `day`'s prices until consensus or the round cap.
 
     `prices` holds the day's price per stock and `supply` each stock's
-    fixed share total; `predictions` is a (players, stocks) array of
-    predicted prices, from which `decide` fixes every player's stock and
-    side once per day.  Every round the players act once each, in a
-    freshly shuffled order: a player sizes an order from its cash or
-    holding, matches it oldest-first against the same round's resting
-    opposite-side orders (a deque per side and stock) and rests any
-    remainder.  A round with zero executed trades ends the day's clearing.
+    fixed share total; `decisions` is the day's (sells, stock, delta)
+    rows from `decide`, one entry per player.  Every round the players
+    act once each, in a freshly shuffled order: a player sizes an order
+    from its cash or holding, matches it oldest-first against the same
+    round's resting opposite-side orders (a deque per side and stock) and
+    rests any remainder.  A round with zero executed trades ends the
+    day's clearing.
 
     Only players who can fill act, which changes no outcome: (a) cash and
     holding at a player's turn are its round-start ones, as the books
@@ -206,13 +206,11 @@ def run_clearing(
     if not np.all((prices > 0) & np.isfinite(prices)):
         raise ConfigError(f"prices must be finite and > 0, got {prices.tolist()}")
     n_players, m_stocks = len(book.cash), len(supply)
-    predictions = np.asarray(predictions, dtype=float)
-    if predictions.shape != (n_players, m_stocks):
-        raise ConfigError(f"predictions must be ({n_players}, {m_stocks}), got {predictions.shape}")
-    if not np.all((predictions > 0) & np.isfinite(predictions)):
-        raise ConfigError("predictions must be finite and > 0")
+    sells, stocks, deltas = decisions
+    in_range = np.all((stocks >= 0) & (stocks < m_stocks))
+    if {len(sells), len(stocks), len(deltas)} != {n_players} or not in_range:
+        raise ConfigError(f"need one decision per player, each naming a stock in 0..{m_stocks - 1}")
 
-    sells, stocks, deltas = decide(predictions, prices, supply)
     threshold = trade_threshold(sells, deltas, prices[stocks], np.asarray(supply)[stocks])
     cells, books_of = np.arange(n_players) * m_stocks + stocks, 2 * stocks + sells
     sell_of, stock_of, delta_of, prices = (a.tolist() for a in (sells, stocks, deltas, prices))

@@ -61,9 +61,9 @@ def linear_fit(xs, ys) -> LinearFit | None:
 
 @dataclass
 class RunMetrics:
-    """Row-oriented records accumulated over one simulation run."""
+    """Records accumulated over one simulation run."""
 
-    networth_rows: list[tuple[int, int, float]] = field(default_factory=list)
+    networth_by_day: list[tuple[int, np.ndarray]] = field(default_factory=list)
     hidden_rows: list[tuple[int, int, float]] = field(default_factory=list)
     complexity_rows: list[tuple[int, str, float]] = field(default_factory=list)
     # (generation, mean validation MSE over every agent in the population)
@@ -71,8 +71,8 @@ class RunMetrics:
 
 
 def record_networth(metrics: RunMetrics, worths: np.ndarray, day: int) -> None:
-    """Append one (day, player, net worth) row per player from the (players,) worths."""
-    metrics.networth_rows.extend((day, pid, worth) for pid, worth in enumerate(worths.tolist()))
+    """Keep the day's (players,) net worths as they are; reports make the rows."""
+    metrics.networth_by_day.append((day, worths))
 
 
 def record_generation(metrics: RunMetrics, generation: int, population: Population) -> None:

@@ -83,7 +83,9 @@ def committee_predict(
     day, and each day's outputs equal those of a call for that day alone.
     A committee's outputs are added in committee order from 0, then
     divided by k (numpy's `sum` or `mean` along an axis adds in another
-    order from k = 8 up, changing the last bits), and denormalized.
+    order from k = 8 up, changing the last bits), and denormalized.  A
+    NaN or infinite prediction raises `ConfigError` here, before its
+    generation's first day trades.
     """
     p, k = population, population.k
     xs = np.asarray(normalized_prices, dtype=float)
@@ -93,5 +95,7 @@ def committee_predict(
         )
     outs = forward(p.stack, xs.T[p.rows], days=True).T.reshape(-1, p.players, p.stocks, k)
     mean = sum(outs[..., j] for j in range(k)) / k
-    # NaN and inf pass the floor unchanged; run_clearing rejects them.
-    return np.maximum(denormalize(mean, norm_params), PRICE_FLOOR)
+    predicted = np.maximum(denormalize(mean, norm_params), PRICE_FLOOR)
+    if not np.isfinite(predicted).all():  # NaN and inf pass the floor unchanged
+        raise ConfigError("predictions must be finite and > 0")
+    return predicted

@@ -9,10 +9,13 @@ emitted data file with its line count.
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
-from .bench import BenchmarkResult
 from .config import resolved_text
 from .simulation import RunOutput
+
+if TYPE_CHECKING:  # so `gamarket run` never loads the benchmark module
+    from .bench import BenchmarkResult
 
 MANIFEST_NAME = "manifest"
 
@@ -52,12 +55,15 @@ def _write_all(contents: dict[str, str], out_dir) -> dict[str, int]:
 def emit_reports(output: RunOutput, out_dir) -> dict[str, int]:
     """Write the run's CSVs, resolved config and manifest into out_dir."""
     m = output.metrics
+    networth_rows = (
+        (day, p, w) for day, worths in m.networth_by_day for p, w in enumerate(worths.tolist())
+    )
     trade_rows = (
         (t.day, t.round, t.buyer, t.seller, output.config.stocks[t.stock], t.quantity, t.price)
         for t in output.trades
     )
     contents = {
-        "networth.csv": _table("day,player,net_worth", m.networth_rows),
+        "networth.csv": _table("day,player,net_worth", networth_rows),
         "hidden_units.csv": _table("generation,player,mean_hidden_units", m.hidden_rows),
         "complexity.csv": _table("generation,species,stddev_hidden_units", m.complexity_rows),
         "generations.csv": _table("generation,mean_val_mse", m.generation_error_rows),

@@ -20,10 +20,11 @@ start-up and by each evolution; the predictions and the scoring run on
 `train`'s trained copy as it is.
 
 Trading never moves a price: day t trades at its historical close.  So a
-generation's predictions are known once it is trained, and
-`committee_predict` predicts its days in blocks of at most `window` days,
-so no hidden-layer buffer outgrows the one that scoring uses.  Each day's
-prediction keeps the bits of a call for that day alone.
+generation's decisions are known once it is trained: `committee_predict`
+predicts its days in blocks of at most `window` days, so no hidden-layer
+buffer outgrows the one that scoring uses, and one `decide` call fixes
+every day's sides and stocks.  Each day's prediction and decision keep
+the bits of a call for that day alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .config import SimulationConfig
 from .data import NormalizationParams, build_window, load_prices, normalize
 from .errors import ConservationError, InsufficientHistoryError, TrainingDivergedError
 from .evolution import evolve_generation
-from .market import Portfolios, Trade, run_clearing
+from .market import Portfolios, Trade, decide, run_clearing
 from .metrics import RunMetrics, record_generation, record_networth
 from .neural import Stack, TrainingWindow, draw_population, evaluate_error, train
 from .players import Population, committee_predict
@@ -89,13 +90,11 @@ def _check_conservation(book: Portfolios, config: SimulationConfig, t: int) -> N
 
 def _predict_generation(
     population: Population, prices: np.ndarray, norm_params: NormalizationParams, most: int
-) -> list[np.ndarray]:
-    """The (players, stocks) predictions of a generation's days, `most` days per call."""
+) -> np.ndarray:
+    """The (days, players, stocks) predictions of a generation's days, `most` days per call."""
     days = normalize(prices, norm_params)
-    predictions = []
-    for first in range(0, len(days), most):
-        predictions.extend(committee_predict(population, days[first : first + most], norm_params))
-    return predictions
+    blocks = [days[first : first + most] for first in range(0, len(days), most)]
+    return np.concatenate([committee_predict(population, b, norm_params) for b in blocks])
 
 
 def run_simulation(config: SimulationConfig) -> RunOutput:
@@ -131,12 +130,11 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
             population.stack = train(population.stack, rows, config.hyperparams())
             record_generation(metrics, generation, population)
         stop = min(start + config.evolution_cadence, end)
-        predictions = _predict_generation(
-            population, prices_by_day[start:stop], norm_params, config.window
-        )
-        for t, predicted in zip(range(start, stop), predictions):
-            prices = prices_by_day[t]
-            report = run_clearing(t, prices, config.total_supply, book, predicted, streams.shuffle)
+        traded = prices_by_day[start:stop]
+        predictions = _predict_generation(population, traded, norm_params, config.window)
+        decisions = decide(predictions, traded[:, None], config.total_supply)
+        for t, prices, *today in zip(range(start, stop), traded, *decisions):
+            report = run_clearing(t, prices, config.total_supply, book, today, streams.shuffle)
             trades.extend(report.trades)
             _check_conservation(book, config, t)
             record_networth(metrics, book.net_worth(prices), t)

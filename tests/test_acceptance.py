@@ -283,10 +283,9 @@ def test_a6_leadership_depends_on_seed_not_structure(price_file):
             initial_cash=4e6,
         )
         output = run_simulation(config)
-        last_day = max(d for d, _, _ in output.metrics.networth_rows)
-        worths = {p: w for d, p, w in output.metrics.networth_rows if d == last_day}
+        _, worths = output.metrics.networth_by_day[-1]  # the last traded day
         assert output.trades, f"seed {seed} produced no trades"
-        leaders.append(max(worths, key=worths.get))
+        leaders.append(int(np.argmax(worths)))  # the lowest id among equal worths
     _report(
         "A6 no structural monopoly",
         len(set(leaders)) > 1,

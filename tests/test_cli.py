@@ -109,7 +109,7 @@ def test_emit_reports_writes_exact_bytes(tmp_path):
         seed=1, input_path="p.csv", stocks=("AAA", "BBB"), total_supply=(10, 10)
     )
     metrics = RunMetrics(
-        networth_rows=[(1, 0, 0.1), (1, 1, 1 / 3)],
+        networth_by_day=[(1, np.array([0.1, 1 / 3])), (2, np.array([1e-300, 2.0]))],
         hidden_rows=[(0, 0, 2.0), (0, 1, 1e-300)],
         complexity_rows=[(0, "linear", 0.0), (0, "logistic", 0.5)],
         generation_error_rows=[(0, 1 / 3), (1, 2.0)],
@@ -127,8 +127,9 @@ def test_emit_reports_writes_exact_bytes(tmp_path):
         "generations.csv": b"generation,mean_val_mse\n0,0.3333333333333333\n1,2.0\n",
         "hidden_units.csv": b"generation,player,mean_hidden_units\n0,0,2.0\n0,1,1e-300\n",
         "manifest": b"complexity.csv,3\nconfig.resolved,17\ngenerations.csv,3\n"
-        b"hidden_units.csv,3\nnetworth.csv,3\ntrades.csv,2\n",
-        "networth.csv": b"day,player,net_worth\n1,0,0.1\n1,1,0.3333333333333333\n",
+        b"hidden_units.csv,3\nnetworth.csv,5\ntrades.csv,2\n",
+        "networth.csv": b"day,player,net_worth\n1,0,0.1\n1,1,0.3333333333333333\n"
+        b"2,0,1e-300\n2,1,2.0\n",
         "trades.csv": b"day,round,buyer,seller,stock,quantity,price\n1,2,1,0,BBB,3,0.1\n",
     }
 
@@ -462,11 +463,25 @@ def test_bench_rejects_an_empty_out_before_any_run(monkeypatch, capsys):
     def sweep(**kwargs):
         raise AssertionError("the sweep ran before --out was checked")
 
-    monkeypatch.setattr("gamarket.cli.scaling_benchmark", sweep)
+    monkeypatch.setattr("gamarket.bench.scaling_benchmark", sweep)
     assert main(["bench", "--out", ""]) == 1
     stderr = capsys.readouterr().err
     assert stderr.startswith("ConfigError: --out must not be empty")
     assert "Traceback" not in stderr
+
+
+def test_importing_the_cli_leaves_the_benchmark_unloaded(python_process):
+    # `gamarket run` pays for no module that only `gamarket bench` needs,
+    # and keeps the names perfbench wraps where the CLI looks them up.
+    code = (
+        "import sys, gamarket.cli as cli\n"
+        "print(*(m in sys.modules for m in ('gamarket.bench', 'statistics')))\n"
+        "print(*(callable(getattr(cli, n, None)) for n in "
+        "('parse_config', 'run_simulation', 'emit_reports')))"
+    )
+    result = python_process(code, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["False False", "True True True"]
 
 
 def test_io_errors_are_reported_by_name(tmp_path, cli_process):

@@ -265,4 +265,4 @@ def test_load_prices_too_short_for_window(tmp_path):
     with pytest.raises(InsufficientHistoryError, match="need >= 10"):
         run(9)
     # Exactly window + days rows is accepted.
-    assert len(run(10).metrics.networth_rows) == 2 * 2
+    assert [len(worths) for _, worths in run(10).metrics.networth_by_day] == [2, 2]

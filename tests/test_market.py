@@ -61,7 +61,7 @@ def test_market_validation():
     # A day's price row needs one price per stock in the supply.
     book, rng = _traders(stocks=1), np.random.default_rng(0)
     with pytest.raises(ConfigError, match="one price per stock"):
-        run_clearing(0, (1.0, 1.0), (10,), book, [[1.0], [1.0]], rng)
+        run_clearing(0, (1.0, 1.0), (10,), book, decide([[1.0], [1.0]], (1.0,), (10,)), rng)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
@@ -155,7 +155,7 @@ SUPPLY = (100, 100)
 def test_clearing_consensus_when_nobody_wants_to_trade():
     # Predictions equal to the announced price size every intent at zero.
     book = _traders()
-    preds = [[10.0, 20.0], [10.0, 20.0]]
+    preds = decide([[10.0, 20.0], [10.0, 20.0]], PRICES, SUPPLY)
     report = run_clearing(0, PRICES, SUPPLY, book, preds, np.random.default_rng(0))
     assert report.trades == []
     assert report.rounds == 1
@@ -167,7 +167,8 @@ def test_single_stock_pessimist_still_bids():
     # rule resolves to a buy, so a lone pessimist never reaches the sell
     # side and two bids just rest: no trades.
     book = _traders(stocks=1)
-    report = run_clearing(0, (10.0,), (100,), book, [[11.0], [9.0]], np.random.default_rng(0))
+    preds = decide([[11.0], [9.0]], (10.0,), (100,))
+    report = run_clearing(0, (10.0,), (100,), book, preds, np.random.default_rng(0))
     assert report.trades == []
     assert report.terminated_by is Termination.NO_MORE_TRADES
 
@@ -178,7 +179,7 @@ def test_clearing_buyer_first_frozen_scenario():
     # the seller fills it, capped at 40% of its shrinking holding, so the
     # fills run 10,10,10 then 8,4,3,2,1 and round 9 reaches consensus.
     book = _traders()
-    preds = [[11.0, 20.0], [9.0, 20.0]]
+    preds = decide([[11.0, 20.0], [9.0, 20.0]], PRICES, SUPPLY)
     report = run_clearing(0, PRICES, SUPPLY, book, preds, FixedOrder([0, 1]))
     assert [t.quantity for t in report.trades] == [10, 10, 10, 8, 4, 3, 2, 1]
     assert report.rounds == 9
@@ -197,7 +198,7 @@ def test_clearing_seller_first_uses_resting_volume_and_round_cap():
     # volume, so the buyer's 10% sizing buys exactly one share per round.
     # A cap of 7 rounds cuts the session short.
     book = _traders()
-    preds = [[11.0, 20.0], [9.0, 20.0]]
+    preds = decide([[11.0, 20.0], [9.0, 20.0]], PRICES, SUPPLY)
     report = run_clearing(0, PRICES, SUPPLY, book, preds, FixedOrder([1, 0]), round_cap=7)
     assert [t.quantity for t in report.trades] == [1] * 7
     assert report.rounds == 7
@@ -213,7 +214,7 @@ def test_clearing_sizes_each_buy_from_the_asks_still_resting():
     # of those 20, and the second half of the 10 still resting.  Each
     # later round repeats this on the seller's shrinking holding.
     book = Portfolios(cash=np.full(3, 1e6), holdings=np.array([[50, 0], [0, 0], [0, 0]]))
-    preds = [[5.0, 20.0], [15.0, 20.0], [15.0, 20.0]]
+    preds = decide([[5.0, 20.0], [15.0, 20.0], [15.0, 20.0]], PRICES, SUPPLY)
     report = run_clearing(0, PRICES, SUPPLY, book, preds, FixedOrder([0, 1, 2]))
     assert [(t.buyer, t.quantity) for t in report.trades] == [
         (1, 10), (2, 5), (1, 7), (2, 3), (1, 5), (2, 2), (1, 3), (2, 2),
@@ -229,8 +230,8 @@ def test_clearing_conserves_shares_and_cash():
     supply = [120, 90, 61]
     book = Portfolios.endow(5, supply, 1e7)
     predictions = [[float(p * rng.uniform(0.9, 1.1)) for p in prices] for _ in range(5)]
-    pristine = copy.deepcopy(book)
-    report = run_clearing(0, prices, supply, book, predictions, np.random.default_rng(5))
+    pristine, decisions = copy.deepcopy(book), decide(predictions, prices, supply)
+    report = run_clearing(0, prices, supply, book, decisions, np.random.default_rng(5))
     assert report.trades, "scenario should produce at least one trade"
     for m in range(3):
         assert book.holdings[:, m].sum() == supply[m]
@@ -279,7 +280,8 @@ def test_clearing_conserves_and_never_goes_negative(case):
     book.holdings[0] += 1
     supply = book.holdings.sum(axis=0).tolist()
     cash = math.fsum(book.cash)
-    run_clearing(0, prices, supply, book, predictions, np.random.default_rng(seed))
+    decisions = decide(predictions, prices, supply)
+    run_clearing(0, prices, supply, book, decisions, np.random.default_rng(seed))
     assert book.holdings.sum(axis=0).tolist() == supply
     assert math.fsum(book.cash) == pytest.approx(cash, rel=1e-12, abs=1e-6)
     assert (book.cash >= 0).all() and (book.holdings >= 0).all()
@@ -288,7 +290,7 @@ def test_clearing_conserves_and_never_goes_negative(case):
 def test_clearing_same_seed_is_identical():
     def run(seed):
         book = _traders(cash=5e4, holdings=(250, 250))
-        preds = [[10.7, 20.0], [9.4, 20.0]]
+        preds = decide([[10.7, 20.0], [9.4, 20.0]], PRICES, (500, 500))
         report = run_clearing(0, PRICES, (500, 500), book, preds, np.random.default_rng(seed))
         return [
             (t.round, t.buyer, t.seller, t.stock, t.quantity, t.price) for t in report.trades
@@ -300,24 +302,36 @@ def test_clearing_same_seed_is_identical():
 def test_run_clearing_validation():
     book = _traders()
     rng = np.random.default_rng(0)
-    # One row per player and one column per stock.
+    decisions = decide([[11.0, 20.0], [9.0, 20.0]], PRICES, SUPPLY)
     with pytest.raises(ConfigError):
-        run_clearing(0, PRICES, SUPPLY, book, np.array([[10.0, 20.0]]), rng)
-    with pytest.raises(ConfigError):
-        run_clearing(0, PRICES, SUPPLY, book, np.array([[10.0], [10.0]]), rng)
-    with pytest.raises(ConfigError):
-        run_clearing(0, PRICES, SUPPLY, book, np.array([[10.0, 20.0], [-1.0, 20.0]]), rng)
-    with pytest.raises(ConfigError):
-        run_clearing(0, PRICES, SUPPLY, book, np.array([[10.0, 20.0], [float("nan"), 20.0]]), rng)
-    with pytest.raises(ConfigError):
-        run_clearing(0, PRICES, SUPPLY, book, np.array([[10.0, 20.0]] * 2), rng, round_cap=0)
+        run_clearing(0, PRICES, SUPPLY, book, decisions, rng, round_cap=0)
     # A day price that is not finite and > 0 is refused before anything
     # computes with it, without a numpy warning.
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="prices must be finite and > 0"):
-                run_clearing(0, (10.0, bad), SUPPLY, book, [[10.0, 20.0]] * 2, rng)
+                run_clearing(0, (10.0, bad), SUPPLY, book, decisions, rng)
+    assert book.holdings.tolist() == [[50, 50], [50, 50]]
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda sells, stock, delta: (sells[:1], stock[:1], delta[:1]),  # one player short
+        lambda sells, stock, delta: (sells, stock, delta[:1]),  # rows of unequal length
+        lambda sells, stock, delta: (sells, stock + 2, delta),  # past the last stock
+        lambda sells, stock, delta: (sells, stock - 1, delta),  # negative: would wrap
+    ],
+)
+def test_run_clearing_refuses_decisions_that_do_not_fit_the_day(cut):
+    # One (sells, stock, delta) entry per player, each on one of the day's
+    # stocks; anything else is refused before a round is drawn.
+    book, rng = _traders(), CountingRng(0)
+    decisions = cut(*decide([[11.0, 20.0], [9.0, 20.0]], PRICES, SUPPLY))
+    with pytest.raises(ConfigError, match="one decision per player, each naming a stock in 0..1"):
+        run_clearing(0, PRICES, SUPPLY, book, decisions, rng)
+    assert rng.draws == 0 and book.holdings.tolist() == [[50, 50], [50, 50]]
 
 
 def test_default_round_cap_value():
@@ -325,13 +339,11 @@ def test_default_round_cap_value():
     assert ClearingReport().terminated_by is Termination.NO_MORE_TRADES
 
 
-def reference_run_clearing(day, prices, supply, book, predictions, rng, round_cap):
+def reference_run_clearing(day, prices, supply, book, decisions, rng, round_cap):
     """The clearing loop that sized every player's order in every round."""
-    prices = np.asarray(prices, dtype=float)
     n_players, m_stocks = len(book.cash), len(supply)
-    predictions = np.asarray(predictions, dtype=float)
-    sells, stocks, deltas = (a.tolist() for a in decide(predictions, prices, supply))
-    prices = prices.tolist()
+    sells, stocks, deltas = (a.tolist() for a in decisions)
+    prices = [float(p) for p in prices]
     report = ClearingReport()
     for round_no in range(1, round_cap + 1):
         report.rounds = round_no
@@ -397,10 +409,10 @@ def _oracle_cases(draw):
 def test_clearing_equals_the_loop_over_every_player(case):
     prices, book, predictions, seed, round_cap = case
     supply = book.holdings.sum(axis=0).tolist()
-    runs = []
+    decisions, runs = decide(predictions, prices, supply), []
     for clear in (run_clearing, reference_run_clearing):
         copied, rng = copy.deepcopy(book), np.random.default_rng(seed)
-        report = clear(0, prices, supply, copied, predictions, rng, round_cap=round_cap)
+        report = clear(0, prices, supply, copied, decisions, rng, round_cap=round_cap)
         state = (copied.cash.tolist(), copied.holdings.tolist(), rng.bit_generator.state)
         runs.append((report, *state))
     (got, *got_state), (want, *want_state) = runs
@@ -452,7 +464,7 @@ def test_a_day_with_only_one_sided_stocks_ends_after_one_round(monkeypatch):
     sized = []
     monkeypatch.setattr("gamarket.market.desired_quantity", lambda *args: sized.append(args))
     book, rng = _traders(holdings=(50, 50, 50, 50)), CountingRng(0)
-    preds = [[11.0, 20.0], [12.0, 20.0], [10.0, 18.0], [10.0, 19.0]]
+    preds = decide([[11.0, 20.0], [12.0, 20.0], [10.0, 18.0], [10.0, 19.0]], PRICES, SUPPLY)
     report = run_clearing(0, PRICES, SUPPLY, book, preds, rng)
     assert report.trades == [] and sized == []
     assert report.rounds == 1 and report.terminated_by is Termination.NO_MORE_TRADES

@@ -77,10 +77,15 @@ def test_linear_fit_degenerate_inputs():
 def test_record_networth_rows():
     metrics = RunMetrics()
     book = Portfolios(cash=np.array([100.0, 50.0]), holdings=np.array([[3], [10]]))
-    record_networth(metrics, book.net_worth([2.0]), day=7)
-    assert metrics.networth_rows == [(7, 0, 106.0), (7, 1, 70.0)]
-    # Plain floats, so the report writes them as Python reprs.
-    assert all(type(worth) is float for _, _, worth in metrics.networth_rows)
+    worths = book.net_worth([2.0])
+    record_networth(metrics, worths, day=7)
+    record_networth(metrics, book.net_worth([3.0]), day=8)
+    # The (players,) array as net_worth returned it; emit_reports makes the rows.
+    [(day, kept), _] = metrics.networth_by_day
+    assert day == 7 and kept is worths
+    assert [(d, w.tolist()) for d, w in metrics.networth_by_day] == [
+        (7, [106.0, 70.0]), (8, [109.0, 80.0])
+    ]
 
 
 def test_record_generation_rows():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gamarket.config import SimulationConfig
 from gamarket.data import NORM_HI, NORM_LO, NormalizationParams
 from gamarket.errors import ConfigError
 from gamarket.evolution import GAParams, evolve_generation
@@ -44,6 +45,17 @@ def test_committee_predict_floors_negative_prices():
     population = Population(agent, players=1, stocks=1)
     [[got]] = committee_predict(population, np.array([[0.5]]), params)
     assert got[0] == PRICE_FLOOR
+
+
+@pytest.mark.parametrize("bias", [math.inf, math.nan])
+def test_committee_predict_rejects_a_non_finite_prediction(bias):
+    # The floor passes inf and NaN unchanged; the prediction is refused
+    # where it is made, before any day of its block is decided or traded.
+    agent = make_agent(1, False, [0.0, 0.0, 0.0, bias])
+    params = NormalizationParams(lo=np.array([10.0]), hi=np.array([20.0]))
+    population = Population(agent, players=1, stocks=1)
+    with pytest.raises(ConfigError, match=r"predictions must be finite and > 0"):
+        committee_predict(population, np.array([[0.5], [0.7]]), params)
 
 
 def one_to_two(stocks):
@@ -199,6 +211,37 @@ def test_decide_rows_are_independent_players():
     assert sells.tolist() == [False, True, False, True]
     assert stock.tolist() == [0, 1, 0, 0]
     assert delta.tolist() == [10.0, -10.0, 5.0, -7.0]
+
+
+@st.composite
+def _decision_blocks(draw):
+    days = draw(st.integers(1, SimulationConfig.window))
+    players, stocks = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def array(elements, *shape):
+        n = math.prod(shape)
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n))).reshape(shape)
+
+    # Few distinct prices, steps and supplies make argmax/argmin ties and
+    # |max| == |min| ties common; subnormal prices overflow the change to inf.
+    price = st.sampled_from((1.0, 2.0, 5e-324, 1e-310)) | st.floats(1e-300, 1e6)
+    step = st.sampled_from((-0.5, 0.0, 0.5, 1.0)) | st.floats(-0.99, 10.0)
+    prices = array(price, days, stocks)
+    predictions = prices[:, None] * (1 + array(step, days, players, stocks))
+    # A prediction of 1 on a subnormal price is an overflowing change.
+    predictions[draw(st.integers(0, days - 1)), 0, -1] = 1.0
+    supply = array(st.sampled_from((1, 2, 100)) | st.integers(1, 10**6), stocks).tolist()
+    return predictions, prices, supply
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_decision_blocks())
+def test_decide_on_a_block_of_days_equals_one_call_per_day_bit_for_bit(case):
+    predictions, prices, supply = case
+    block = decide(predictions, prices[:, None], supply)
+    for t in range(len(prices)):
+        for got, want in zip(block, decide(predictions[t], prices[t], supply)):
+            assert got[t].dtype == want.dtype and got[t].tobytes() == want.tobytes()
 
 
 def test_desired_quantity_buy_caps():

@@ -9,7 +9,7 @@ import gamarket.simulation
 from gamarket import neural
 from gamarket.config import SimulationConfig
 from gamarket.data import generate_series, write_prices_csv
-from gamarket.errors import ConservationError, InsufficientHistoryError
+from gamarket.errors import ConfigError, ConservationError, InsufficientHistoryError
 from gamarket.simulation import run_simulation
 
 STOCKS = ("A", "B")
@@ -41,10 +41,10 @@ def test_run_shapes_and_conservation(tmp_path):
     output = run_simulation(config)
     # One evolution event: day 3 (day 6 is the last day, so it skips).
     assert output.generations == 1
-    assert len(output.metrics.networth_rows) == config.days * config.players
-    recorded_days = [d for d, _, _ in output.metrics.networth_rows]
-    assert recorded_days[0] == config.window
-    assert recorded_days[-1] == config.window + config.days - 1
+    # One (players,) array of net worths per traded day, in day order.
+    recorded_days = [d for d, _ in output.metrics.networth_by_day]
+    assert recorded_days == list(range(config.window, config.window + config.days))
+    assert all(w.shape == (config.players,) for _, w in output.metrics.networth_by_day)
     assert len(output.metrics.hidden_rows) == 2 * config.players
     assert [g for g, _ in output.metrics.generation_error_rows] == [0, 1]
     gens_seen = {g for g, _, _ in output.metrics.complexity_rows}
@@ -71,7 +71,7 @@ def _fingerprint(output):
             output.population.stack.logistic.tolist(),
             [w.tobytes() for w in output.population.stack.weight_rows()],
         ),
-        output.metrics.networth_rows,
+        [(day, worths.tolist()) for day, worths in output.metrics.networth_by_day],
         output.metrics.hidden_rows,
         output.metrics.complexity_rows,
         output.metrics.generation_error_rows,
@@ -118,7 +118,7 @@ def test_zero_days_trains_but_never_trades(tmp_path, monkeypatch):
     assert calls == ["build_window", "train"]
     assert output.trades == []
     assert output.generations == 0
-    assert output.metrics.networth_rows == []
+    assert output.metrics.networth_by_day == []
     assert output.metrics.generation_error_rows == []
     # The initial population is still trained and recorded.
     assert len(output.metrics.hidden_rows) == config.players
@@ -190,8 +190,8 @@ def test_a_run_stacks_the_population_once_per_generation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(neural.Stack, "__init__", counting_build)
     monkeypatch.setattr(gamarket.players, "forward", inside("forward", counting_forward))
-    for name in ("build_window", "committee_predict", "train", "evaluate_error",
-                 "evolve_generation"):
+    for name in ("build_window", "committee_predict", "decide", "run_clearing", "train",
+                 "evaluate_error", "evolve_generation"):
         monkeypatch.setattr(
             gamarket.simulation, name, inside(name, getattr(gamarket.simulation, name))
         )
@@ -204,6 +204,9 @@ def test_a_run_stacks_the_population_once_per_generation(tmp_path, monkeypatch):
     # Six 5-day generations, each predicted in one block of <= window days.
     assert calls.count("forward") == output.generations + 1
     assert calls.count("committee_predict") == calls.count("forward")
+    # One decide call per generation for all its days; run_clearing only clears.
+    assert calls.count("decide") == output.generations + 1
+    assert calls.count("run_clearing") == config.days
     assert sum(columns) == config.days and max(columns) <= config.window
     # One window at start-up and one ending on each generation's last day.
     assert calls.count("build_window") == output.generations + 2
@@ -233,3 +236,25 @@ def test_blocks_of_days_predict_like_one_call_per_day(tmp_path, monkeypatch):
     assert blocks == [8, 8, 4, 8, 2]
     monkeypatch.setattr(gamarket.simulation, "committee_predict", one_day_per_call)
     assert _fingerprint(run_simulation(config)) == _fingerprint(output)
+
+
+def test_a_bad_prediction_stops_the_run_before_its_generation_trades(tmp_path, monkeypatch):
+    # A generation's days are predicted before its first day trades, so a
+    # NaN predicted for its last day stops the run with no day of it cleared.
+    forward, run_clearing = gamarket.players.forward, gamarket.simulation.run_clearing
+    cleared = []
+
+    def nan_on_the_last_day(stack, xs, **kwargs):
+        outs = forward(stack, xs, **kwargs)
+        outs[:, -1] = np.nan
+        return outs
+
+    def clearing(*args, **kwargs):
+        cleared.append(args[0])
+        return run_clearing(*args, **kwargs)
+
+    monkeypatch.setattr(gamarket.players, "forward", nan_on_the_last_day)
+    monkeypatch.setattr(gamarket.simulation, "run_clearing", clearing)
+    with pytest.raises(ConfigError, match="predictions must be finite and > 0"):
+        run_simulation(_small_config(tmp_path))
+    assert cleared == []
