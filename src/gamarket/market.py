@@ -122,7 +122,9 @@ def decide(predictions, prices, supply) -> tuple[np.ndarray, np.ndarray, np.ndar
     (days, players, stocks) predictions with (days, 1, stocks) prices
     give one per day and player, each day's as a one-day call would.
     """
-    with np.errstate(over="ignore"):  # subnormal prices overflow to inf; sizing caps it
+    # A direct caller's tiny price, or a huge prediction, can overflow the
+    # change to inf; sizing counts it as 100%.
+    with np.errstate(over="ignore"):
         deltas = np.subtract(predictions, prices) / prices
         factors = deltas * np.asarray(supply)
     sells = np.abs(factors.max(axis=-1)) < np.abs(factors.min(axis=-1))
@@ -147,8 +149,8 @@ def desired_quantity(
         raise ValueError(f"announced price must be > 0, got {announced_price}")
     if market_volume < 0:
         raise ValueError(f"market volume must be >= 0, got {market_volume}")
-    # |delta_p| > 1 would want more than the volume: an overflowed (inf)
-    # relative change of a subnormal price wants the whole volume, not a crash.
+    # |delta_p| > 1 would want more than the volume; an inf change (a direct
+    # caller's tiny price, or a huge prediction) wants the whole volume, not a crash.
     want = math.floor(min(abs(delta_p), 1.0) * market_volume)
     if sells:
         return max(min(want, SELL_CAP_NUM * holding // SELL_CAP_DEN), 0)

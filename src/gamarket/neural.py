@@ -33,8 +33,10 @@ population, so the per-group Python overhead stays nearly constant and
 run time stays linear in the number of agents (acceptance test A1).
 
 Only building a `Stack` sorts weights; `train` copies the sorted array as
-it is, and nothing else copies or sorts.  Each group keeps one
-`(rows, n, h)` hidden-layer buffer, allocated again only when n changes.
+it is, and nothing else copies or sorts.  A stack holds a gradient array
+`grad` shaped like its weights; each group views its blocks of both and
+keeps, for the stack's lifetime, two `(rows, n, h)` buffers, the hidden
+layer and the back-propagated error, allocated again only when n changes.
 
 The output unit's product of the hidden layer and the output weights has
 two forms.  Training and scoring take a window of n samples per row, and
@@ -45,12 +47,12 @@ product per row and day, which numpy computes as a dot.  For h >= 2 gemv
 and dot add the h terms in different orders, so their last bits differ;
 the day form keeps every column equal, bit for bit, to a one-day call.
 
-Training adds a gradient array of the same size as the weights and, per
-group, a `_Gradient` with views of its block and two more `(rows, n, h)`
-buffers, all dropped when `train` returns.  Every epoch writes into these
-with `out=` and updates all weights in place with one
-`grad *= lr; weights -= grad`, so no epoch allocates `h`-shaped memory.
-The two outer products (inputs times input weights,
+Each epoch of `train` runs every group's `predict` and `backward`, which
+write into the group buffers and `grad` with `out=`, then updates all
+weights in place with one `grad *= lr; weights -= grad`, so no epoch
+allocates `h`-shaped memory.  `backward` takes the output-weight gradient
+from the hidden layer first, then overwrites the hidden buffer with
+tanh's derivative.  The two outer products (inputs times input weights,
 output error times output weights) are `einsum('rn,rh->rnh')`: one
 product per element, the bits of a broadcast multiply, but faster on an
 inner axis of h <= 10.  The hidden-bias gradient sums the `(rows, n, h)`
@@ -148,17 +150,19 @@ def _mse(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
 class _Group:
     """The agents of one hidden count h: a slice of rows of the sorted population.
 
-    Holds its (rows, 3h+1) block of the stack's weights, views of that
-    block, and the (rows, n, h) hidden-layer buffer that `predict` fills,
-    allocated again only when n changes.
+    Holds views of its (rows, 3h+1) blocks of the stack's weights and grad,
+    and two (rows, n, h) buffers, `hidden` and `back`, that `predict` and
+    `backward` fill, each allocated again only when n changes.
     """
 
-    def __init__(self, rows: slice, block: slice, h: int, weights: np.ndarray):
-        self.rows, self.block, self.h, self.weights = rows, block, h, weights
+    def __init__(self, rows: slice, h: int, weights: np.ndarray, grad: np.ndarray):
+        self.rows, self.h, self.weights = rows, h, weights
         self.w_in, self.b_h = weights[:, :h], weights[:, None, h : 2 * h]
         self.w_out, self.b_out = weights[:, 2 * h : 3 * h], weights[:, 3 * h :]
         self.w_out_col = self.w_out[:, :, None]
-        self.hidden = np.empty((len(weights), 0, h))
+        self.g_in, self.g_bh = grad[:, None, :h], grad[:, h : 2 * h]
+        self.g_out, self.g_bout = grad[:, 2 * h : 3 * h, None], grad[:, 3 * h :]
+        self.hidden = self.back = np.empty((len(weights), 0, h))
 
     def predict(self, xs: np.ndarray, u: np.ndarray, days: bool) -> None:
         """Fill the hidden buffer and the group's rows of u, the output pre-activation.
@@ -177,31 +181,25 @@ class _Group:
             np.matmul(hidden, self.w_out_col, out=u_rows[:, :, None])
         u_rows += self.b_out
 
-
-class _Gradient:
-    """A group's training-only state: views of its gradient block and two (rows, n, h) buffers."""
-
-    def __init__(self, group: _Group, grad: np.ndarray, n: int):
-        h = group.h
-        self.group = group
-        self.back, self.tmp = np.empty((2, len(grad), n, h))
-        self.g_in, self.g_bh = grad[:, None, :h], grad[:, h : 2 * h]
-        self.g_out, self.g_bout = grad[:, 2 * h : 3 * h, None], grad[:, 3 * h :]
-
     def backward(self, xs: np.ndarray, delta: np.ndarray) -> None:
-        """Fill grad from delta = dMSE/du (A, n), after predict on the same weights."""
-        group, back, tmp = self.group, self.back, self.tmp
-        hidden, d = group.hidden, delta[group.rows]
-        np.einsum("rn,rh->rnh", d, group.w_out, out=back)
-        np.multiply(hidden, hidden, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        back *= tmp
-        np.matmul(xs[group.rows, None, :], back, out=self.g_in)
-        if group.h == 1:  # a contiguous axis: numpy sums it pairwise, einsum would not
+        """Fill the gradient from delta = dMSE/du (A, n), right after predict on xs.
+
+        Overwrites the hidden buffer with 1 - hidden**2, tanh's derivative.
+        """
+        hidden, d = self.hidden, delta[self.rows]
+        if self.back.shape[1] != xs.shape[1]:
+            self.back = np.empty_like(hidden)
+        back = self.back
+        np.matmul(hidden.transpose(0, 2, 1), d[:, :, None], out=self.g_out)
+        np.einsum("rn,rh->rnh", d, self.w_out, out=back)
+        np.multiply(hidden, hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        back *= hidden
+        np.matmul(xs[self.rows, None, :], back, out=self.g_in)
+        if self.h == 1:  # a contiguous axis: numpy sums it pairwise, einsum would not
             back.sum(axis=1, out=self.g_bh)
         else:
             np.einsum("rnh->rh", back, out=self.g_bh)
-        np.matmul(hidden.transpose(0, 2, 1), d[:, :, None], out=self.g_out)
         d.sum(axis=1, keepdims=True, out=self.g_bout)
 
 
@@ -212,8 +210,9 @@ class Stack:
     vectors and (A,) errors, all in population order, which `hidden`,
     `logistic` and `errors` keep; errors[i] is agent i's final MSE on its
     last training window, NaN until it is trained.  The weights are copied,
-    in stable hidden-count order, into the flat array `weights`: sorted row
-    r is agent `order[r]`, `groups` holds one _Group per hidden count, and
+    in stable hidden-count order, into the flat array `weights`, beside a
+    gradient array `grad` of the same layout: sorted row r is agent
+    `order[r]`, `groups` holds one _Group per hidden count, and
     `sorted_logistic` is the (A,) row mask of logistic outputs.
     """
 
@@ -234,12 +233,14 @@ class Stack:
         self._cut(np.concatenate(sorted_weights, dtype=float) if sorted_weights else np.empty(0))
 
     def _cut(self, weights: np.ndarray) -> None:
-        """Hold `weights`, the flat sorted array, and one _Group per hidden count over it."""
-        self.weights, self.groups, start, offset = weights, [], 0, 0
+        """Hold `weights`, the flat sorted array, a `grad` like it, and a _Group per h."""
+        self.weights, self.grad = weights, np.empty_like(weights)
+        self.groups, start, offset = [], 0, 0
         for h, run in itertools.groupby(self.hidden[self.order].tolist()):
             count = len(list(run))
             rows, block = slice(start, start + count), slice(offset, offset + count * (3 * h + 1))
-            self.groups.append(_Group(rows, block, h, weights[block].reshape(count, 3 * h + 1)))
+            views = (a[block].reshape(count, 3 * h + 1) for a in (weights, self.grad))
+            self.groups.append(_Group(rows, h, *views))
             start, offset = rows.stop, block.stop
 
     def __len__(self) -> int:
@@ -286,9 +287,8 @@ def mse_gradient(stack: Stack, window: TrainingWindow) -> np.ndarray:
     For a one-agent stack that is the layout of the agent's own weights.
     """
     _check_rows(stack, window, "mse_gradient")
-    grad, gradients = _gradient_buffers(stack, window.inputs.shape[1])
-    _gradients(stack, gradients, window.inputs[stack.order], window.targets[stack.order])
-    return grad
+    _gradients(stack, window.inputs[stack.order], window.targets[stack.order])
+    return stack.grad.copy()
 
 
 def _predict(stack: Stack, xs: np.ndarray, days: bool = False) -> np.ndarray:
@@ -300,23 +300,16 @@ def _predict(stack: Stack, xs: np.ndarray, days: bool = False) -> np.ndarray:
     return u
 
 
-def _gradient_buffers(stack: Stack, n: int) -> tuple[np.ndarray, list[_Gradient]]:
-    """A flat gradient array shaped like stack.weights, and a _Gradient per group viewing it."""
-    grad = np.empty_like(stack.weights)
-    blocks = [grad[group.block].reshape(group.weights.shape) for group in stack.groups]
-    return grad, [_Gradient(group, block, n) for group, block in zip(stack.groups, blocks)]
-
-
-def _gradients(stack: Stack, gradients: list[_Gradient], xs: np.ndarray, ys: np.ndarray):
-    """Fill the gradient of each sorted row's MSE."""
+def _gradients(stack: Stack, xs: np.ndarray, ys: np.ndarray):
+    """Fill stack.grad with the gradient of each sorted row's MSE."""
     preds = _predict(stack, xs)
     delta = (2.0 / xs.shape[1]) * (preds - ys)
     logistic = stack.sorted_logistic
     p = preds[logistic]
     delta[logistic] = delta[logistic] * p * (1.0 - p)
     # delta is dMSE/du for the output pre-activation u of each sample.
-    for gradient in gradients:
-        gradient.backward(xs, delta)
+    for group in stack.groups:
+        group.backward(xs, delta)
 
 
 def train(stack: Stack, window: TrainingWindow, hp: Hyperparams) -> Stack:
@@ -333,13 +326,12 @@ def train(stack: Stack, window: TrainingWindow, hp: Hyperparams) -> Stack:
     trained = copy.copy(stack)
     trained._cut(stack.weights.copy())
     xs, ys = window.inputs[stack.order], window.targets[stack.order]
-    grad, gradients = _gradient_buffers(trained, xs.shape[1])
     # A diverging row overflows; the check below reports it instead of numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hp.epochs):
-            _gradients(trained, gradients, xs, ys)
-            grad *= hp.learning_rate
-            trained.weights -= grad
+            _gradients(trained, xs, ys)
+            trained.grad *= hp.learning_rate
+            trained.weights -= trained.grad
         trained.errors = np.empty(len(stack))
         trained.errors[stack.order] = _mse(_predict(trained, xs), ys)
     diverged = np.flatnonzero(~np.isfinite(trained.errors))

@@ -1,14 +1,21 @@
 """Tests for report emission and the command-line interface."""
 
+import contextlib
+import io
 import os
+import signal
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from gamarket import errors
 from gamarket.bench import scaling_benchmark
 from gamarket.cli import main
 from gamarket.config import SimulationConfig, parse_config, resolved_text
-from gamarket.data import PRICE_MAX, PRICE_MIN, generate_series
+from gamarket.data import DEFAULT_STOCKS, PRICE_MAX, PRICE_MIN, generate_series
 from gamarket.errors import ConfigError
 from gamarket.market import Portfolios, Trade
 from gamarket.metrics import RunMetrics
@@ -544,3 +551,102 @@ def test_run_rejects_a_price_file_that_is_not_utf8(tmp_path, cli_process):
     assert result.stderr.startswith(f"DataError: {data}: not UTF-8 text")
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+class _Hang(Exception):
+    """A fuzzed run outlived its time limit."""
+
+
+def _on_alarm(signum, frame):
+    raise _Hang("a fuzzed run took longer than its time limit")
+
+
+ERROR_NAMES = {
+    name
+    for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.SimulationError)
+}
+FUZZ_FLOATS = ("p_cross", "p_mut", "learning_rate", "weight_init_scale", "initial_cash")
+FUZZ_PRICES = generate_series(12, seed=7)
+
+
+def _fuzz_run(prices, config_lines, seconds=5):
+    """Run the CLI in-process on a short run; its exit code and stderr.
+
+    The run writes into a fresh temporary directory and fails the test
+    with _Hang if it takes longer than `seconds`.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        data, config_path = os.path.join(tmp, "prices.csv"), os.path.join(tmp, "run.cfg")
+        rows = [",".join([str(day), *map(repr, row.tolist())]) for day, row in enumerate(prices)]
+        with open(data, "w") as handle:
+            handle.write("\n".join(["day," + ",".join(DEFAULT_STOCKS), *rows]) + "\n")
+        with open(config_path, "w") as handle:
+            lines = ["seed = 3", f"input_path = {data}", "players = 2", "agents_per_stock = 1"]
+            lines += [*config_lines, f"output_dir = {os.path.join(tmp, 'out')}"]
+            handle.write("\n".join(lines) + "\n")
+        stderr = io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.alarm(seconds)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(["run", "--config", config_path])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    return code, stderr.getvalue()
+
+
+def _assert_clean_exit(code, stderr):
+    """Exit 0 with an empty stderr, or exit 1 with one line naming a SimulationError."""
+    assert code in (0, 1) and "Traceback" not in stderr
+    if code == 0:
+        assert stderr == ""
+        return None
+    [line] = stderr.splitlines()
+    name, sep, message = line.partition(": ")
+    assert sep and message and name in ERROR_NAMES, line
+    return name
+
+
+# No shrinking: each shrink step of a hanging example would wait out its
+# time limit again, so a hang would stall the suite for minutes.
+FUZZ_PHASES = (Phase.explicit, Phase.reuse, Phase.generate)
+SHORT_RUN = {
+    "window": st.integers(2, 5),
+    "days": st.integers(0, 5),
+    "evolution_cadence": st.integers(1, 3),
+    "epochs": st.integers(1, 2),
+}
+
+
+@settings(max_examples=400, deadline=None, phases=FUZZ_PHASES)
+@given(
+    short=st.fixed_dictionaries(SHORT_RUN),
+    floats=st.dictionaries(st.sampled_from(FUZZ_FLOATS), st.floats()),
+    supply=st.sampled_from([0, 1, 2**63 - 1, 2**63]),
+)
+def test_fuzzed_configs_end_in_a_clean_exit(short, floats, supply):
+    # Any float, subnormals, -0.0, infinities and NaN included, in any
+    # subset of the five float keys (the rest keep their defaults), and
+    # supplies at the int64 edges end a run in exit 0 or in one named
+    # error, never in a traceback or a hang.
+    lines = [f"{key} = {value!r}" for key, value in {**short, **floats}.items()]
+    _assert_clean_exit(*_fuzz_run(FUZZ_PRICES, [*lines, f"total_supply = {supply}"]))
+
+
+@settings(max_examples=300, deadline=None, phases=FUZZ_PHASES)
+@given(short=st.fixed_dictionaries(SHORT_RUN), exponent=st.integers(-320, 300))
+def test_fuzzed_price_scales_end_in_a_clean_exit(short, exponent):
+    # Prices scaled by 10**exponent: a file with any price outside
+    # [PRICE_MIN, PRICE_MAX] is exactly a DataError naming the first such
+    # price and its line, and an in-range file ends like any other run.
+    prices = FUZZ_PRICES * 10.0**exponent
+    code, stderr = _fuzz_run(prices, [f"{k} = {v}" for k, v in short.items()])
+    name = _assert_clean_exit(code, stderr)
+    outside = np.argwhere(~((PRICE_MIN <= prices) & (prices <= PRICE_MAX)))
+    if len(outside):
+        day, stock = outside[0]
+        assert name == "DataError"
+        bad = f"price {prices[day, stock].item()!r} for {DEFAULT_STOCKS[stock]} {RANGE}"
+        assert stderr.endswith(f":{day + 2}: {bad}\n"), stderr

@@ -513,6 +513,37 @@ def test_one_trained_stack_serves_every_window_length_bit_for_bit():
     assert np.array_equal(forward(stack, day), forward(restacked, day))
 
 
+def test_one_stack_gives_a_fresh_stacks_bits_at_every_call_and_length():
+    # A stack keeps its gradient and group buffers between calls, sized for
+    # one n at a time.  Each call, after others at other lengths, must give
+    # the bits of the same call on a freshly built stack, and no call may
+    # overwrite an array an earlier call returned.
+    rng = np.random.default_rng(43)
+    stack, _ = mixed_population(rng)
+    hp = Hyperparams(epochs=3)
+
+    def trained(s, window):
+        result = train(s, window, hp)
+        return np.concatenate((result.weights, result.errors))
+
+    calls = [
+        ("forward", 3, lambda s, window: forward(s, window.inputs)),
+        ("mse_gradient", 7, mse_gradient),
+        ("forward(days=True)", 2, lambda s, window: forward(s, window.inputs, days=True)),
+        ("train", 5, trained),
+        ("mse_gradient", 3, mse_gradient),
+    ]
+    returned = []
+    for name, n, call in calls:
+        window = random_window(rng, len(stack), n)
+        fresh = Stack(stack.hidden, stack.logistic, stack.weight_rows(), stack.errors)
+        got = call(stack, window)
+        assert np.array_equal(got, call(fresh, window)), f"{name} at n = {n}"
+        returned.append((name, got, got.copy()))
+    for name, got, kept in returned:
+        assert np.array_equal(got, kept), f"a later call overwrote the result of {name}"
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     specs=st.lists(
