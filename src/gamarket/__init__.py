@@ -14,6 +14,7 @@ from .errors import (
     SimulationError,
     TradeRejectedError,
     TrainingDivergedError,
+    TrainingWorkerError,
 )
 from .neural import Hyperparams, Stack, TrainingWindow
 from .players import Population
@@ -35,6 +36,7 @@ __all__ = [
     "TradeRejectedError",
     "TrainingDivergedError",
     "TrainingWindow",
+    "TrainingWorkerError",
     "parse_config",
     "run_simulation",
     "__version__",

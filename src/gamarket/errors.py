@@ -28,3 +28,7 @@ class TradeRejectedError(SimulationError):
 
 class ConservationError(SimulationError):
     """A day's clearing changed a stock's share total or the total cash."""
+
+
+class TrainingWorkerError(SimulationError):
+    """The second training process died or failed before returning its rows."""

@@ -63,6 +63,39 @@ keeps `sum(axis=1)`.  The three `@` calls get contiguous operands: BLAS
 `gemv` on a strided view differs in the last bits from the contiguous
 matrix when h <= 3, so padding every group to 10 units, or slicing the
 groups out of one padded buffer, would not be bit-exact.
+
+Given a `worker.TrainingWorker`, `train` checks before each epoch,
+without waiting, whether the worker has said it is ready; the first epoch
+that finds it ready splits the call across two processes, with one cut at
+a sorted row r.  This process trains rows < r for the remaining epochs,
+the worker trains rows >= r with the same epoch loop (`train_rows`) and
+returns their flat weights and final errors; rows < r are a prefix of
+the sorted weights, so the worker's weights are the suffix.  The
+divergence check then runs on the joined errors, so it names the same
+agent.  Rows never mix in any product or sum, so a row computes the
+same bits on either side of any cut, at any r, inside a group or not,
+and from any epoch on.  `_balanced_cut` picks r so that the two sides
+cost about the same, by a model fitted to single-process `train`
+timings at n = 50 (one BLAS thread, 2-vCPU AVX-512 host): an epoch costs
+a side about 18 us for each hidden-count group it touches, plus
+(0.026 + 0.0057 * h) us per window sample of each row of h units.
+
+`simulation.run_simulation` starts a worker for the whole run only if
+the process may use at least 2 CPUs (`os.sched_getaffinity`), the run has
+at least 2 generations, and agents * window * epochs, the work of each of
+its `train` calls, reaches SPLIT_MIN_WORK = 150,000.  The worker is ready
+0.15-0.35 s after it starts; until then every epoch trains here.  On the
+host above, one split call of 96 agents at n = 50 took 1.16-1.28 times
+as long as an unsplit one at 4,800-24,000 units of work (pickling, the
+pipe and waking the worker cost about 1 ms), 0.6-0.7 times from about
+48,000 up, and about 0.55 times at 960,000.  A whole run also pays for
+the worker's start, 5-25 ms, mostly because the two processes slow each
+other while it imports.  Runs of 10 generations (500 days, 2 players,
+200 epochs, n = 50; medians of 8 alternating pairs) broke even with a
+worker at 60,000 and 120,000 (211 -> 206 ms and 294 -> 296 ms, faster in
+4 and 5 of 8) and gained from 180,000 on (381 -> 332 ms, 7 of 8;
+240,000: 520 -> 406 ms, 8 of 8).  SPLIT_MIN_WORK lies between the last
+run that broke even and the first that gained.
 """
 
 from __future__ import annotations
@@ -82,6 +115,16 @@ HIDDEN_MAX = 10
 
 _SIGMOID_LO = float(np.finfo(float).tiny)
 _SIGMOID_HI = float(np.nextafter(1.0, 0.0))
+
+# `_balanced_cut`'s cost of one epoch of one side of a split `train` call,
+# in microseconds: _GROUP_US for each hidden-count group the side touches,
+# plus _ROW_US + _ROW_H_US * h per window sample of each row of h units.
+_GROUP_US = 18.0
+_ROW_US = 0.026
+_ROW_H_US = 0.0057
+# The least agents * window * epochs of its `train` calls for which a run
+# starts a worker process; the module docstring derives it.
+SPLIT_MIN_WORK = 150_000
 
 
 @dataclass(frozen=True)
@@ -232,6 +275,20 @@ class Stack:
         sorted_weights = [weights[i] for i in self.order.tolist()]
         self._cut(np.concatenate(sorted_weights, dtype=float) if sorted_weights else np.empty(0))
 
+    @classmethod
+    def _of_sorted(cls, hidden, logistic, weights: np.ndarray) -> Stack:
+        """A stack whose population order is its sorted order, over `weights` itself.
+
+        `hidden` must be ascending and `weights` the rows' flat weights in
+        that order; the stack trains them in place.
+        """
+        stack = cls.__new__(cls)
+        stack.hidden, stack.logistic = np.asarray(hidden), np.asarray(logistic)
+        stack.errors = np.full(len(stack.hidden), np.nan)
+        stack.order, stack.sorted_logistic = np.arange(len(stack.hidden)), stack.logistic
+        stack._cut(weights)
+        return stack
+
     def _cut(self, weights: np.ndarray) -> None:
         """Hold `weights`, the flat sorted array, a `grad` like it, and a _Group per h."""
         self.weights, self.grad = weights, np.empty_like(weights)
@@ -312,12 +369,60 @@ def _gradients(stack: Stack, xs: np.ndarray, ys: np.ndarray):
         group.backward(xs, delta)
 
 
-def train(stack: Stack, window: TrainingWindow, hp: Hyperparams) -> Stack:
+def _descend(stack: Stack, xs: np.ndarray, ys: np.ndarray, epochs: int, lr: float, stop) -> int:
+    """Run up to `epochs` epochs on the stack's sorted rows in place, until `stop()` is true.
+
+    Returns the number of epochs run.
+    """
+    # A diverging row overflows; `train` reports it instead of numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(epochs):
+            if stop():
+                return done
+            _gradients(stack, xs, ys)
+            stack.grad *= lr
+            stack.weights -= stack.grad
+    return epochs
+
+
+def _final_mse(stack: Stack, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _mse(_predict(stack, xs), ys)
+
+
+def train_rows(hidden, logistic, weights, xs, ys, epochs: int, lr: float):
+    """Train sorted rows given as arrays: `train`'s epoch loop on one side of its cut.
+
+    `hidden` is ascending, `weights` holds the rows' flat weights in that
+    order and is trained in place.  Returns (weights, final MSE per row).
+    """
+    stack = Stack._of_sorted(hidden, logistic, weights)
+    _descend(stack, xs, ys, epochs, lr, stop=lambda: False)
+    return stack.weights, _final_mse(stack, xs, ys)
+
+
+def _balanced_cut(hidden: np.ndarray, n: int) -> int:
+    """The row r in [1, len(hidden) - 1] of sorted rows that best balances the two sides.
+
+    A side costs _GROUP_US for each hidden-count group it touches plus
+    n * (_ROW_US + _ROW_H_US * h) for each row; r minimizes the larger side.
+    """
+    rows, starts = n * (_ROW_US + _ROW_H_US * hidden), np.r_[True, hidden[1:] != hidden[:-1]]
+    cost, groups = np.cumsum(rows), np.cumsum(starts)
+    head = cost[:-1] + _GROUP_US * groups[:-1]
+    tail = cost[-1] - cost[:-1] + _GROUP_US * (1 + groups[-1] - groups[1:])
+    return int(np.argmin(np.maximum(head, tail))) + 1
+
+
+def train(stack: Stack, window: TrainingWindow, hp: Hyperparams, worker=None) -> Stack:
     """Full-batch gradient descent for hp.epochs passes, agent i on window row i.
 
     Returns a new Stack of the same agents, its sorted weights copied from
     `stack` without re-sorting, trained, and its errors holding each
-    agent's final training MSE; `stack` is left untouched.  Raises
+    agent's final training MSE; `stack` is left untouched.  Given a
+    `worker.TrainingWorker`, the first epoch that finds it ready hands it
+    the remaining epochs of the sorted rows from `_balanced_cut` on, and
+    this process trains the rest; the bits are the same.  Raises
     TrainingDivergedError naming the first agent, in population order,
     whose final MSE is not finite.
     """
@@ -326,14 +431,20 @@ def train(stack: Stack, window: TrainingWindow, hp: Hyperparams) -> Stack:
     trained = copy.copy(stack)
     trained._cut(stack.weights.copy())
     xs, ys = window.inputs[stack.order], window.targets[stack.order]
-    # A diverging row overflows; the check below reports it instead of numpy.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(hp.epochs):
-            _gradients(trained, xs, ys)
-            trained.grad *= hp.learning_rate
-            trained.weights -= trained.grad
-        trained.errors = np.empty(len(stack))
-        trained.errors[stack.order] = _mse(_predict(trained, xs), ys)
+    ready = worker.ready if worker is not None and len(stack) > 1 else lambda: False
+    left = hp.epochs - _descend(trained, xs, ys, hp.epochs, hp.learning_rate, stop=ready)
+    if left:
+        hidden, logistic, lr = stack.hidden[stack.order], stack.sorted_logistic, hp.learning_rate
+        cut = _balanced_cut(hidden, xs.shape[1])
+        head, tail = np.split(trained.weights, [np.sum(3 * hidden[:cut] + 1)])
+        worker.submit(hidden[cut:], logistic[cut:], tail, xs[cut:], ys[cut:], left, lr)
+        _, errors = train_rows(hidden[:cut], logistic[:cut], head, xs[:cut], ys[:cut], left, lr)
+        tail[:], tail_errors = worker.result()
+        errors = np.concatenate([errors, tail_errors])
+    else:
+        errors = _final_mse(trained, xs, ys)
+    trained.errors = np.empty(len(stack))
+    trained.errors[stack.order] = errors
     diverged = np.flatnonzero(~np.isfinite(trained.errors))
     if len(diverged):
         i = diverged[0]

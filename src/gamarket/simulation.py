@@ -25,11 +25,17 @@ predicts its days in blocks of at most `window` days, so no hidden-layer
 buffer outgrows the one that scoring uses, and one `decide` call fixes
 every day's sides and stocks.  Each day's prediction and decision keep
 the bits of a call for that day alone.
+
+A run whose `train` calls are large enough owns one
+`worker.TrainingWorker` for its whole length and hands it to every
+`train` call, which then trains part of the population in that second
+process with the same bits (see `neural` for the rule and the split).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +46,7 @@ from .errors import ConservationError, InsufficientHistoryError, TrainingDiverge
 from .evolution import evolve_generation
 from .market import Portfolios, Trade, decide, run_clearing
 from .metrics import RunMetrics, record_generation, record_networth
-from .neural import Stack, TrainingWindow, draw_population, evaluate_error, train
+from .neural import SPLIT_MIN_WORK, Stack, TrainingWindow, draw_population, evaluate_error, train
 from .players import Population, committee_predict
 from .rng import make_streams
 
@@ -97,9 +103,34 @@ def _predict_generation(
     return np.concatenate([committee_predict(population, b, norm_params) for b in blocks])
 
 
+def _wants_worker(config: SimulationConfig) -> bool:
+    """Whether a run's `train` calls are worth splitting with a second process.
+
+    Every call of a run trains agents * window * epochs of work; see the
+    `neural` docstring for SPLIT_MIN_WORK.  A run of one generation would
+    end before the worker is ready.
+    """
+    agents = config.players * len(config.stocks) * config.agents_per_stock
+    return (
+        hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and len(range(0, config.days, config.evolution_cadence)) >= 2
+        and agents * config.window * config.epochs >= SPLIT_MIN_WORK
+    )
+
+
 def run_simulation(config: SimulationConfig) -> RunOutput:
     """Run the whole market simulation described by `config`."""
     config.validate()
+    if not _wants_worker(config):
+        return _run(config, None)
+    from .worker import TrainingWorker  # here, so a run without one never loads it
+
+    with TrainingWorker() as worker:
+        return _run(config, worker)
+
+
+def _run(config: SimulationConfig, worker) -> RunOutput:
     prices_by_day = load_prices(config.input_path, config.stocks)
     needed = config.window + max(config.days, 1)
     if len(prices_by_day) < needed:
@@ -118,7 +149,8 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
     trades: list[Trade] = []
 
     window, norm_params = build_window(prices_by_day, config.window, config.window)
-    population.stack = train(population.stack, population.windows(window), config.hyperparams())
+    hp = config.hyperparams()
+    population.stack = train(population.stack, population.windows(window), hp, worker)
     record_generation(metrics, 0, population)
 
     starts = range(config.window, end, config.evolution_cadence)
@@ -127,7 +159,7 @@ def run_simulation(config: SimulationConfig) -> RunOutput:
             population = evolve_generation(
                 population, errors, config.ga_params(), streams, config.weight_init_scale
             )
-            population.stack = train(population.stack, rows, config.hyperparams())
+            population.stack = train(population.stack, rows, hp, worker)
             record_generation(metrics, generation, population)
         stop = min(start + config.evolution_cadence, end)
         traded = prices_by_day[start:stop]

@@ -1,5 +1,6 @@
-"""Shared fixtures."""
+"""Shared fixtures, and a session check that no test leaves a child process behind."""
 
+import glob
 import importlib.util
 import os
 import subprocess
@@ -14,11 +15,31 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(gamarket.__file__)))
 PERFBENCH = os.path.join(os.path.dirname(SRC_DIR), "perfbench")
 
 
+def _child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=SRC_DIR, PYTHONHASHSEED="12345")
+
+
 def _python(args, timeout: float) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=SRC_DIR, PYTHONHASHSEED="12345")
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *args], env=_child_env(), capture_output=True, text=True, timeout=timeout
     )
+
+
+def _child_pids(pid="self") -> list[int]:
+    """The process ids of a process's children, alive or not yet reaped (Linux /proc)."""
+    pids = []
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        with open(path) as handle:
+            pids.extend(int(child) for child in handle.read().split())
+    return pids
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the session if any child process of pytest is still there at its end."""
+    left = _child_pids()
+    if left:
+        print(f"\nchild processes left running by the tests: {left}", file=sys.stderr)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture
@@ -35,6 +56,38 @@ def cli_process():
         return _python(["-m", "gamarket.cli", *args], timeout)
 
     return run
+
+
+@pytest.fixture
+def cli_popen():
+    """Start `python -m gamarket.cli ARGS` in a fresh interpreter and return its Popen.
+
+    Its output is piped as text; a child still running at teardown is killed.
+    """
+    started = []
+
+    def start(*args: str) -> subprocess.Popen:
+        started.append(
+            subprocess.Popen(
+                [sys.executable, "-m", "gamarket.cli", *args],
+                env=_child_env(),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        )
+        return started[-1]
+
+    yield start
+    for process in started:
+        process.kill()
+        process.communicate()
+
+
+@pytest.fixture
+def child_pids():
+    """`child_pids(pid)`: the ids of a process's children, alive or not yet reaped."""
+    return _child_pids
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Stack construction, forward pass, gradients and training."""
 
 import math
+import pickle
+import time
 import warnings
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamarket.errors import ConfigError, DataError, TrainingDivergedError
+from gamarket import neural
+from gamarket.errors import ConfigError, DataError, TrainingDivergedError, TrainingWorkerError
 from gamarket.neural import (
     HIDDEN_MAX,
     HIDDEN_MIN,
@@ -22,7 +25,9 @@ from gamarket.neural import (
     forward,
     mse_gradient,
     train,
+    train_rows,
 )
+from gamarket.worker import TrainingWorker
 
 
 def make_agent(hidden, logistic, weights):
@@ -648,3 +653,116 @@ def test_divergence_inside_a_mixed_stack_names_the_first_diverged_agent():
     assert "3-unit linear" in message
     assert "200 epochs" in message
     assert "learning rate 1000.0" in message
+
+
+class InlineWorker:
+    """A worker that trains the rows handed to it in this process.
+
+    It says it is ready from its `checks`-th `ready` call on, and trains
+    pickled copies of the job, as the worker process does.
+    """
+
+    def __init__(self, checks=1):
+        self.jobs, self.checks = 0, checks
+
+    def ready(self):
+        self.checks -= 1
+        return self.checks <= 0
+
+    def submit(self, *job):
+        self.jobs += 1
+        self.reply = train_rows(*pickle.loads(pickle.dumps(job)))
+
+    def result(self):
+        return self.reply
+
+
+def divergence_message(stack, window, hp, worker=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError) as info:
+            train(stack, window, hp, worker)
+    return str(info.value)
+
+
+def test_a_split_call_equals_one_process_bit_for_bit_at_every_cut(monkeypatch):
+    # Every cut of the sorted rows: inside groups and between them, with
+    # one-row groups and a one-row side at either end.
+    rng = np.random.default_rng(42)
+    hp = Hyperparams(epochs=30)
+    for stack in (mixed_population(rng)[0], new_stack(ONE_ROW_GROUPS, rng)):
+        window = random_window(rng, len(stack), 50)
+        whole = train(stack, window, hp)
+        for cut in range(1, len(stack)):
+            monkeypatch.setattr(neural, "_balanced_cut", lambda hidden, n: cut)
+            worker = InlineWorker()
+            split = train(stack, window, hp, worker)
+            assert worker.jobs == 1
+            assert np.array_equal(split.weights, whole.weights), f"weights differ at cut {cut}"
+            assert np.array_equal(split.errors, whole.errors), f"errors differ at cut {cut}"
+            assert np.all(np.isnan(stack.errors))
+
+
+def test_a_worker_ready_between_epochs_takes_the_remaining_epochs_bit_for_bit():
+    # The worker is first found ready before epoch `checks` - 1 of 30: the
+    # rows train alone until then, and split after.  At 31 checks it is
+    # never ready within the call.
+    rng = np.random.default_rng(45)
+    stack, _ = mixed_population(rng)
+    window = random_window(rng, len(stack), 50)
+    hp = Hyperparams(epochs=30)
+    whole = train(stack, window, hp)
+    for checks in (1, 2, 16, 30, 31):
+        worker = InlineWorker(checks)
+        split = train(stack, window, hp, worker)
+        assert worker.jobs == (checks <= 30)
+        assert np.array_equal(split.weights, whole.weights), f"weights differ at {checks} checks"
+        assert np.array_equal(split.errors, whole.errors), f"errors differ at {checks} checks"
+
+
+def test_a_diverging_row_on_either_side_of_the_cut_names_the_same_agent(monkeypatch):
+    # Both linear agents diverge.  The first in population order, the
+    # 7-unit one, sorts last, so every cut leaves it on the worker's side
+    # and the 3-unit one on this process's side.
+    rng = np.random.default_rng(43)
+    xs = np.linspace(0.1, 0.9, 50)
+    stack = new_stack([(7, LINEAR), (5, LOGISTIC), (3, LINEAR), (3, LOGISTIC)], rng)
+    window = TrainingWindow(np.tile(xs, (4, 1)), np.tile(xs, (4, 1)))
+    hp = Hyperparams(epochs=200, learning_rate=1000.0)
+    whole = divergence_message(stack, window, hp)
+    assert "7-unit linear" in whole
+    for cut in range(1, len(stack)):
+        monkeypatch.setattr(neural, "_balanced_cut", lambda hidden, n: cut)
+        assert divergence_message(stack, window, hp, InlineWorker()) == whole, f"cut {cut}"
+
+
+def test_the_balanced_cut_splits_a_uniform_population_near_its_middle():
+    hidden = np.repeat(np.arange(HIDDEN_MIN, HIDDEN_MAX + 1), 10)
+    cut = neural._balanced_cut(hidden, 50)
+    assert 40 <= cut <= 60
+    assert neural._balanced_cut(np.array([3, 3]), 50) == 1
+
+
+def test_a_split_through_the_worker_process_equals_one_process_bit_for_bit(monkeypatch):
+    # After the split call, a job the worker cannot run comes back as a
+    # named error.
+    rng = np.random.default_rng(44)
+    stack, _ = mixed_population(rng)
+    window = random_window(rng, len(stack), 50)
+    hp = Hyperparams(epochs=30)
+    with TrainingWorker() as worker:
+        deadline = time.monotonic() + 60
+        while not worker.ready():
+            assert time.monotonic() < deadline, "the worker never said it was ready"
+            time.sleep(0.01)
+        jobs = []
+        submit = worker.submit
+        monkeypatch.setattr(worker, "submit", lambda *job: jobs.append(job) or submit(*job))
+        split = train(stack, window, hp, worker)
+        worker.submit("not", "a", "job")
+        with pytest.raises(TrainingWorkerError, match="training worker failed: TypeError"):
+            worker.result()
+    whole = train(stack, window, hp)
+    assert len(jobs) == 2
+    assert np.array_equal(split.weights, whole.weights)
+    assert np.array_equal(split.errors, whole.errors)

@@ -1,7 +1,13 @@
 """End-to-end tests of the simulation loop at a small, fast scale."""
 
+import dataclasses
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gamarket.market
 import gamarket.players
@@ -258,3 +264,130 @@ def test_a_bad_prediction_stops_the_run_before_its_generation_trades(tmp_path, m
     with pytest.raises(ConfigError, match="predictions must be finite and > 0"):
         run_simulation(_small_config(tmp_path))
     assert cleared == []
+
+
+# Whole-run relations between two runs on one host, so they hold under any
+# BLAS kernel or SIMD level.  The runs are crowd-like (many one-agent
+# players, large supplies, volatile prices), so most runs trade.
+RELATION_STOCKS = ("A", "B", "C")
+
+
+def _relation_config(path, seed, players, days, cadence, cash=4e6):
+    return SimulationConfig(
+        seed=seed,
+        input_path=str(path),
+        players=players,
+        agents_per_stock=1,
+        stocks=RELATION_STOCKS,
+        total_supply=(200_000, 20_000, 2_000),
+        window=10,
+        evolution_cadence=cadence,
+        days=days,
+        epochs=2,
+        initial_cash=cash,
+    )
+
+
+def _write_exact_prices(path, prices):
+    """A price file whose every cell parses back to exactly the float given."""
+    lines = [f"{day}," + ",".join(repr(float(p)) for p in row) for day, row in enumerate(prices)]
+    path.write_text("day," + ",".join(RELATION_STOCKS) + "\n" + "\n".join(lines) + "\n")
+
+
+def _series(seed, rows):
+    return generate_series(rows, seed=seed, start_prices=(50.0, 80.0, 20.0), volatility=0.03)
+
+
+def _watching(run):
+    """Run `run()`; return its output, every committee prediction and every decision."""
+    predictions, decisions = [], []
+    predict, decide = gamarket.simulation.committee_predict, gamarket.simulation.decide
+
+    def watch(fn, seen):
+        def call(*args):
+            seen.append(fn(*args))
+            return seen[-1]
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gamarket.simulation, "committee_predict", watch(predict, predictions))
+        patch.setattr(gamarket.simulation, "decide", watch(decide, decisions))
+        output = run()
+    return output, np.concatenate(predictions), [np.concatenate(d) for d in zip(*decisions)]
+
+
+RUN_SHAPES = dict(
+    seed=st.integers(0, 2**16),
+    players=st.integers(2, 12),
+    days=st.integers(1, 40),
+    cadence=st.integers(1, 15),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(-6, 10).filter(bool), **RUN_SHAPES)
+def test_scaling_every_price_and_the_cash_by_a_power_of_two_scales_only_the_money(
+    k, seed, players, days, cadence
+):
+    # Rounding to the nearest double commutes with a power-of-two scale, so
+    # predictions scale exactly and decisions and order sizes stay the same.
+    # The one absolute constant on the path is players.PRICE_FLOOR, which no
+    # prediction may reach.  Prices stay inside [PRICE_MIN, PRICE_MAX].
+    scale = 2.0**k
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for factor in (1.0, scale):
+            path = pathlib.Path(tmp) / f"prices-{factor!r}.csv"
+            _write_exact_prices(path, _series(seed, 10 + days) * factor)
+            config = _relation_config(path, seed, players, days, cadence, cash=4e6 * factor)
+            runs.append(_watching(lambda: run_simulation(config)))
+    (base, base_predicted, base_decided), (scaled, scaled_predicted, scaled_decided) = runs
+    assert base_predicted.min() > gamarket.players.PRICE_FLOOR
+    assert np.array_equal(scaled_predicted, base_predicted * scale)
+    for scaled_part, base_part in zip(scaled_decided, base_decided, strict=True):
+        assert np.array_equal(scaled_part, base_part)  # sides, stocks and relative changes
+    moves = [dataclasses.astuple(t)[:-1] for t in base.trades]
+    assert [dataclasses.astuple(t)[:-1] for t in scaled.trades] == moves
+    assert [t.price for t in scaled.trades] == [t.price * scale for t in base.trades]
+    for (day, worths), (scaled_day, scaled_worths) in zip(
+        base.metrics.networth_by_day, scaled.metrics.networth_by_day, strict=True
+    ):
+        assert scaled_day == day
+        assert np.array_equal(scaled_worths, worths * scale)
+    assert scaled.metrics.generation_error_rows == base.metrics.generation_error_rows
+    assert np.array_equal(scaled.portfolios.holdings, base.portfolios.holdings)
+    assert np.array_equal(scaled.portfolios.cash, base.portfolios.cash * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(more=st.integers(1, 30), **RUN_SHAPES)
+def test_a_run_trades_as_the_start_of_a_longer_run_and_without_later_prices(
+    more, seed, players, days, cadence
+):
+    # A run of D days sees nothing past its last day: it equals the first D
+    # days of a run of D + more days, and the same run on a price file cut
+    # after its last day.  The one difference is the last generation's
+    # score when D is not a multiple of the cadence: it is scored on the
+    # window ending on its last day, the longer run on a later one.
+    with tempfile.TemporaryDirectory() as tmp:
+        prices = _series(seed, 10 + days + more)
+        full, cut = pathlib.Path(tmp) / "full.csv", pathlib.Path(tmp) / "cut.csv"
+        _write_exact_prices(full, prices)
+        _write_exact_prices(cut, prices[: 10 + days])
+        short = run_simulation(_relation_config(full, seed, players, days, cadence))
+        alone = run_simulation(_relation_config(cut, seed, players, days, cadence))
+        longer = run_simulation(_relation_config(full, seed, players, days + more, cadence))
+    assert _fingerprint(alone) == _fingerprint(short)
+    last = 10 + days
+    assert [t for t in longer.trades if t.day < last] == short.trades
+    assert all(
+        day == other_day and np.array_equal(worths, other)
+        for (day, worths), (other_day, other) in zip(
+            short.metrics.networth_by_day, longer.metrics.networth_by_day[:days], strict=True
+        )
+    )
+    rows = short.metrics.generation_error_rows
+    same = len(rows) if days % cadence == 0 else len(rows) - 1
+    assert longer.metrics.generation_error_rows[:same] == rows[:same]
+    assert longer.metrics.hidden_rows[: len(short.metrics.hidden_rows)] == short.metrics.hidden_rows
