@@ -64,38 +64,37 @@ keeps `sum(axis=1)`.  The three `@` calls get contiguous operands: BLAS
 matrix when h <= 3, so padding every group to 10 units, or slicing the
 groups out of one padded buffer, would not be bit-exact.
 
-Given a `worker.TrainingWorker`, `train` checks before each epoch,
-without waiting, whether the worker has said it is ready; the first epoch
-that finds it ready splits the call across two processes, with one cut at
-a sorted row r.  This process trains rows < r for the remaining epochs,
-the worker trains rows >= r with the same epoch loop (`train_rows`) and
-returns their flat weights and final errors; rows < r are a prefix of
-the sorted weights, so the worker's weights are the suffix.  The
-divergence check then runs on the joined errors, so it names the same
-agent.  Rows never mix in any product or sum, so a row computes the
-same bits on either side of any cut, at any r, inside a group or not,
-and from any epoch on.  `_balanced_cut` picks r so that the two sides
-cost about the same, by a model fitted to single-process `train`
-timings at n = 50 (one BLAS thread, 2-vCPU AVX-512 host): an epoch costs
-a side about 18 us for each hidden-count group it touches, plus
+Given a `worker.TrainingWorker` and more than one row, `train` splits
+the call across two processes with one cut at a sorted row r.  This
+process trains rows < r, the worker trains rows >= r with the same epoch
+loop (`train_rows`) and returns their flat weights and final errors;
+rows < r are a prefix of the sorted weights, so the worker's weights are
+the suffix.  The divergence check then runs on the joined errors, so it
+names the same agent.  Rows never mix in any product or sum, so a row
+computes the same bits on either side of any cut, at any r, inside a
+group or not.  `_balanced_cut` picks r so that the two sides cost about
+the same, by a model fitted to single-process `train` timings at n = 50
+(one BLAS thread, 2-vCPU AVX-512 host): an epoch costs a side about
+18 us for each hidden-count group it touches, plus
 (0.026 + 0.0057 * h) us per window sample of each row of h units.
 
-`simulation.run_simulation` starts a worker for the whole run only if
-the process may use at least 2 CPUs (`os.sched_getaffinity`), the run has
-at least 2 generations, and agents * window * epochs, the work of each of
-its `train` calls, reaches SPLIT_MIN_WORK = 150,000.  The worker is ready
-0.15-0.35 s after it starts; until then every epoch trains here.  On the
-host above, one split call of 96 agents at n = 50 took 1.16-1.28 times
-as long as an unsplit one at 4,800-24,000 units of work (pickling, the
-pipe and waking the worker cost about 1 ms), 0.6-0.7 times from about
-48,000 up, and about 0.55 times at 960,000.  A whole run also pays for
-the worker's start, 5-25 ms, mostly because the two processes slow each
-other while it imports.  Runs of 10 generations (500 days, 2 players,
-200 epochs, n = 50; medians of 8 alternating pairs) broke even with a
-worker at 60,000 and 120,000 (211 -> 206 ms and 294 -> 296 ms, faster in
-4 and 5 of 8) and gained from 180,000 on (381 -> 332 ms, 7 of 8;
-240,000: 520 -> 406 ms, 8 of 8).  SPLIT_MIN_WORK lies between the last
-run that broke even and the first that gained.
+`simulation.run_simulation` forks a worker for the whole run only if the
+process may use at least 2 CPUs (`os.sched_getaffinity`) and
+agents * window * epochs, the work of each of its `train` calls, reaches
+SPLIT_MIN_WORK = 150,000.  On the host above, one split call of 96
+agents at n = 50 took 1.16-1.28 times as long as an unsplit one at
+4,800-24,000 units of work (pickling, the pipes and waking the worker
+cost about 1 ms), 0.6-0.7 times from about 48,000 up, and about 0.55
+times at 960,000.  The constant itself was set from whole runs with an
+earlier worker, a fresh interpreter that was ready only 0.15-0.35 s
+after it started: runs of 10 generations (500 days, 2 players,
+200 epochs, n = 50; medians of 8 alternating pairs) broke even with that
+worker at 60,000 and 120,000 and gained from 180,000 on, and
+SPLIT_MIN_WORK lies between.  With the forked worker the same runs
+gained at every size measured: 227 -> 194 ms at 60,000 (faster in 7 of
+8), 317 -> 250 ms at 120,000 (7 of 8), 364 -> 288 ms at 180,000 (6 of 8)
+and 429 -> 343 ms at 240,000 (8 of 8).  The break-even now lies below
+60,000; the constant is kept, so the runs that split are the same.
 """
 
 from __future__ import annotations
@@ -369,20 +368,14 @@ def _gradients(stack: Stack, xs: np.ndarray, ys: np.ndarray):
         group.backward(xs, delta)
 
 
-def _descend(stack: Stack, xs: np.ndarray, ys: np.ndarray, epochs: int, lr: float, stop) -> int:
-    """Run up to `epochs` epochs on the stack's sorted rows in place, until `stop()` is true.
-
-    Returns the number of epochs run.
-    """
+def _descend(stack: Stack, xs: np.ndarray, ys: np.ndarray, epochs: int, lr: float) -> None:
+    """Run `epochs` epochs of gradient descent on the stack's sorted rows, in place."""
     # A diverging row overflows; `train` reports it instead of numpy.
     with np.errstate(over="ignore", invalid="ignore"):
-        for done in range(epochs):
-            if stop():
-                return done
+        for _ in range(epochs):
             _gradients(stack, xs, ys)
             stack.grad *= lr
             stack.weights -= stack.grad
-    return epochs
 
 
 def _final_mse(stack: Stack, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -397,7 +390,7 @@ def train_rows(hidden, logistic, weights, xs, ys, epochs: int, lr: float):
     order and is trained in place.  Returns (weights, final MSE per row).
     """
     stack = Stack._of_sorted(hidden, logistic, weights)
-    _descend(stack, xs, ys, epochs, lr, stop=lambda: False)
+    _descend(stack, xs, ys, epochs, lr)
     return stack.weights, _final_mse(stack, xs, ys)
 
 
@@ -420,9 +413,9 @@ def train(stack: Stack, window: TrainingWindow, hp: Hyperparams, worker=None) ->
     Returns a new Stack of the same agents, its sorted weights copied from
     `stack` without re-sorting, trained, and its errors holding each
     agent's final training MSE; `stack` is left untouched.  Given a
-    `worker.TrainingWorker`, the first epoch that finds it ready hands it
-    the remaining epochs of the sorted rows from `_balanced_cut` on, and
-    this process trains the rest; the bits are the same.  Raises
+    `worker.TrainingWorker` and more than one row, the worker trains the
+    sorted rows from `_balanced_cut` on and this process trains the rest,
+    with the same bits.  Raises
     TrainingDivergedError naming the first agent, in population order,
     whose final MSE is not finite.
     """
@@ -431,17 +424,17 @@ def train(stack: Stack, window: TrainingWindow, hp: Hyperparams, worker=None) ->
     trained = copy.copy(stack)
     trained._cut(stack.weights.copy())
     xs, ys = window.inputs[stack.order], window.targets[stack.order]
-    ready = worker.ready if worker is not None and len(stack) > 1 else lambda: False
-    left = hp.epochs - _descend(trained, xs, ys, hp.epochs, hp.learning_rate, stop=ready)
-    if left:
-        hidden, logistic, lr = stack.hidden[stack.order], stack.sorted_logistic, hp.learning_rate
+    epochs, lr = hp.epochs, hp.learning_rate
+    if worker is not None and len(stack) > 1:
+        hidden, logistic = stack.hidden[stack.order], stack.sorted_logistic
         cut = _balanced_cut(hidden, xs.shape[1])
         head, tail = np.split(trained.weights, [np.sum(3 * hidden[:cut] + 1)])
-        worker.submit(hidden[cut:], logistic[cut:], tail, xs[cut:], ys[cut:], left, lr)
-        _, errors = train_rows(hidden[:cut], logistic[:cut], head, xs[:cut], ys[:cut], left, lr)
+        worker.submit(hidden[cut:], logistic[cut:], tail, xs[cut:], ys[cut:], epochs, lr)
+        _, errors = train_rows(hidden[:cut], logistic[:cut], head, xs[:cut], ys[:cut], epochs, lr)
         tail[:], tail_errors = worker.result()
         errors = np.concatenate([errors, tail_errors])
     else:
+        _descend(trained, xs, ys, epochs, lr)
         errors = _final_mse(trained, xs, ys)
     trained.errors = np.empty(len(stack))
     trained.errors[stack.order] = errors

@@ -26,7 +26,7 @@ buffer outgrows the one that scoring uses, and one `decide` call fixes
 every day's sides and stocks.  Each day's prediction and decision keep
 the bits of a call for that day alone.
 
-A run whose `train` calls are large enough owns one
+A run whose `train` calls are large enough forks one
 `worker.TrainingWorker` for its whole length and hands it to every
 `train` call, which then trains part of the population in that second
 process with the same bits (see `neural` for the rule and the split).
@@ -107,14 +107,12 @@ def _wants_worker(config: SimulationConfig) -> bool:
     """Whether a run's `train` calls are worth splitting with a second process.
 
     Every call of a run trains agents * window * epochs of work; see the
-    `neural` docstring for SPLIT_MIN_WORK.  A run of one generation would
-    end before the worker is ready.
+    `neural` docstring for SPLIT_MIN_WORK.
     """
     agents = config.players * len(config.stocks) * config.agents_per_stock
     return (
         hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
-        and len(range(0, config.days, config.evolution_cadence)) >= 2
         and agents * config.window * config.epochs >= SPLIT_MIN_WORK
     )
 

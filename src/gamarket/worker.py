@@ -1,17 +1,15 @@
 """A second process that trains the rows `neural.train` hands it.
 
-`TrainingWorker` starts a fresh interpreter (`python -c`, so the parent's
-`__main__` is never run again) that imports this module and `neural` from
-the parent's copy of the package, writes one ready byte and then serves
-jobs until its stdin closes.  A job is one pickle of `neural.train_rows`' arguments on the
-worker's stdin; the reply is one pickle on its stdout, the trained
-(weights, errors) or the text of the worker's exception.  Both pickles
-are written by this package's own processes.  The worker's fd 1 is
-pointed at its stderr, so nothing it prints can mix with a reply.
-
-`ready` never blocks; `submit` and `result` do.  A worker that died,
-whether before it was ready or during a job, or whose job raised, is a
-`TrainingWorkerError`.  `close` kills and reaps the worker.
+`TrainingWorker` forks this process, so the child already holds numpy and
+`neural` and is ready at once.  A job is one pickle of `neural.train_rows`'
+arguments on one pipe; the reply, on another, is one pickle of the trained
+(weights, errors) or the text of the child's exception.  Both pickles are
+written by this package's own processes.  The child closes the pipe ends
+it does not use, so its loop ends as soon as the parent closes the job
+pipe or dies, and it leaves only through `os._exit`: it never returns into
+the caller's code, runs no `atexit` handler and flushes no buffer it
+inherited.  A worker that died, or whose job raised, is a
+`TrainingWorkerError`.
 """
 
 from __future__ import annotations
@@ -19,56 +17,50 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
-import select
-import subprocess
-import sys
+import signal
 
 from .errors import TrainingWorkerError
 from .neural import train_rows
 
-# The worker skips `site` and takes the parent's `sys.path` instead, and it
-# imports only this module and `neural`, not the package's `__init__`: on an
-# idle 2-vCPU host that made it ready 40-70 ms sooner.
-_BOOT = (
-    "import sys, types; package = types.ModuleType('gamarket'); package.__path__ = [sys.argv[1]]; "
-    "sys.modules['gamarket'] = package; sys.path[:0] = sys.argv[2:]; "
-    "from gamarket.worker import serve; serve()"
-)
-_READY = b"R"
-
 
 class TrainingWorker:
-    """One worker process, owned by a `with` block."""
+    """One forked worker process, owned by a `with` block."""
 
     def __init__(self) -> None:
-        package = os.path.dirname(os.path.abspath(__file__))
-        self._process = subprocess.Popen(
-            [sys.executable, "-S", "-c", _BOOT, package, *sys.path],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-        )
-        self._ready = False
-
-    def ready(self) -> bool:
-        """Whether the worker has said it is ready; never waits for it."""
-        if not self._ready and select.select([self._process.stdout], [], [], 0)[0]:
-            if self._process.stdout.read(1) != _READY:
-                self._stopped()
-            self._ready = True
-        return self._ready
+        jobs_read, jobs_write = os.pipe()
+        replies_read, replies_write = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            for fd in (jobs_read, jobs_write, replies_read, replies_write):
+                os.close(fd)
+            raise
+        if self._pid == 0:
+            code = 1
+            try:
+                os.close(jobs_write)
+                os.close(replies_read)
+                _serve(os.fdopen(jobs_read, "rb"), os.fdopen(replies_write, "wb"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(jobs_read)
+        os.close(replies_write)
+        self._jobs, self._replies = os.fdopen(jobs_write, "wb"), os.fdopen(replies_read, "rb")
+        self._status = None
 
     def submit(self, *job) -> None:
         """Send `neural.train_rows`' arguments; `result` returns what it returned."""
         try:
-            self._process.stdin.write(pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL))
-            self._process.stdin.flush()
+            pickle.dump(job, self._jobs, protocol=pickle.HIGHEST_PROTOCOL)
+            self._jobs.flush()
         except BrokenPipeError:
             self._stopped()
 
     def result(self):
         """Wait for the reply to the job `submit` sent."""
         try:
-            reply = pickle.load(self._process.stdout)
+            reply = pickle.load(self._replies)
         except (EOFError, pickle.UnpicklingError):
             self._stopped()
         if isinstance(reply, str):
@@ -76,18 +68,23 @@ class TrainingWorker:
         return reply
 
     def _stopped(self):
-        self._process.kill()  # a no-op once it has exited
-        code = self._process.wait()
+        os.kill(self._pid, signal.SIGKILL)  # a no-op once it has exited
         raise TrainingWorkerError(
-            f"training worker stopped (exit status {code}) before returning its rows"
+            f"training worker stopped (exit status {self._reap()}) before returning its rows"
         )
 
+    def _reap(self) -> int:
+        """Wait for the child to exit, once; its exit status."""
+        if self._status is None:
+            self._status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        return self._status
+
     def close(self) -> None:
-        self._process.kill()
-        self._process.wait()
-        self._process.stdout.close()
-        with contextlib.suppress(BrokenPipeError):  # a job left unsent when the worker died
-            self._process.stdin.close()
+        """End the child's loop and reap it; a job still running finishes first."""
+        with contextlib.suppress(BrokenPipeError):  # a job left unsent when the child died
+            self._jobs.close()
+        self._replies.close()
+        self._reap()
 
     def __enter__(self) -> TrainingWorker:
         return self
@@ -96,12 +93,8 @@ class TrainingWorker:
         self.close()
 
 
-def serve() -> None:
-    """The worker's loop: say ready, then answer each job until stdin closes."""
-    jobs, replies = sys.stdin.buffer, os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)
-    replies.write(_READY)
-    replies.flush()
+def _serve(jobs, replies) -> None:
+    """The child's loop: answer each job until the job pipe closes."""
     while True:
         try:
             job = pickle.load(jobs)

@@ -2,7 +2,6 @@
 
 import math
 import pickle
-import time
 import warnings
 
 import numpy as np
@@ -656,18 +655,10 @@ def test_divergence_inside_a_mixed_stack_names_the_first_diverged_agent():
 
 
 class InlineWorker:
-    """A worker that trains the rows handed to it in this process.
+    """A worker that trains pickled copies of the rows handed to it in this process."""
 
-    It says it is ready from its `checks`-th `ready` call on, and trains
-    pickled copies of the job, as the worker process does.
-    """
-
-    def __init__(self, checks=1):
-        self.jobs, self.checks = 0, checks
-
-    def ready(self):
-        self.checks -= 1
-        return self.checks <= 0
+    def __init__(self):
+        self.jobs = 0
 
     def submit(self, *job):
         self.jobs += 1
@@ -703,23 +694,6 @@ def test_a_split_call_equals_one_process_bit_for_bit_at_every_cut(monkeypatch):
             assert np.all(np.isnan(stack.errors))
 
 
-def test_a_worker_ready_between_epochs_takes_the_remaining_epochs_bit_for_bit():
-    # The worker is first found ready before epoch `checks` - 1 of 30: the
-    # rows train alone until then, and split after.  At 31 checks it is
-    # never ready within the call.
-    rng = np.random.default_rng(45)
-    stack, _ = mixed_population(rng)
-    window = random_window(rng, len(stack), 50)
-    hp = Hyperparams(epochs=30)
-    whole = train(stack, window, hp)
-    for checks in (1, 2, 16, 30, 31):
-        worker = InlineWorker(checks)
-        split = train(stack, window, hp, worker)
-        assert worker.jobs == (checks <= 30)
-        assert np.array_equal(split.weights, whole.weights), f"weights differ at {checks} checks"
-        assert np.array_equal(split.errors, whole.errors), f"errors differ at {checks} checks"
-
-
 def test_a_diverging_row_on_either_side_of_the_cut_names_the_same_agent(monkeypatch):
     # Both linear agents diverge.  The first in population order, the
     # 7-unit one, sorts last, so every cut leaves it on the worker's side
@@ -751,10 +725,6 @@ def test_a_split_through_the_worker_process_equals_one_process_bit_for_bit(monke
     window = random_window(rng, len(stack), 50)
     hp = Hyperparams(epochs=30)
     with TrainingWorker() as worker:
-        deadline = time.monotonic() + 60
-        while not worker.ready():
-            assert time.monotonic() < deadline, "the worker never said it was ready"
-            time.sleep(0.01)
         jobs = []
         submit = worker.submit
         monkeypatch.setattr(worker, "submit", lambda *job: jobs.append(job) or submit(*job))
