@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .neural import HIDDEN_MAX, HIDDEN_MIN, Stack, draw_weights
+from .neural import HIDDEN_MAX, HIDDEN_MIN, draw_weights, stack_agents
 from .players import Population
 from .rng import RandomStreams
 
@@ -180,5 +180,5 @@ def evolve_generation(
         for parent, h, keep in zip(parents.tolist(), child_hidden.tolist(), kept.tolist())
     ]
     child_errors = np.where(kept, stack.errors[parents], np.nan)
-    children = Stack(child_hidden, child_logistic, weights, child_errors)
+    children = stack_agents(child_hidden, child_logistic, weights, child_errors)
     return Population(children, players, population.stocks)

@@ -32,11 +32,15 @@ across players, stocks and activations, gives at most 10 groups for any
 population, so the per-group Python overhead stays nearly constant and
 run time stays linear in the number of agents (acceptance test A1).
 
-Only building a `Stack` sorts weights; `train` copies the sorted array as
-it is, and nothing else copies or sorts.  A stack holds a gradient array
-`grad` shaped like its weights; each group views its blocks of both and
-keeps, for the stack's lifetime, two `(rows, n, h)` buffers, the hidden
-layer and the back-propagated error, allocated again only when n changes.
+Only `stack_agents` sorts weights: it concatenates per-agent vectors,
+given in population order, in stable hidden-count order.  A `Stack`
+holds the flat sorted array it is given, checked against its hidden
+counts; `train` builds its result over a copy of its input's array and
+each worker job over the array it carries, so nothing else sorts or
+copies.  A stack holds a gradient array `grad` shaped like its weights;
+each group views its blocks of both and keeps, for the stack's lifetime,
+two `(rows, n, h)` buffers, the hidden layer and the back-propagated
+error, allocated again only when n changes.
 
 The output unit's product of the hidden layer and the output weights has
 two forms.  Training and scoring take a window of n samples per row, and
@@ -78,28 +82,24 @@ the same, by a model fitted to single-process `train` timings at n = 50
 18 us for each hidden-count group it touches, plus
 (0.026 + 0.0057 * h) us per window sample of each row of h units.
 
-`simulation.run_simulation` forks a worker for the whole run only if the
+`simulation.run_simulation` forks one worker for the whole run when the
 process may use at least 2 CPUs (`os.sched_getaffinity`) and
 agents * window * epochs, the work of each of its `train` calls, reaches
 SPLIT_MIN_WORK = 150,000.  On the host above, one split call of 96
-agents at n = 50 took 1.16-1.28 times as long as an unsplit one at
+agents at n = 50 takes 1.16-1.28 times as long as an unsplit one at
 4,800-24,000 units of work (pickling, the pipes and waking the worker
-cost about 1 ms), 0.6-0.7 times from about 48,000 up, and about 0.55
-times at 960,000.  The constant itself was set from whole runs with an
-earlier worker, a fresh interpreter that was ready only 0.15-0.35 s
-after it started: runs of 10 generations (500 days, 2 players,
-200 epochs, n = 50; medians of 8 alternating pairs) broke even with that
-worker at 60,000 and 120,000 and gained from 180,000 on, and
-SPLIT_MIN_WORK lies between.  With the forked worker the same runs
-gained at every size measured: 227 -> 194 ms at 60,000 (faster in 7 of
-8), 317 -> 250 ms at 120,000 (7 of 8), 364 -> 288 ms at 180,000 (6 of 8)
-and 429 -> 343 ms at 240,000 (8 of 8).  The break-even now lies below
-60,000; the constant is kept, so the runs that split are the same.
+cost about 1 ms), so split calls lose below about 25,000; it takes
+0.6-0.7 times from about 48,000 up and about 0.55 times at 960,000.
+Whole runs of 10 generations (500 days, 2 players, 200 epochs, n = 50;
+medians of 8 alternating pairs) gain with the worker from 60,000 on:
+227 -> 194 ms at 60,000, 317 -> 250 ms at 120,000, 364 -> 288 ms at
+180,000 and 429 -> 343 ms at 240,000.  The threshold lies above that
+break-even: `reference` (960,000 units per call) and the A1 grid
+(240,000-3,840,000) split, and `crowd` (9,600) does not.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -181,7 +181,7 @@ def draw_population(size: int, rng: np.random.Generator, weight_init_scale: floa
         hidden.append(int(rng.integers(HIDDEN_MIN, HIDDEN_MAX + 1)))
         logistic.append(rng.integers(2) == 1)
         weights.append(draw_weights(hidden[-1], rng, weight_init_scale))
-    return Stack(hidden, logistic, weights, np.full(size, np.nan))
+    return stack_agents(hidden, logistic, weights, np.full(size, np.nan))
 
 
 def _mse(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -245,57 +245,48 @@ class _Group:
         d.sum(axis=1, keepdims=True, out=self.g_bout)
 
 
+def _hidden_counts(hidden) -> np.ndarray:
+    """`hidden` as an int array; a count outside [HIDDEN_MIN, HIDDEN_MAX] is a ConfigError."""
+    hidden = np.array(hidden, dtype=int)
+    outside = hidden[(hidden < HIDDEN_MIN) | (hidden > HIDDEN_MAX)]
+    if len(outside):
+        raise ConfigError(
+            f"hidden units must lie in [{HIDDEN_MIN}, {HIDDEN_MAX}], got {outside[0]}"
+        )
+    return hidden
+
+
 class Stack:
     """A population of agents as arrays, its weights sorted by hidden count.
 
-    Built from (A,) hidden counts, (A,) logistic flags, A flat weight
-    vectors and (A,) errors, all in population order, which `hidden`,
-    `logistic` and `errors` keep; errors[i] is agent i's final MSE on its
-    last training window, NaN until it is trained.  The weights are copied,
-    in stable hidden-count order, into the flat array `weights`, beside a
-    gradient array `grad` of the same layout: sorted row r is agent
+    Built from (A,) hidden counts, (A,) logistic flags and (A,) errors in
+    population order, which `hidden`, `logistic` and `errors` keep, and
+    the flat array `weights` of every agent's weights in stable
+    hidden-count order, held as given; errors[i] is agent i's final MSE on
+    its last training window, NaN until it is trained.  Beside `weights`
+    lies a gradient array `grad` of the same layout: sorted row r is agent
     `order[r]`, `groups` holds one _Group per hidden count, and
     `sorted_logistic` is the (A,) row mask of logistic outputs.
     """
 
-    def __init__(self, hidden, logistic, weights: Sequence[np.ndarray], errors):
-        self.hidden = np.array(hidden, dtype=int)
+    def __init__(self, hidden, logistic, weights: np.ndarray, errors):
+        self.hidden = _hidden_counts(hidden)
         self.logistic = np.array(logistic, dtype=bool)
         self.errors = np.array(errors, dtype=float)
-        outside = self.hidden[(self.hidden < HIDDEN_MIN) | (self.hidden > HIDDEN_MAX)]
-        if len(outside):
-            raise ConfigError(
-                f"hidden units must lie in [{HIDDEN_MIN}, {HIDDEN_MAX}], got {outside[0]}"
-            )
-        if [len(w) for w in weights] != (3 * self.hidden + 1).tolist():
-            raise ValueError("a stack needs one vector of 3 * hidden[i] + 1 weights per agent")
         self.order = np.argsort(self.hidden, kind="stable")
         self.sorted_logistic = self.logistic[self.order]
-        sorted_weights = [weights[i] for i in self.order.tolist()]
-        self._cut(np.concatenate(sorted_weights, dtype=float) if sorted_weights else np.empty(0))
-
-    @classmethod
-    def _of_sorted(cls, hidden, logistic, weights: np.ndarray) -> Stack:
-        """A stack whose population order is its sorted order, over `weights` itself.
-
-        `hidden` must be ascending and `weights` the rows' flat weights in
-        that order; the stack trains them in place.
-        """
-        stack = cls.__new__(cls)
-        stack.hidden, stack.logistic = np.asarray(hidden), np.asarray(logistic)
-        stack.errors = np.full(len(stack.hidden), np.nan)
-        stack.order, stack.sorted_logistic = np.arange(len(stack.hidden)), stack.logistic
-        stack._cut(weights)
-        return stack
-
-    def _cut(self, weights: np.ndarray) -> None:
-        """Hold `weights`, the flat sorted array, a `grad` like it, and a _Group per h."""
-        self.weights, self.grad = weights, np.empty_like(weights)
+        self.weights, size = np.asarray(weights, dtype=float), int(np.sum(3 * self.hidden + 1))
+        if self.weights.shape != (size,):
+            raise ValueError(
+                f"a stack needs {size} flat weights, 3 * hidden[i] + 1 per agent, "
+                f"got shape {self.weights.shape}"
+            )
+        self.grad = np.empty_like(self.weights)
         self.groups, start, offset = [], 0, 0
         for h, run in itertools.groupby(self.hidden[self.order].tolist()):
             count = len(list(run))
             rows, block = slice(start, start + count), slice(offset, offset + count * (3 * h + 1))
-            views = (a[block].reshape(count, 3 * h + 1) for a in (weights, self.grad))
+            views = (a[block].reshape(count, 3 * h + 1) for a in (self.weights, self.grad))
             self.groups.append(_Group(rows, h, *views))
             start, offset = rows.stop, block.stop
 
@@ -306,6 +297,16 @@ class Stack:
         """Every agent's weights in population order, as views of `weights`."""
         rows = [row for group in self.groups for row in group.weights]
         return [rows[r] for r in np.argsort(self.order).tolist()]
+
+
+def stack_agents(hidden, logistic, weights: Sequence[np.ndarray], errors) -> Stack:
+    """A stack of agents given in population order, weights[i] agent i's own vector."""
+    hidden = _hidden_counts(hidden)
+    if [len(w) for w in weights] != (3 * hidden + 1).tolist():
+        raise ValueError("a stack needs one vector of 3 * hidden[i] + 1 weights per agent")
+    ordered = [weights[i] for i in np.argsort(hidden, kind="stable").tolist()]
+    flat = np.concatenate(ordered, dtype=float) if ordered else np.empty(0)
+    return Stack(hidden, logistic, flat, errors)
 
 
 def _check_rows(stack: Stack, window: TrainingWindow, caller: str) -> None:
@@ -368,30 +369,26 @@ def _gradients(stack: Stack, xs: np.ndarray, ys: np.ndarray):
         group.backward(xs, delta)
 
 
-def _descend(stack: Stack, xs: np.ndarray, ys: np.ndarray, epochs: int, lr: float) -> None:
-    """Run `epochs` epochs of gradient descent on the stack's sorted rows, in place."""
+def _fit(stack: Stack, xs: np.ndarray, ys: np.ndarray, epochs: int, lr: float) -> np.ndarray:
+    """Run `epochs` epochs of gradient descent on the sorted rows, in place; their final MSE."""
     # A diverging row overflows; `train` reports it instead of numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             _gradients(stack, xs, ys)
             stack.grad *= lr
             stack.weights -= stack.grad
-
-
-def _final_mse(stack: Stack, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
         return _mse(_predict(stack, xs), ys)
 
 
 def train_rows(hidden, logistic, weights, xs, ys, epochs: int, lr: float):
     """Train sorted rows given as arrays: `train`'s epoch loop on one side of its cut.
 
-    `hidden` is ascending, `weights` holds the rows' flat weights in that
-    order and is trained in place.  Returns (weights, final MSE per row).
+    `hidden` is ascending and `weights` holds the rows' flat weights in
+    that order; they are checked as `Stack` checks them and trained in
+    place.  Returns (weights, final MSE per row).
     """
-    stack = Stack._of_sorted(hidden, logistic, weights)
-    _descend(stack, xs, ys, epochs, lr)
-    return stack.weights, _final_mse(stack, xs, ys)
+    stack = Stack(hidden, logistic, weights, np.full(len(hidden), np.nan))
+    return stack.weights, _fit(stack, xs, ys, epochs, lr)
 
 
 def _balanced_cut(hidden: np.ndarray, n: int) -> int:
@@ -410,19 +407,17 @@ def _balanced_cut(hidden: np.ndarray, n: int) -> int:
 def train(stack: Stack, window: TrainingWindow, hp: Hyperparams, worker=None) -> Stack:
     """Full-batch gradient descent for hp.epochs passes, agent i on window row i.
 
-    Returns a new Stack of the same agents, its sorted weights copied from
-    `stack` without re-sorting, trained, and its errors holding each
-    agent's final training MSE; `stack` is left untouched.  Given a
-    `worker.TrainingWorker` and more than one row, the worker trains the
-    sorted rows from `_balanced_cut` on and this process trains the rest,
-    with the same bits.  Raises
+    Returns a new Stack of the same agents over a copy of `stack.weights`,
+    trained, its errors holding each agent's final training MSE; `stack`
+    is left untouched.  Given a `worker.TrainingWorker` and more than one
+    row, the worker trains the sorted rows from `_balanced_cut` on and
+    this process trains the rest, with the same bits.  Raises
     TrainingDivergedError naming the first agent, in population order,
     whose final MSE is not finite.
     """
     hp.validate()
     _check_rows(stack, window, "train")
-    trained = copy.copy(stack)
-    trained._cut(stack.weights.copy())
+    trained = Stack(stack.hidden, stack.logistic, stack.weights.copy(), stack.errors)
     xs, ys = window.inputs[stack.order], window.targets[stack.order]
     epochs, lr = hp.epochs, hp.learning_rate
     if worker is not None and len(stack) > 1:
@@ -434,9 +429,7 @@ def train(stack: Stack, window: TrainingWindow, hp: Hyperparams, worker=None) ->
         tail[:], tail_errors = worker.result()
         errors = np.concatenate([errors, tail_errors])
     else:
-        _descend(trained, xs, ys, epochs, lr)
-        errors = _final_mse(trained, xs, ys)
-    trained.errors = np.empty(len(stack))
+        errors = _fit(trained, xs, ys, epochs, lr)
     trained.errors[stack.order] = errors
     diverged = np.flatnonzero(~np.isfinite(trained.errors))
     if len(diverged):

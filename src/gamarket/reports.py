@@ -38,10 +38,10 @@ def _write_all(contents: dict[str, str], out_dir) -> dict[str, int]:
     staged = []
     try:
         for name, text in list(contents.items()) + [(MANIFEST_NAME, manifest)]:
-            tmp_path = os.path.join(out_dir, f".{name}.tmp")
-            with open(tmp_path, "w", newline="") as handle:
+            # Staged before it is opened, so a failed write's temporary is removed too.
+            staged.append((os.path.join(out_dir, f".{name}.tmp"), os.path.join(out_dir, name)))
+            with open(staged[-1][0], "w", newline="") as handle:
                 handle.write(text)
-            staged.append((tmp_path, os.path.join(out_dir, name)))
     except OSError:
         for tmp_path, _ in staged:
             if os.path.exists(tmp_path):

@@ -91,11 +91,13 @@ def test_a1_scaling_is_linear_in_players_and_committee_size():
     fits = {f.sweep: f.fit for f in result.fits}
     r2_players = fits["players"].r_squared
     r2_agents = fits["agents"].r_squared
-    _report(
-        "A1 scaling linearity",
-        r2_players >= 0.95 and r2_agents >= 0.95 and elapsed < 300.0,
-        f"R^2 players={r2_players:.5f}, agents={r2_agents:.5f}, {elapsed:.1f}s",
-    )
+    ok = r2_players >= 0.95 and r2_agents >= 0.95 and elapsed < 300.0
+    detail = f"R^2 players={r2_players:.5f}, agents={r2_agents:.5f}, {elapsed:.1f}s"
+    if not ok:  # every (x, seconds) point, to tell a slow host from a bent line
+        for sweep in fits:
+            points = [f"({s.x}, {s.seconds:.3f})" for s in result.samples if s.sweep == sweep]
+            detail += f"; {sweep}: {', '.join(points)}"
+    _report("A1 scaling linearity", ok, detail)
 
 
 CONSERVATION_CONFIG = dict(
@@ -186,7 +188,7 @@ def test_a3_genetic_operator_statistics():
 
 def _one_agent(hidden, logistic, weights):
     """A one-agent, untrained stack."""
-    return Stack([hidden], [logistic], [weights], [math.nan])
+    return Stack([hidden], [logistic], weights, [math.nan])
 
 
 def _new_agent(hidden, logistic, rng):

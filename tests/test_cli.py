@@ -141,6 +141,43 @@ def test_emit_reports_writes_exact_bytes(tmp_path):
     }
 
 
+def test_a_failed_write_leaves_no_temporary_or_final_file(tmp_path, python_process):
+    # The child may write at most 4096 bytes to a file: a.csv fits, b.csv
+    # fails partway through, so neither file nor its temporary may stay.
+    code = f"""
+import resource, signal
+from gamarket.reports import _write_all
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+try:
+    _write_all({{"a.csv": "a" * 19 + "\\n", "b.csv": "b" * 199_999 + "\\n"}}, {str(tmp_path)!r})
+except OSError as exc:
+    print(type(exc).__name__, exc.strerror)
+"""
+    result = python_process(code, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "OSError File too large\n"), result.stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_run_reports_input_that_is_not_utf8_without_traceback(tmp_path, capsys):
+    data = _gen_data(tmp_path)
+    out = tmp_path / "out"
+    config_path = _write_config(tmp_path, data, out)
+    good_config = config_path.read_bytes()
+    config_path.write_bytes(b"# synthetic daily prices from caf\xe9\n" + good_config)
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    reason = "byte 33: invalid continuation byte"
+    assert err == f"ConfigError: {config_path}: not UTF-8 text ({reason})\n"
+    config_path.write_bytes(good_config)
+    prices = data.read_bytes()
+    data.write_bytes(prices[:28] + b"\xff" + prices[29:])
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"DataError: {data}: not UTF-8 text (byte 28: invalid start byte)\n"
+    assert not out.exists()
+
+
 def test_run_is_byte_reproducible(tmp_path):
     data = _gen_data(tmp_path)
     out = tmp_path / "out"

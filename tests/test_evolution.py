@@ -21,7 +21,7 @@ from gamarket.evolution import (
     mutate_bit,
     roulette_select,
 )
-from gamarket.neural import HIDDEN_MAX, HIDDEN_MIN, Stack, draw_weights
+from gamarket.neural import HIDDEN_MAX, HIDDEN_MIN, draw_weights, stack_agents
 from gamarket.players import Population
 from gamarket.rng import make_streams
 from test_neural import agents, make_agent
@@ -197,7 +197,7 @@ def _mixed_agents(seed, size):
 
 def _population(mixed, players, stocks):
     """A population over a stack of (hidden, logistic, weights, error) agents."""
-    return Population(Stack(*zip(*mixed)), players=players, stocks=stocks)
+    return Population(stack_agents(*zip(*mixed)), players=players, stocks=stocks)
 
 
 def _mixed_player(seed=0, stocks=2, per_stock=4):

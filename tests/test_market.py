@@ -446,6 +446,17 @@ def test_a_player_who_cannot_size_at_full_supply_cannot_size_at_all(case):
         assert not any(sizes)
 
 
+def test_a_buy_backs_off_where_float_division_rounds_up():
+    # Past 2**53 shares, cash // price can round up across an integer
+    # boundary: here it names 9052985847588068 shares, more than the cash buys.
+    cash, price = 236019508693467.78, 0.02607090220475149
+    assert (cash // price) * price > cash
+    n = desired_quantity(False, 1.0, price, 2**62, cash, 0)
+    assert n == 9052985847588066
+    assert n < cash // price
+    assert n * price <= cash
+
+
 class CountingRng:
     """A seeded rng that counts its permutation draws."""
 

@@ -23,6 +23,7 @@ from gamarket.neural import (
     evaluate_error,
     forward,
     mse_gradient,
+    stack_agents,
     train,
     train_rows,
 )
@@ -31,13 +32,14 @@ from gamarket.worker import TrainingWorker
 
 def make_agent(hidden, logistic, weights):
     """A one-agent, untrained stack."""
-    return Stack([hidden], [logistic], [np.asarray(weights, dtype=float)], [math.nan])
+    return Stack([hidden], [logistic], weights, [math.nan])
 
 
 def new_stack(specs, rng):
     """An untrained stack of the (hidden, logistic) specs, weights drawn in list order."""
     weights = [draw_weights(h, rng, 0.5) for h, _ in specs]
-    return Stack([h for h, _ in specs], [g for _, g in specs], weights, [math.nan] * len(specs))
+    hidden, logistic = [h for h, _ in specs], [g for _, g in specs]
+    return stack_agents(hidden, logistic, weights, [math.nan] * len(specs))
 
 
 def agents(stack):
@@ -169,11 +171,16 @@ def test_stack_rejects_out_of_range_hidden_units():
         for logistic in (False, True):
             with pytest.raises(ConfigError, match=rf"must lie in \[1, 10\], got {bad}$"):
                 make_agent(bad, logistic, np.zeros(4))
-    # Every agent needs a flag, an error and 3h + 1 weights.
+    # Every agent needs a flag, an error and 3h + 1 weights, given flat or one vector each.
     with pytest.raises(ValueError, match="3 \\* hidden"):
         make_agent(2, False, np.zeros(4))
     with pytest.raises(ValueError, match="3 \\* hidden"):
-        Stack([1, 2], [False, True], [np.zeros(4)], [math.nan, math.nan])
+        Stack([1, 2], [False, True], np.zeros(4), [math.nan, math.nan])
+    with pytest.raises(ValueError, match="3 \\* hidden"):
+        stack_agents([1, 2], [False, True], [np.zeros(4)], [math.nan, math.nan])
+    # The range is checked first, before the per-agent lengths.
+    with pytest.raises(ConfigError, match=r"got 11$"):
+        stack_agents([1, 11], [False, True], [np.zeros(4)], [math.nan, math.nan])
 
 
 def test_draw_population_respects_bounds_and_seed():
@@ -513,7 +520,7 @@ def test_one_trained_stack_serves_every_window_length_bit_for_bit():
     ):
         preds, _ = reference_predict(hidden, logistic, weights, xs)
         assert error == np.mean((preds - ys) ** 2), f"{(hidden, logistic)}"
-    restacked = Stack(stack.hidden, stack.logistic, stack.weight_rows(), stack.errors)
+    restacked = stack_agents(stack.hidden, stack.logistic, stack.weight_rows(), stack.errors)
     assert np.array_equal(forward(stack, day), forward(restacked, day))
 
 
@@ -540,7 +547,7 @@ def test_one_stack_gives_a_fresh_stacks_bits_at_every_call_and_length():
     returned = []
     for name, n, call in calls:
         window = random_window(rng, len(stack), n)
-        fresh = Stack(stack.hidden, stack.logistic, stack.weight_rows(), stack.errors)
+        fresh = stack_agents(stack.hidden, stack.logistic, stack.weight_rows(), stack.errors)
         got = call(stack, window)
         assert np.array_equal(got, call(fresh, window)), f"{name} at n = {n}"
         returned.append((name, got, got.copy()))
@@ -708,6 +715,33 @@ def test_a_diverging_row_on_either_side_of_the_cut_names_the_same_agent(monkeypa
     for cut in range(1, len(stack)):
         monkeypatch.setattr(neural, "_balanced_cut", lambda hidden, n: cut)
         assert divergence_message(stack, window, hp, InlineWorker()) == whole, f"cut {cut}"
+
+
+def test_every_train_rows_job_is_checked_as_a_stack_is():
+    # A job for a 17-weight stack of 2 and 3 units with 3 weights too many,
+    # 1 too few, or a hidden count outside [1, 10] raises the error that
+    # building the Stack raises, in this process and through the worker.
+    rng = np.random.default_rng(45)
+    logistic, weights = np.array([False, True]), rng.uniform(-0.5, 0.5, 17)
+    xs, ys = rng.uniform(0.0, 1.0, (2, 5)), rng.uniform(0.0, 1.0, (2, 5))
+    jobs = [
+        ([2, 3], np.r_[weights, 0.0, 0.0, 0.0]),
+        ([2, 3], weights[:-1]),
+        ([0, 3], weights),
+        ([2, 11], weights),
+    ]
+    with TrainingWorker() as worker:
+        for hidden, flat in jobs:
+            with pytest.raises((ConfigError, ValueError)) as built:
+                Stack(hidden, logistic, flat, [math.nan, math.nan])
+            error = f"{type(built.value).__name__}: {built.value}"
+            with pytest.raises(type(built.value)) as trained:
+                train_rows(hidden, logistic, flat, xs, ys, 1, 0.05)
+            assert f"{type(trained.value).__name__}: {trained.value}" == error
+            worker.submit(hidden, logistic, flat, xs, ys, 1, 0.05)
+            with pytest.raises(TrainingWorkerError) as failed:
+                worker.result()
+            assert str(failed.value) == f"training worker failed: {error}"
 
 
 def test_the_balanced_cut_splits_a_uniform_population_near_its_middle():

@@ -11,7 +11,14 @@ from gamarket.config import SimulationConfig
 from gamarket.data import NORM_HI, NORM_LO, NormalizationParams
 from gamarket.errors import ConfigError
 from gamarket.evolution import GAParams, evolve_generation
-from gamarket.neural import Hyperparams, Stack, TrainingWindow, draw_population, forward, train
+from gamarket.neural import (
+    Hyperparams,
+    TrainingWindow,
+    draw_population,
+    forward,
+    stack_agents,
+    train,
+)
 from gamarket.market import decide, desired_quantity
 from gamarket.players import PRICE_FLOOR, Population, committee_predict
 from gamarket.rng import make_streams
@@ -133,7 +140,7 @@ def test_committee_predict_equals_the_per_player_loop_bit_for_bit(k):
     # The third stock's window was constant (hi == lo).
     params = NormalizationParams(lo=np.array([10.0, 5.0, 3.0]), hi=np.array([20.0, 9.0, 3.0]))
     flat = [agent for player in players for agent in player]
-    stack = Stack(*zip(*flat), [np.nan] * len(flat))
+    stack = stack_agents(*zip(*flat), [np.nan] * len(flat))
     population = Population(stack, players=5, stocks=3)
     [got] = committee_predict(population, xs[None], params)
     expected = reference_committee_predict(players, xs, params)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gamarket.evolution
 import gamarket.market
 import gamarket.players
 import gamarket.simulation
@@ -166,18 +167,18 @@ def test_run_stops_when_clearing_breaks_conservation(tmp_path, monkeypatch, corr
 
 
 def test_a_run_stacks_the_population_once_per_generation(tmp_path, monkeypatch):
-    # Building a Stack is the only step that sorts and stacks weights: a run
-    # builds one at start-up and one per evolution (the children), while
-    # each generation's one forward call for its trading days, its scoring
-    # and every train call (which copies the sorted weights as they are)
-    # run on the stack they get.  A crowd-shaped run: one-agent committees,
-    # one-epoch retraining, frequent evolution.
+    # `stack_agents` is the only step that sorts and stacks weights: a run
+    # stacks at start-up and once per evolution (the children), while each
+    # generation's one forward call for its trading days, its scoring and
+    # every train call (which builds its result over a copy of the sorted
+    # weights) run on the stack they get.  A crowd-shaped run: one-agent
+    # committees, one-epoch retraining, frequent evolution.
     builds, where, calls, columns = [], [], [], []
-    build = neural.Stack.__init__
+    stack_agents = neural.stack_agents
 
-    def counting_build(self, *args):
+    def counting_build(*args):
         builds.append(where[-1] if where else "start-up")
-        build(self, *args)
+        return stack_agents(*args)
 
     def inside(name, fn):
         def call(*args, **kwargs):
@@ -194,7 +195,8 @@ def test_a_run_stacks_the_population_once_per_generation(tmp_path, monkeypatch):
         columns.append(np.shape(xs)[1])
         return neural.forward(stack, xs, **kwargs)
 
-    monkeypatch.setattr(neural.Stack, "__init__", counting_build)
+    monkeypatch.setattr(neural, "stack_agents", counting_build)
+    monkeypatch.setattr(gamarket.evolution, "stack_agents", counting_build)
     monkeypatch.setattr(gamarket.players, "forward", inside("forward", counting_forward))
     for name in ("build_window", "committee_predict", "decide", "run_clearing", "train",
                  "evaluate_error", "evolve_generation"):
